@@ -264,7 +264,7 @@ impl CertifierLog {
         };
         if self.entries[index].checked_down_to <= target {
             // Already certified at least that far back.
-            return target.max(self.newest_conflict_cached(index, target));
+            return target;
         }
         let (probe_footprint, checked_down_to) = {
             let entry = &self.entries[index];
@@ -299,13 +299,6 @@ impl CertifierLog {
                 target
             }
         }
-    }
-
-    /// Cached variant used when the memoised bound already covers `target`:
-    /// the entry is known conflict-free back to `checked_down_to`, so the
-    /// answer is simply `target` (the caller's bound).
-    fn newest_conflict_cached(&self, _index: usize, target: Version) -> Version {
-        target
     }
 
     /// Discards entries at or below `version` (log truncation once a sealed

@@ -9,18 +9,26 @@
 //! the missing log suffix from an up node via a state transfer.
 //!
 //! [`ReplicatedLog`] implements exactly that behaviour in-process: each node
-//! owns its own simulated disk, appends are acknowledged only when durable,
-//! and progress requires a majority of nodes up.  The group-commit batching
-//! of the underlying [`WalWriter`] is what gives the certifier its "single
-//! writer thread … batches all outstanding writesets to disk via a single
-//! fsync" efficiency.
+//! owns its own simulated disk, and an append **stages once, flushes every
+//! node at once, and returns at the majority-th completion** — the epoch's
+//! frames are encoded a single time, handed to every up node's log, a flush
+//! is begun on all of them before any is waited for, and the call returns
+//! when a majority of those flushes has completed.  An epoch therefore costs
+//! one disk latency, not one per node.  A straggler's flush finishes on its
+//! own disk's time; the next flush on that disk covers whatever was staged
+//! meanwhile, and a straggler that crashes first gets the records back by
+//! state transfer.  Progress requires a majority of nodes up.  The
+//! group-commit batching of the underlying [`WalWriter`] is what gives the
+//! certifier its "single writer thread … batches all outstanding writesets to
+//! disk via a single fsync" efficiency.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 use tashkent_common::{Error, GroupCommitStats, Result, Version, WriteSet};
-use tashkent_storage::disk::{DiskConfig, LogDevice, SimulatedDisk};
+use tashkent_storage::disk::{wait_until, DiskConfig, LogDevice, SimulatedDisk};
 use tashkent_storage::wal::{WalRecord, WalWriter};
 
 /// Identifier of one certifier node within the group.
@@ -213,67 +221,45 @@ impl ReplicatedLog {
     }
 
     /// Appends one certified writeset to the replicated log, returning once a
-    /// majority of nodes has it durable.
-    ///
-    /// Concurrent appends from different certification requests share fsyncs
-    /// on each node's disk through the [`WalWriter`]'s group commit.
+    /// majority of nodes has it durable: [`ReplicatedLog::append_group`] of
+    /// one entry.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Unavailable`] if fewer than a majority of nodes are
     /// up or acknowledge the append.
     pub fn append(&self, version: Version, writeset: &WriteSet) -> Result<()> {
-        let _membership = self.membership.read();
-        let majority = self.majority();
-        if self.up_count() < majority {
-            return Err(Error::Unavailable(format!(
-                "only {} of {} certifier nodes up, majority {} required",
-                self.up_count(),
-                self.nodes.len(),
-                majority
-            )));
-        }
-        *self.entries.lock() += 1;
-        let record = WalRecord::Commit {
-            version,
-            writeset: writeset.clone(),
-        };
-        let mut acks = 0usize;
-        for node in &self.nodes {
-            if !node.is_up() {
-                continue;
-            }
-            if self.durable {
-                node.wal.append_durable(&record);
-            } else {
-                node.wal.append(&record);
-            }
-            acks += 1;
-        }
-        if acks >= majority {
-            Ok(())
-        } else {
-            Err(Error::Unavailable(format!(
-                "only {acks} certifier nodes acknowledged, majority {majority} required"
-            )))
-        }
+        self.replicate(std::iter::once((version, writeset)))
     }
 
     /// Appends one certified *epoch* of writesets, returning once a majority
     /// of nodes has all of them durable.
     ///
-    /// This is the batched-certification counterpart of
-    /// [`ReplicatedLog::append`]: the epoch's records are staged on each
-    /// node's WAL and flushed with a **single** fsync per node, so the whole
-    /// epoch pays one majority round of disk latency instead of one per
-    /// writeset.  An empty epoch is a no-op.
+    /// The epoch's records are encoded once, staged on every up node's log
+    /// with one device append each, and flushed with a **single** fsync per
+    /// node, all begun before any is waited for — so the whole epoch pays
+    /// one disk latency: not one per writeset, and not one per node.
+    /// Concurrent appends share fsyncs on each node's disk through the
+    /// [`WalWriter`]'s group commit.  An empty epoch is a no-op.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Unavailable`] if fewer than a majority of nodes are
     /// up or acknowledge the append.
     pub fn append_group(&self, entries: &[(Version, Arc<WriteSet>)]) -> Result<()> {
-        if entries.is_empty() {
+        self.replicate(
+            entries
+                .iter()
+                .map(|(version, writeset)| (*version, &**writeset)),
+        )
+    }
+
+    fn replicate<'a>(
+        &self,
+        entries: impl ExactSizeIterator<Item = (Version, &'a WriteSet)>,
+    ) -> Result<()> {
+        let records = entries.len() as u64;
+        if records == 0 {
             return Ok(());
         }
         let _membership = self.membership.read();
@@ -286,35 +272,36 @@ impl ReplicatedLog {
                 majority
             )));
         }
-        *self.entries.lock() += entries.len() as u64;
-        let records: Vec<WalRecord> = entries
-            .iter()
-            .map(|(version, writeset)| WalRecord::Commit {
-                version: *version,
-                writeset: (**writeset).clone(),
-            })
-            .collect();
+        *self.entries.lock() += records;
+        let mut frames = Vec::new();
+        for (version, writeset) in entries {
+            WalRecord::encode_commit_into(&mut frames, version, writeset);
+        }
+        // Stage on every up node and begin its flush; `None` = no wait owed.
+        let mut flushes: Vec<(Option<Instant>, &Node)> = Vec::with_capacity(self.nodes.len());
+        for node in self.nodes.iter().filter(|node| node.is_up()) {
+            let lsn = node.wal.append_frames(&frames, records);
+            let done = self.durable.then(|| node.wal.begin_sync(lsn)).flatten();
+            flushes.push((done, node));
+        }
+        // Acknowledge in completion order, stopping at the majority-th.  A
+        // node that crashed after its flush began lost the bytes (recovery
+        // needs `membership` exclusively, so it is still down here): its
+        // completion instant is no acknowledgement.
+        flushes.sort_by_key(|(done, _)| *done);
         let mut acks = 0usize;
-        for node in &self.nodes {
-            if !node.is_up() {
-                continue;
+        for (done, node) in flushes {
+            if let Some(done) = done {
+                wait_until(done);
             }
-            let mut last_lsn = 0u64;
-            for record in &records {
-                last_lsn = node.wal.append(record);
+            acks += usize::from(node.is_up());
+            if acks >= majority {
+                return Ok(());
             }
-            if self.durable {
-                node.wal.sync_to(last_lsn);
-            }
-            acks += 1;
         }
-        if acks >= majority {
-            Ok(())
-        } else {
-            Err(Error::Unavailable(format!(
-                "only {acks} certifier nodes acknowledged, majority {majority} required"
-            )))
-        }
+        Err(Error::Unavailable(format!(
+            "only {acks} certifier nodes acknowledged, majority {majority} required"
+        )))
     }
 
     /// Crashes a node.  If it was the leader, a new leader is elected among
@@ -368,6 +355,12 @@ impl ReplicatedLog {
         let node = &self.nodes[node_index];
         let donor = self.nodes.iter().find(|n| n.is_up() && n.id != id);
         let total_outage = donor.is_none();
+        if let Some(donor) = donor {
+            // An append returns at majority, so the donor may be a straggler
+            // whose flush of an acknowledged record is still on its way; no
+            // append is running now, so after this its log is complete.
+            donor.wal.flush_all();
+        }
         let mut merged: std::collections::BTreeMap<Version, WalRecord> =
             std::collections::BTreeMap::new();
         let sources: Vec<&Arc<Node>> = match donor {
@@ -394,7 +387,8 @@ impl ReplicatedLog {
 
     /// Reads back the durable entries of a node (used by certifier recovery
     /// to rebuild the in-memory log, and by Tashkent-MW replica recovery to
-    /// obtain missing writesets).
+    /// obtain missing writesets).  On a node outside the acknowledging
+    /// majority the newest entries appear once its own flush has completed.
     ///
     /// # Errors
     ///
@@ -441,6 +435,8 @@ impl ReplicatedLog {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use tashkent_common::{TableId, Value, WriteItem};
 
     use super::*;
@@ -562,6 +558,173 @@ mod tests {
         let entries = log.durable_entries(CertifierNodeId(2)).unwrap();
         assert_eq!(entries.len(), 2);
         assert_eq!(entries.first().unwrap().0, Version(5));
+    }
+
+    /// The paper's disk, as the benchmark configures it: 8 ms + ≤2 ms, slept.
+    fn paper_disk() -> DiskConfig {
+        DiskConfig {
+            fsync_jitter: Duration::from_millis(2),
+            ..DiskConfig::with_latency(Duration::from_millis(8))
+        }
+    }
+
+    fn slow_disk() -> DiskConfig {
+        DiskConfig::with_latency(Duration::from_millis(40))
+    }
+
+    fn mean_append_ms(log: &ReplicatedLog) -> f64 {
+        let started = Instant::now();
+        for i in 1..=8 {
+            log.append(Version(i), &ws(i as i64)).unwrap();
+        }
+        started.elapsed().as_secs_f64() * 1e3 / 8.0
+    }
+
+    /// Lets every straggler flush on an up node finish.
+    fn settle(log: &ReplicatedLog) {
+        for node in log.nodes.iter().filter(|n| n.is_up()) {
+            node.wal.flush_all();
+        }
+    }
+
+    fn versions(log: &ReplicatedLog, node: u32) -> Vec<u64> {
+        let entries = log.durable_entries(CertifierNodeId(node)).unwrap();
+        entries.iter().map(|(version, _)| version.0).collect()
+    }
+
+    /// Keeps `node`'s disk busy so that its flush of the next append queues
+    /// behind a flush in flight: a straggler by construction.
+    fn make_straggler(log: &ReplicatedLog, node: usize) {
+        log.nodes[node].device.begin_flush(u64::MAX, 0);
+    }
+
+    #[test]
+    fn an_append_costs_one_disk_latency_whatever_the_group_size() {
+        // Three serial flushes would be ≈27 ms; flushed at once, ≈9.
+        let three = mean_append_ms(&ReplicatedLog::new(3, paper_disk(), true));
+        assert!(three < 14.0, "3 nodes: {three:.1} ms per append");
+        let one = mean_append_ms(&ReplicatedLog::new(1, paper_disk(), true));
+        assert!((8.0..14.0).contains(&one), "1 node: {one:.1} ms per append");
+    }
+
+    #[test]
+    fn an_acknowledged_record_survives_losing_the_straggler_then_everyone() {
+        let log = ReplicatedLog::new(3, slow_disk(), true);
+        log.append(Version(1), &ws(1)).unwrap();
+        settle(&log);
+        make_straggler(&log, 2);
+        log.append(Version(2), &ws(2)).unwrap();
+        // Acknowledged at majority: nodes 0 and 1 have it, node 2 not yet.
+        assert_eq!(versions(&log, 0), [1, 2]);
+        assert_eq!(versions(&log, 1), [1, 2]);
+        assert_eq!(versions(&log, 2), [1]);
+        // The straggler dies with its flush in flight, then the other two.
+        log.crash_node(CertifierNodeId(2));
+        log.crash_node(CertifierNodeId(1));
+        log.crash_node(CertifierNodeId(0));
+        assert_eq!(versions(&log, 2), [1], "its flush never completed");
+        // Restarting from the node that missed it: the union has the record.
+        log.recover_node(CertifierNodeId(2)).unwrap();
+        assert_eq!(versions(&log, 2), [1, 2]);
+        log.recover_node(CertifierNodeId(0)).unwrap();
+        log.recover_node(CertifierNodeId(1)).unwrap();
+        log.append(Version(3), &ws(3)).unwrap();
+        settle(&log);
+        for node in 0..3 {
+            assert_eq!(
+                log.durable_entries(CertifierNodeId(node)).unwrap(),
+                log.durable_entries(CertifierNodeId(0)).unwrap()
+            );
+            assert_eq!(versions(&log, node), [1, 2, 3]);
+        }
+    }
+
+    #[test]
+    fn recovery_from_a_straggler_donor_still_transfers_the_acknowledged_record() {
+        let log = ReplicatedLog::new(5, slow_disk(), true);
+        log.append(Version(1), &ws(1)).unwrap();
+        settle(&log);
+        // Node 0 is down and node 1 — the donor `recover_node` will pick —
+        // lags: nodes 2, 3 and 4 are the majority that acknowledges.
+        log.crash_node(CertifierNodeId(0));
+        make_straggler(&log, 1);
+        log.append(Version(2), &ws(2)).unwrap();
+        assert_eq!(versions(&log, 1), [1], "the donor has not flushed it yet");
+        log.recover_node(CertifierNodeId(0)).unwrap();
+        assert_eq!(versions(&log, 0), [1, 2]);
+        for node in 1..5 {
+            assert_eq!(versions(&log, node), [1, 2]);
+        }
+    }
+
+    /// Runs `append(version)` on another thread and, once the record is
+    /// staged on `victim`, crashes that node — before its flush completes.
+    fn crash_mid_append(log: &ReplicatedLog, version: u64, victim: u32) -> Result<()> {
+        let staged = log.nodes[victim as usize].device.len();
+        std::thread::scope(|scope| {
+            let appender = scope.spawn(|| log.append(Version(version), &ws(version as i64)));
+            while log.nodes[victim as usize].device.len() == staged {
+                std::thread::yield_now();
+            }
+            log.crash_node(CertifierNodeId(victim));
+            appender.join().expect("the appender does not panic")
+        })
+    }
+
+    #[test]
+    fn a_node_crashing_mid_flush_is_no_ack_and_recovers_without_gaps_or_duplicates() {
+        let log = ReplicatedLog::new(3, slow_disk(), true);
+        log.append(Version(1), &ws(1)).unwrap();
+        settle(&log);
+        // Node 2 crashes between begin and completion: the other two carry
+        // the append, and node 2 keeps nothing of it.
+        crash_mid_append(&log, 2, 2).unwrap();
+        assert_eq!(versions(&log, 2), [1]);
+        for i in 3..=4 {
+            log.append(Version(i), &ws(i as i64)).unwrap();
+        }
+        log.recover_node(CertifierNodeId(2)).unwrap();
+        assert_eq!(versions(&log, 2), [1, 2, 3, 4]);
+        // With node 0 down, node 1 crashing mid-flush leaves no majority.
+        log.crash_node(CertifierNodeId(0));
+        assert!(matches!(
+            crash_mid_append(&log, 5, 1),
+            Err(Error::Unavailable(_))
+        ));
+        // Nobody acknowledged version 5, but node 2 flushed it: recovery
+        // keeps what is durable, once, on every node.
+        log.recover_node(CertifierNodeId(0)).unwrap();
+        log.recover_node(CertifierNodeId(1)).unwrap();
+        settle(&log);
+        for node in 0..3 {
+            assert_eq!(versions(&log, node), [1, 2, 3, 4, 5]);
+        }
+    }
+
+    #[test]
+    fn truncation_under_a_straggler_flush_neither_loses_nor_resurrects() {
+        let log = ReplicatedLog::new(3, slow_disk(), true);
+        make_straggler(&log, 2);
+        for i in 1..=3 {
+            log.append(Version(i), &ws(i as i64)).unwrap();
+        }
+        assert!(versions(&log, 2).len() < 3, "node 2 is behind");
+        // Node 2's flush is still in flight when the log is trimmed.
+        assert_eq!(log.truncate_below(Version(2)).unwrap(), 2);
+        for node in 0..3 {
+            assert_eq!(versions(&log, node), [3]);
+        }
+        // Long after any stale flush would have landed: still trimmed, and
+        // a crash finds nothing volatile to lose.
+        std::thread::sleep(Duration::from_millis(100));
+        log.crash_node(CertifierNodeId(2));
+        assert_eq!(versions(&log, 2), [3]);
+        log.recover_node(CertifierNodeId(2)).unwrap();
+        log.append(Version(4), &ws(4)).unwrap();
+        settle(&log);
+        for node in 0..3 {
+            assert_eq!(versions(&log, node), [3, 4]);
+        }
     }
 
     #[test]
