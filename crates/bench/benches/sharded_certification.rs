@@ -1,11 +1,10 @@
 //! Micro-benchmark: sharded certification throughput.
 //!
-//! Hammers the [`ShardedCertifier`] from several worker threads with
-//! pre-generated writeset traces and compares shard counts 1 / 2 / 4.  The
-//! single-shard configuration is decision-identical to the unsharded
-//! certifier (see `tests/sharded_equivalence.rs`), so `shards=1` doubles as
-//! the unsharded baseline; the acceptance bar for the sharding PR is that at
-//! least one sharded configuration certifies no slower than it.
+//! Hammers the [`Certifier`] from several worker threads with pre-generated
+//! writeset traces and compares shard counts 1 / 2 / 4.  `shards=1` is the
+//! paper's unsharded certifier (the default configuration); the acceptance
+//! bar for the sharding PR is that at least one sharded configuration
+//! certifies no slower than it.
 //!
 //! Requests carry a lagged start version, so every certification performs a
 //! real intersection scan over the recent log suffix — the work sharding
@@ -26,9 +25,7 @@ use std::sync::Arc;
 use std::thread;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use tashkent_certifier::{
-    CertificationRequest, ShardedCertifier, ShardedCertifierConfig,
-};
+use tashkent_certifier::{CertificationRequest, Certifier, ShardedCertifierConfig};
 use tashkent_common::{
     Component, Event, EventKind, MetricsRegistry, ReplicaId, TableId, Value, WriteItem, WriteSet,
 };
@@ -113,7 +110,7 @@ fn tpcw_browsing_trace(len: usize) -> Vec<WriteSet> {
 /// Certifies `BATCH` writesets from `trace` across `WORKERS` threads,
 /// returning the number that reached a decision.
 fn certify_batch(
-    certifier: &Arc<ShardedCertifier>,
+    certifier: &Arc<Certifier>,
     trace: &Arc<Vec<WriteSet>>,
     cursor: &AtomicUsize,
     lag: u64,
@@ -166,7 +163,7 @@ fn bench_metrics_overhead(c: &mut Criterion) {
     ] {
         let mut config = ShardedCertifierConfig::with_shards(2);
         config.base.metrics = Arc::new(registry);
-        let certifier = Arc::new(ShardedCertifier::new(config));
+        let certifier = Arc::new(Certifier::new(config));
         let cursor = AtomicUsize::new(0);
         group.bench_with_input(BenchmarkId::new("tpcb", mode), &mode, |b, _| {
             b.iter(|| certify_batch(&certifier, &trace, &cursor, START_LAG));
@@ -196,7 +193,7 @@ fn bench_events_overhead(c: &mut Criterion) {
     ] {
         let mut config = ShardedCertifierConfig::with_shards(2);
         config.base.metrics = Arc::new(registry);
-        let certifier = Arc::new(ShardedCertifier::new(config));
+        let certifier = Arc::new(Certifier::new(config));
         let cursor = AtomicUsize::new(0);
         group.bench_with_input(BenchmarkId::new("tpcb", mode), &mode, |b, _| {
             b.iter(|| certify_batch(&certifier, &trace, &cursor, START_LAG));
@@ -230,8 +227,8 @@ fn bench_events_overhead(c: &mut Criterion) {
 }
 
 /// The shard sweep, run twice: `batch=on` (epoch-drained, pre-screened
-/// certification — the default) against `batch=off` (the serial
-/// one-writeset-at-a-time scan, i.e. the pre-batching baseline).  The
+/// certification — the default) against `batch=off` (the direct path, one
+/// writeset at a time, i.e. the pre-batching baseline).  The
 /// batching PR's scoreboard compares the two per trace × shard count; its
 /// acceptance bar is a measurable win for `batch=on` at 4 shards on the
 /// allupdates trace.
@@ -252,7 +249,7 @@ fn bench_sharded(c: &mut Criterion) {
             for batch in [true, false] {
                 let mut config = ShardedCertifierConfig::with_shards(shards);
                 config.base.batch = batch;
-                let certifier = Arc::new(ShardedCertifier::new(config));
+                let certifier = Arc::new(Certifier::new(config));
                 let cursor = AtomicUsize::new(0);
                 let mode = if batch { "batch=on" } else { "batch=off" };
                 group.bench_with_input(

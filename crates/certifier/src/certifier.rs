@@ -1,10 +1,9 @@
-//! The certifier façade used by replica proxies.
+//! The certifier shared by every replica proxy.
 //!
-//! [`Certifier`] combines the in-memory certified-writeset log
-//! ([`CertifierLog`]), the majority-replicated durable log
-//! ([`ReplicatedLog`]) and the certification policy (including the forced
-//! abort rates used by the Section 9.5 experiment) behind the exact request /
-//! response interface of Section 6.1:
+//! [`Certifier`] detects write-write conflicts by intersecting writesets,
+//! assigns the global total order of update-transaction commits and makes
+//! each decision durable on a majority-replicated log before announcing it,
+//! behind the exact request / response interface of Section 6.1:
 //!
 //! * request: `(T.tx_start_version, T.writeset)` plus the replica's current
 //!   version so the certifier knows which remote writesets the replica has
@@ -13,16 +12,59 @@
 //!   transaction's commit version — extended, for Tashkent-API, with the
 //!   version down to which each remote writeset is conflict-free
 //!   (Section 5.2.1).
+//!
+//! # Shards
+//!
+//! The certifier fronts N independent certification shards — one for a
+//! plain [`CertifierConfig`], which is the paper's certifier.  Each shard
+//! owns a slice of the row space (the deterministic [`ShardMap`]), keeps its
+//! own in-memory [`CertifierLog`] of the committed writesets that touch its
+//! slice, and has its own majority-replicated durable log
+//! ([`ReplicatedLog`]) and checkpoint store.  A *global sequencer* assigns
+//! cluster-wide commit versions (and draws the forced aborts of
+//! Section 9.5), so every replica still applies one totally-ordered stream.
+//!
+//! A write-write conflict between two writesets is witnessed by a shared
+//! `(table, key)` pair, and that pair is owned by exactly one shard — a shard
+//! both writesets certify on.  Logging the **full** writeset on every owning
+//! shard therefore preserves every conflict: any intersection found on any
+//! shard is a real one, and every real one is found on the shared item's
+//! shard.
+//!
+//! # Certification paths
+//!
+//! * **Direct ordered two-phase certify**: acquire every owning shard's log
+//!   in ascending shard-id order, decide under the sequencer, append,
+//!   release.  The global acquisition order makes concurrent multi-shard
+//!   certifications deadlock-free.  Multi-shard writesets always take it;
+//!   so does everything when batching is off or forced aborts are on.
+//! * **Per-shard two-phase epoch**: single-shard writesets drain through the
+//!   shard's [`EpochQueue`] and are certified a batch at a time under one
+//!   shard-log lock, one sequencer acquisition and one grouped majority
+//!   fsync, with decisions identical to the direct path taken one request
+//!   at a time in arrival order.
+//!
+//! # Version streams
+//!
+//! The sequencer's version counter is only advanced while the committing
+//! transaction holds its shard locks and the sequencer lock, so a reader
+//! that samples `system_version` *first* and the per-shard streams
+//! *afterwards* observes every commit at or below the sampled version —
+//! [`merge_shard_streams`] exploits this to reassemble a gap-free global
+//! stream from per-shard streams.
 
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tashkent_common::metrics::{CounterId, GaugeId, Stage};
 use tashkent_common::{
-    Component, Error, Event, EventKind, MetricsRegistry, ReplicaId, Result, Version, WriteSet,
+    Component, Error, Event, EventKind, MetricsRegistry, ReplicaId, Result, RowKey, ShardId,
+    ShardMap, TableId, Version, WriteSet,
 };
 use tashkent_storage::checkpoint::CheckpointStore;
 use tashkent_storage::disk::DiskConfig;
@@ -31,6 +73,7 @@ use tashkent_storage::wal::WalRecord;
 use crate::batch::{EpochQueue, Slot};
 use crate::log::CertifierLog;
 use crate::paxos::{CertifierNodeId, ReplicatedLog, ReplicatedLogStats};
+use crate::sharded::{merge_shard_streams, ShardStream, ShardedCertifierConfig};
 
 /// Encodes a certifier checkpoint payload: the truncation floor followed by
 /// the log entries above it, each framed as a WAL commit record (the same
@@ -84,7 +127,7 @@ pub fn decode_checkpoint_payload(bytes: &[u8]) -> Result<(Version, Vec<(Version,
     Ok((floor, entries))
 }
 
-/// Configuration of the certifier component.
+/// Configuration of the certifier component (of each shard, when sharded).
 #[derive(Debug, Clone)]
 pub struct CertifierConfig {
     /// Number of certifier nodes (leader + backups).
@@ -103,9 +146,9 @@ pub struct CertifierConfig {
     /// Cluster metrics registry this certifier reports into.  Standalone
     /// certifiers default to a disabled (no-op) registry.
     pub metrics: Arc<MetricsRegistry>,
-    /// Whether certification drains batched epochs with a footprint
-    /// pre-screen (the default) or runs the serial one-writeset-at-a-time
-    /// scan.  Decisions are identical either way; the flag exists so the
+    /// Whether single-shard requests drain through per-shard epochs with a
+    /// footprint pre-screen (the default) or take the direct path one at a
+    /// time.  Decisions are identical either way; the flag exists so the
     /// benches can compare the two and so a regression can be bisected.
     pub batch: bool,
 }
@@ -161,6 +204,22 @@ impl CertificationDecision {
     pub fn is_commit(&self) -> bool {
         matches!(self, CertificationDecision::Commit)
     }
+
+    /// The conservative abort of a snapshot the truncated log can no longer
+    /// certify.
+    fn below_floor(start_version: Version, floor: Version) -> Self {
+        CertificationDecision::Abort {
+            reason: format!("snapshot {start_version} below truncation floor {floor}"),
+            forced: false,
+        }
+    }
+
+    fn conflict(with: Version) -> Self {
+        CertificationDecision::Abort {
+            reason: format!("write-write conflict with {with}"),
+            forced: false,
+        }
+    }
 }
 
 /// A remote writeset returned to a replica.
@@ -207,17 +266,12 @@ pub struct CertifierStats {
     pub conflict_aborts: u64,
     /// Requests aborted by the forced-abort experiment.
     pub forced_aborts: u64,
-    /// State of the replicated durable log.
+    /// Commits whose writeset spanned more than one shard (these paid the
+    /// ordered two-phase certify).
+    pub multi_shard_commits: u64,
+    /// State of the replicated durable logs, summed across shards (group
+    /// commit merged).
     pub log: ReplicatedLogStats,
-}
-
-struct CertifierInner {
-    log: CertifierLog,
-    rng: StdRng,
-    requests: u64,
-    commits: u64,
-    conflict_aborts: u64,
-    forced_aborts: u64,
 }
 
 /// A certification decision stripped of its remote-writeset stream: what an
@@ -246,264 +300,283 @@ impl Decided {
     }
 }
 
+/// One shard's slice of the certifier state.
+struct Shard {
+    /// In-memory certified-writeset log restricted to this shard's rows
+    /// (full writesets are stored; see the module docs for why that is both
+    /// sound and complete).
+    log: Mutex<CertifierLog>,
+    /// This shard's majority-replicated durable log.
+    replicated: ReplicatedLog,
+    /// Sealed checkpoint images of this shard's log; the newest one bounds
+    /// how far this shard may truncate.
+    checkpoints: CheckpointStore,
+}
+
+/// The global sequencer: version counter, forced-abort randomness and
+/// request counters.
+struct Sequencer {
+    version: Version,
+    rng: StdRng,
+    requests: u64,
+    commits: u64,
+    conflict_aborts: u64,
+    forced_aborts: u64,
+    multi_shard_commits: u64,
+}
+
 /// The certifier component shared by every replica proxy in a cluster.
 pub struct Certifier {
-    inner: Mutex<CertifierInner>,
-    replicated: ReplicatedLog,
-    checkpoints: CheckpointStore,
+    map: ShardMap,
+    shards: Vec<Shard>,
+    sequencer: Mutex<Sequencer>,
     forced_abort_rate: f64,
     metrics: Arc<MetricsRegistry>,
-    /// Present when batched certification is enabled (the default).
-    batcher: Option<EpochQueue<CertificationRequest, Result<Decided>>>,
+    /// One epoch queue per shard when batched certification is enabled and
+    /// no forced aborts are configured.  The epoch checks each request
+    /// against *tentatively* accepted neighbours before any version is
+    /// assigned, which is only final when no later draw can kill one of
+    /// them; with forced aborts every request takes the direct path, which
+    /// draws once per surviving request under the sequencer.
+    batchers: Option<Vec<EpochQueue<CertificationRequest, Result<Decided>>>>,
+    /// Cache of [`Certifier::truncation_floor`], refreshed whenever a
+    /// truncation moves a shard floor.  Certification reads this instead of
+    /// locking every shard log on every request; floors only move under
+    /// [`Certifier::truncate_below`], so the cache is exact between
+    /// truncations (and during one it lags exactly like the locked read
+    /// did — the floor sample always preceded taking the shard guards).
+    floor_cache: AtomicU64,
 }
 
 impl std::fmt::Debug for Certifier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Certifier")
+            .field("shards", &self.shards.len())
             .field("system_version", &self.system_version())
             .finish()
     }
 }
 
 impl Certifier {
-    /// Creates a certifier group.
+    /// Creates a certifier group: one shard from a plain [`CertifierConfig`],
+    /// `shards` shards from a [`ShardedCertifierConfig`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shard count fails [`ShardMap::validate`]; build the
+    /// configuration through a validated [`tashkent_common::ClusterConfig`]
+    /// to surface the problem as an error instead.
     #[must_use]
-    pub fn new(config: CertifierConfig) -> Self {
+    pub fn new(config: impl Into<ShardedCertifierConfig>) -> Self {
+        let ShardedCertifierConfig { shards, base } = config.into();
+        let map = ShardMap::new(shards);
+        map.validate().expect("invalid shard count");
+        let forced_abort_rate = base.forced_abort_rate.clamp(0.0, 1.0);
         Certifier {
-            inner: Mutex::new(CertifierInner {
-                log: CertifierLog::new(),
-                rng: StdRng::seed_from_u64(config.seed),
+            map,
+            shards: (0..shards)
+                .map(|_| Shard {
+                    log: Mutex::new(CertifierLog::new()),
+                    replicated: ReplicatedLog::new(base.nodes, base.disk.clone(), base.durable),
+                    checkpoints: CheckpointStore::new(),
+                })
+                .collect(),
+            sequencer: Mutex::new(Sequencer {
+                version: Version::ZERO,
+                rng: StdRng::seed_from_u64(base.seed),
                 requests: 0,
                 commits: 0,
                 conflict_aborts: 0,
                 forced_aborts: 0,
+                multi_shard_commits: 0,
             }),
-            replicated: ReplicatedLog::new(config.nodes, config.disk, config.durable),
-            checkpoints: CheckpointStore::new(),
-            forced_abort_rate: config.forced_abort_rate.clamp(0.0, 1.0),
-            metrics: config.metrics,
-            batcher: config.batch.then(EpochQueue::new),
+            forced_abort_rate,
+            metrics: base.metrics,
+            batchers: (base.batch && forced_abort_rate <= 0.0)
+                .then(|| (0..shards).map(|_| EpochQueue::new()).collect()),
+            floor_cache: AtomicU64::new(0),
         }
     }
 
-    /// Rebuilds a certifier from previously durable log entries (certifier
-    /// recovery: the in-memory log is reconstructed from the persistent log
-    /// or from a state transfer, Section 7.3).
+    /// The shard map replicas should use to route and partition work.
     #[must_use]
-    pub fn from_entries(config: CertifierConfig, entries: &[(Version, WriteSet)]) -> Self {
-        let certifier = Certifier::new(config);
-        {
-            let mut inner = certifier.inner.lock();
-            for (version, writeset) in entries {
-                inner.log.append_at(*version, std::sync::Arc::new(writeset.clone()));
-            }
-        }
-        for (version, writeset) in entries {
-            // Re-persist so the new group's disks hold the full log.
-            let _ = certifier.replicated.append(*version, writeset);
-        }
-        certifier
+    pub fn shard_map(&self) -> ShardMap {
+        self.map
     }
 
-    /// Bootstraps a certifier from a sealed checkpoint image plus the log
-    /// suffix committed after it (record-range incremental state transfer:
-    /// the joiner fetches the newest checkpoint and only the records past
-    /// it, not the full history).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Corruption`] if the checkpoint payload fails its
-    /// frame checks.
-    pub fn from_checkpoint(
-        config: CertifierConfig,
-        checkpoint_payload: &[u8],
-        suffix: &[(Version, WriteSet)],
-    ) -> Result<Self> {
-        let (floor, entries) = decode_checkpoint_payload(checkpoint_payload)?;
-        // Versions at or below the image's newest entry (or its floor, if
-        // the image is empty) are already covered; only newer suffix records
-        // are applied.
-        let covered = entries.last().map_or(floor, |(last, _)| *last);
-        let tail = suffix.iter().filter(|(version, _)| *version > covered);
-        let certifier = Certifier::new(config);
-        {
-            let mut inner = certifier.inner.lock();
-            inner.log.restore_floor(floor);
-            for (version, writeset) in entries.iter().chain(tail.clone()) {
-                inner.log.append_at(*version, Arc::new(writeset.clone()));
-            }
-        }
-        // Re-persist the entries above the floor so the new group's disks
-        // hold exactly the retained suffix.
-        for (version, writeset) in entries.iter().chain(tail) {
-            let _ = certifier.replicated.append(*version, writeset);
-        }
-        certifier.replicated.truncate_below(floor)?;
-        // The transferred image authorizes the restored floor.
-        certifier
-            .checkpoints
-            .seal(certifier.system_version(), checkpoint_payload);
-        Ok(certifier)
-    }
-
-    /// Seals a durable checkpoint of the certified log: the current
-    /// truncation floor plus every entry above it, stored as a versioned,
-    /// checksummed image behind an atomic manifest flip.  Returns the
-    /// version the checkpoint covers up to.
-    pub fn seal_checkpoint(&self) -> Version {
-        let (version, payload) = {
-            let inner = self.inner.lock();
-            let floor = inner.log.floor();
-            let entries = inner.log.entries_after(floor);
-            (
-                inner.log.system_version(),
-                encode_checkpoint_payload(floor, &entries),
-            )
-        };
-        self.checkpoints.seal(version, &payload);
-        version
-    }
-
-    /// Drops log entries at or below `watermark` from the in-memory log and
-    /// every up node's durable log.  The watermark is clamped to the newest
-    /// sealed checkpoint version, so no record is ever dropped before a
-    /// checkpoint covers it.  Returns the number of in-memory entries
-    /// discarded.
-    ///
-    /// # Errors
-    ///
-    /// Propagates durable-log rewrite failures.
-    pub fn truncate_below(&self, watermark: Version) -> Result<usize> {
-        let bound = watermark.min(self.checkpoints.latest_version());
-        if bound.is_zero() {
-            return Ok(0);
-        }
-        let dropped = {
-            let mut inner = self.inner.lock();
-            inner.log.truncate_up_to(bound)
-        };
-        // New appends are strictly above `bound` (the floor carries the
-        // system version), so trimming the durable log outside the in-memory
-        // lock cannot race a record back below the floor.
-        self.replicated.truncate_below(bound)?;
-        Ok(dropped)
-    }
-
-    /// The truncation floor: certification requests whose snapshot lies
-    /// below it can no longer be checked and are conservatively aborted.
+    /// Number of certification shards.
     #[must_use]
-    pub fn truncation_floor(&self) -> Version {
-        self.inner.lock().log.floor()
-    }
-
-    /// The version covered by the newest sealed checkpoint
-    /// ([`Version::ZERO`] before the first seal).
-    #[must_use]
-    pub fn checkpoint_version(&self) -> Version {
-        self.checkpoints.latest_version()
-    }
-
-    /// The newest sealed checkpoint image's payload, if any (state transfer
-    /// to a joining certifier).
-    #[must_use]
-    pub fn latest_checkpoint_payload(&self) -> Option<Vec<u8>> {
-        self.checkpoints.latest().map(|sealed| sealed.payload)
-    }
-
-    /// Number of entries currently held in the in-memory certified log
-    /// (bounded-memory assertions).
-    #[must_use]
-    pub fn log_len(&self) -> usize {
-        self.inner.lock().log.len()
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
     }
 
     /// The global system version (number of committed update transactions).
     #[must_use]
     pub fn system_version(&self) -> Version {
-        self.inner.lock().log.system_version()
+        self.sequencer.lock().version
     }
 
-    /// `true` if a majority of certifier nodes is up.
+    /// `true` if every shard's replicated group has a majority up.
+    ///
+    /// A single down shard stalls any certification touching it *and* the
+    /// replicas' refresh stream (the merge cannot prove a gap-free prefix
+    /// without that shard), so availability is all-shards.
     #[must_use]
     pub fn is_available(&self) -> bool {
-        self.replicated.is_available()
+        self.shards.iter().all(|s| s.replicated.is_available())
     }
 
-    /// The current leader node.
+    /// The current leader node of one shard's replicated group.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is out of range.
     #[must_use]
-    pub fn leader(&self) -> CertifierNodeId {
-        self.replicated.leader()
+    pub fn shard_leader(&self, shard: ShardId) -> CertifierNodeId {
+        self.shards[shard.index()].replicated.leader()
     }
 
-    /// Total number of nodes in the certifier group.
+    /// Total number of nodes in each shard's replicated group.
     #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.replicated.node_count()
+    pub fn nodes_per_shard(&self) -> usize {
+        self.shards[0].replicated.node_count()
     }
 
-    /// The nodes currently up, in node-id order (fault targeting).
+    /// The up nodes of one shard's replicated group, in node-id order
+    /// (fault targeting: leaders and followers are picked from this list).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is out of range.
     #[must_use]
-    pub fn up_nodes(&self) -> Vec<CertifierNodeId> {
-        self.replicated.up_nodes()
+    pub fn shard_up_nodes(&self, shard: ShardId) -> Vec<CertifierNodeId> {
+        self.shards[shard.index()].replicated.up_nodes()
     }
 
-    /// Crashes one certifier node (fault injection).
-    pub fn crash_node(&self, node: CertifierNodeId) {
-        self.replicated.crash_node(node);
+    /// Crashes one node of one shard's replicated group (fault injection).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is out of range.
+    pub fn crash_shard_node(&self, shard: ShardId, node: CertifierNodeId) {
+        self.shards[shard.index()].replicated.crash_node(node);
     }
 
-    /// Recovers a crashed certifier node via state transfer.
+    /// Recovers a crashed node of one shard's group via state transfer.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Unavailable`] if no up node can donate the log.
+    /// Returns [`Error::Unavailable`] if no up node of the shard can donate
+    /// its log.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is out of range.
+    pub fn recover_shard_node(&self, shard: ShardId, node: CertifierNodeId) -> Result<()> {
+        self.shards[shard.index()].replicated.recover_node(node)
+    }
+
+    /// Crashes certifier node `node` on **every** shard's group — the model
+    /// of one physical certifier machine (hosting one member of each shard
+    /// group) going down.
+    pub fn crash_node(&self, node: CertifierNodeId) {
+        for shard in &self.shards {
+            shard.replicated.crash_node(node);
+        }
+    }
+
+    /// Recovers certifier node `node` on every shard's group.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Unavailable`] if any shard has no donor node up.
     pub fn recover_node(&self, node: CertifierNodeId) -> Result<()> {
-        self.replicated.recover_node(node)
+        for shard in &self.shards {
+            shard.replicated.recover_node(node)?;
+        }
+        Ok(())
+    }
+
+    /// Reads the durable log of one node of one shard's group (recovery
+    /// tooling and the crash-fault tests).
+    ///
+    /// # Errors
+    ///
+    /// Propagates decode errors and unknown-node errors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is out of range.
+    pub fn shard_durable_entries(
+        &self,
+        shard: ShardId,
+        node: CertifierNodeId,
+    ) -> Result<Vec<(Version, WriteSet)>> {
+        self.shards[shard.index()].replicated.durable_entries(node)
+    }
+
+    /// The shards owning `writeset`, falling back to shard 0 for an empty
+    /// writeset so that even degenerate requests have a deterministic home.
+    /// With one shard nothing is hashed.
+    fn owning_shards(&self, writeset: &WriteSet) -> Vec<ShardId> {
+        if self.map.is_single() {
+            return vec![ShardId(0)];
+        }
+        let shards = self.map.shards_of(writeset);
+        if shards.is_empty() {
+            vec![ShardId(0)]
+        } else {
+            shards
+        }
+    }
+
+    /// Counts and reports one abort decided on `shard`.
+    fn note_abort(&self, shard: ShardId) {
+        self.metrics.incr(CounterId::CertifyAborts);
+        self.metrics
+            .emit(Event::new(Component::Certifier, EventKind::CertifyAbort).shard(shard.index()));
+    }
+
+    /// Counts and reports one commit made durable on its home `shard`.
+    fn note_commit(&self, shard: ShardId, commit_version: Version) {
+        if !self.metrics.is_enabled() {
+            return;
+        }
+        self.metrics.incr(CounterId::DurableAppends);
+        self.metrics.incr(CounterId::CertifyCommits);
+        self.metrics.record_shard_commit(shard.index());
+        for kind in [EventKind::CertifyCommit, EventKind::DurableAppend] {
+            self.metrics.emit(
+                Event::new(Component::Certifier, kind)
+                    .version(commit_version.0)
+                    .shard(shard.index()),
+            );
+        }
     }
 
     /// Certifies an update transaction (Section 6.1 pseudo-code).
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Unavailable`] if fewer than a majority of certifier
-    /// nodes are up; certification *decisions* (including aborts) are
-    /// reported in the response, not as errors.
+    /// Returns [`Error::Unavailable`] if any owning shard has lost its
+    /// majority, or if the replica's version lies below the truncation floor
+    /// (state transfer required); certification *decisions* (including
+    /// aborts) are reported in the response, not as errors.
     pub fn certify(&self, request: &CertificationRequest) -> Result<CertificationResponse> {
-        if !self.replicated.is_available() {
-            return Err(Error::Unavailable(
-                "certifier majority not available".into(),
-            ));
+        let owning = self.owning_shards(&request.writeset);
+        for shard in &owning {
+            if !self.shards[shard.index()].replicated.is_available() {
+                return Err(Error::Unavailable(format!(
+                    "certifier {shard} majority not available"
+                )));
+            }
         }
-        // Inbox depth: requests currently inside certification.
-        let _inflight = self.metrics.gauge_guard(GaugeId::CertifierInflight);
-        if let Some(batcher) = &self.batcher {
-            let decided = batcher.submit(request.clone(), |epoch| self.process_epoch(epoch))?;
-            // The remote-stream gather runs on the submitting thread, bounded
-            // by the decision-time version so the response is identical to
-            // the serial scan's (which gathers under the decision lock).
-            let remote_writesets =
-                self.remotes_between(request, decided.remote_bound())?;
-            return Ok(CertificationResponse {
-                decision: decided.decision,
-                commit_version: decided.commit_version,
-                remote_writesets,
-                system_version: decided.system_version,
-            });
-        }
-        self.certify_serial(request)
-    }
 
-    /// The serial (pre-batching) certification path, kept as the `batch:
-    /// false` baseline and as the reference the equivalence tests compare
-    /// against.
-    fn certify_serial(&self, request: &CertificationRequest) -> Result<CertificationResponse> {
-        let mut inner = self.inner.lock();
-        let floor = inner.log.floor();
+        // The remote stream spans every shard: if any shard has trimmed past
+        // the replica's version, the gap-free suffix this response promises
+        // cannot be assembled.  State transfer instead.
+        let floor = Version(self.floor_cache.load(Ordering::Acquire));
         if request.replica_version < floor {
-            // The records in (replica_version, floor] are truncated: the
-            // certifier cannot serve a gap-free remote suffix, and silently
-            // skipping the gap would diverge the replica.  The caller must
-            // bootstrap from a checkpoint (state transfer) instead.
             return Err(Error::Unavailable(format!(
                 "replica {} at version {} is below the certifier truncation floor {floor}; \
                  state transfer required",
@@ -511,281 +584,312 @@ impl Certifier {
                 request.replica_version
             )));
         }
+
+        // Inbox depth: requests currently inside certification (across all
+        // shards — per-shard depth would need per-shard guards).
+        let _inflight = self.metrics.gauge_guard(GaugeId::CertifierInflight);
         self.metrics.incr(CounterId::CertifyRequests);
-        inner.requests += 1;
 
-        // Remote writesets the replica has not seen yet, gathered before the
-        // committing transaction's own writeset is appended.  Each is
-        // additionally certified back to the replica's version so that a
-        // Tashkent-API proxy can detect artificial conflicts.
-        let pending = inner.log.entries_after(request.replica_version);
-        let mut remote_writesets = Vec::with_capacity(pending.len());
-        for (commit_version, writeset) in pending {
-            let conflict_free_to = inner
-                .log
-                .conflict_free_back_to(commit_version, request.replica_version);
-            remote_writesets.push(RemoteWriteSet {
-                commit_version,
-                writeset,
-                conflict_free_to,
-            });
-        }
-
-        // A snapshot older than the truncation floor can no longer be
-        // certified — the suffix it must be checked against is partly gone.
-        // Abort conservatively: the abort is retryable with a fresh
-        // snapshot, and never wrong (committing without the check could be).
-        if request.start_version < floor {
-            inner.conflict_aborts += 1;
-            self.metrics.incr(CounterId::CertifyAborts);
-            self.metrics
-                .emit(Event::new(Component::Certifier, EventKind::CertifyAbort).shard(0));
-            let system_version = inner.log.system_version();
+        // Single-shard writesets ride the shard's epoch queue when batching
+        // is enabled.  Multi-shard writesets keep the direct path below
+        // (they must hold several shard locks at once, which an epoch leader
+        // — holding exactly one — cannot interleave with).
+        if let (Some(batchers), &[shard]) = (&self.batchers, owning.as_slice()) {
+            let decided = batchers[shard.index()]
+                .submit(request.clone(), |epoch| self.process_shard_epoch(shard, epoch))?;
+            // The remote-stream gather runs on the submitting thread, bounded
+            // by the decision-time version — identical to the direct path's
+            // bound.
             return Ok(CertificationResponse {
-                decision: CertificationDecision::Abort {
-                    reason: format!(
-                        "snapshot {} below truncation floor {floor}",
-                        request.start_version
-                    ),
-                    forced: false,
-                },
-                commit_version: None,
-                remote_writesets,
-                system_version,
+                remote_writesets: self
+                    .remote_writesets_between(request.replica_version, decided.remote_bound()),
+                decision: decided.decision,
+                commit_version: decided.commit_version,
+                system_version: decided.system_version,
             });
         }
 
-        // Step 1: intersection test against the log suffix.
-        if let Some(conflict_version) = inner
-            .log
-            .conflict_after(&request.writeset, request.start_version)
+        // Phase 1 (acquire): lock every owning shard in ascending shard-id
+        // order — `ShardMap::shards_of` returns them sorted, the global
+        // acquisition order that keeps concurrent certifications
+        // deadlock-free.
+        let mut guards: Vec<MutexGuard<'_, CertifierLog>> = owning
+            .iter()
+            .map(|s| self.shards[s.index()].log.lock())
+            .collect();
+
+        // A snapshot below an owning shard's truncation floor can no longer
+        // be certified there — part of the suffix it must be checked against
+        // is gone.  Checked under the shard guards (truncation takes the
+        // same locks), and answered with a conservative, retryable abort.
+        let floor = guards.iter().map(|log| log.floor()).max().unwrap_or_default();
+        let floored = request.start_version < floor;
+
+        // Intersection test against every owning shard's log suffix.  The
+        // oldest conflicting version across shards matches a single log's
+        // forward scan.
+        let conflict = guards
+            .iter()
+            .filter_map(|log| log.conflict_after(&request.writeset, request.start_version))
+            .min();
+
+        // Prepare the (probable) commit's log entry — writeset clone and
+        // footprint hashing — *before* the global sequencer lock, so the
+        // cluster-wide serialization point stays as short as version
+        // assignment plus per-shard Vec pushes.  Wasted only on forced
+        // aborts, which are an experiment knob.
+        let commit_material = (conflict.is_none() && !floored).then(|| {
+            let writeset = Arc::new(request.writeset.clone());
+            let footprint = Arc::new(writeset.footprint());
+            (writeset, footprint)
+        });
+
+        // Decide under the sequencer lock (never acquire a shard lock while
+        // holding it — the sequencer is the innermost lock).
+        let mut sequencer = self.sequencer.lock();
+        sequencer.requests += 1;
+        let decision = if floored {
+            sequencer.conflict_aborts += 1;
+            Some(CertificationDecision::below_floor(request.start_version, floor))
+        } else if let Some(conflict_version) = conflict {
+            sequencer.conflict_aborts += 1;
+            Some(CertificationDecision::conflict(conflict_version))
+        } else if self.forced_abort_rate > 0.0
+            && sequencer.rng.gen::<f64>() < self.forced_abort_rate
         {
-            inner.conflict_aborts += 1;
-            self.metrics.incr(CounterId::CertifyAborts);
-            self.metrics
-                .emit(Event::new(Component::Certifier, EventKind::CertifyAbort).shard(0));
-            let system_version = inner.log.system_version();
-            return Ok(CertificationResponse {
-                decision: CertificationDecision::Abort {
-                    reason: format!("write-write conflict with {conflict_version}"),
-                    forced: false,
-                },
-                commit_version: None,
-                remote_writesets,
-                system_version,
-            });
-        }
-
-        // Forced aborts happen after the full certification check so that all
-        // computational overhead at the certifier is incurred (Section 9.5).
-        if self.forced_abort_rate > 0.0 && inner.rng.gen::<f64>() < self.forced_abort_rate {
-            inner.forced_aborts += 1;
-            self.metrics.incr(CounterId::CertifyAborts);
-            self.metrics
-                .emit(Event::new(Component::Certifier, EventKind::CertifyAbort).shard(0));
-            let system_version = inner.log.system_version();
-            return Ok(CertificationResponse {
-                decision: CertificationDecision::Abort {
-                    reason: "forced abort (experiment)".into(),
-                    forced: true,
-                },
-                commit_version: None,
-                remote_writesets,
-                system_version,
-            });
-        }
-
-        // Step 2: commit — assign the next version and append to the log.
-        let commit_version = inner
-            .log
-            .append(request.writeset.clone(), request.start_version);
-        inner.commits += 1;
-        let system_version = inner.log.system_version();
-        drop(inner);
-
-        // The decision is only announced once the log record is durable on a
-        // majority of certifier nodes.  Concurrent certifications share
-        // fsyncs through group commit.
-        if self.metrics.is_enabled() {
-            let durable_started = Instant::now();
-            self.replicated.append(commit_version, &request.writeset)?;
-            self.metrics
-                .record_stage(Stage::Durable, durable_started.elapsed());
-            self.metrics.incr(CounterId::DurableAppends);
-            self.metrics.incr(CounterId::CertifyCommits);
-            // The unsharded certifier is the degenerate single-shard case.
-            self.metrics.record_shard_commit(0);
-            self.metrics.emit(
-                Event::new(Component::Certifier, EventKind::CertifyCommit)
-                    .version(commit_version.0)
-                    .shard(0),
-            );
-            self.metrics.emit(
-                Event::new(Component::Certifier, EventKind::DurableAppend)
-                    .version(commit_version.0)
-                    .shard(0),
-            );
+            sequencer.forced_aborts += 1;
+            Some(CertificationDecision::Abort {
+                reason: "forced abort (experiment)".into(),
+                forced: true,
+            })
         } else {
-            self.replicated.append(commit_version, &request.writeset)?;
+            None
+        };
+        if let Some(decision) = decision {
+            let system_version = sequencer.version;
+            drop(sequencer);
+            drop(guards);
+            self.note_abort(owning[0]);
+            return Ok(CertificationResponse {
+                decision,
+                commit_version: None,
+                remote_writesets: self
+                    .remote_writesets_between(request.replica_version, system_version),
+                system_version,
+            });
         }
+
+        // Commit: assign the next global version and append the full
+        // writeset to every owning shard's log.  The version advance and the
+        // appends happen inside one sequencer critical section while the
+        // shard guards are held — the invariant the stream merge relies on.
+        let commit_version = sequencer.version.next();
+        sequencer.version = commit_version;
+        sequencer.commits += 1;
+        if owning.len() > 1 {
+            sequencer.multi_shard_commits += 1;
+        }
+        let (writeset, footprint) = commit_material.expect("commit implies no conflict");
+        for log in &mut guards {
+            log.append_at_with_footprint(
+                commit_version,
+                Arc::clone(&writeset),
+                Arc::clone(&footprint),
+                request.start_version,
+            );
+        }
+        drop(sequencer);
+        drop(guards);
+
+        // Make the decision durable before announcing it — on the writeset's
+        // *home shard* (its lowest owning shard id) only.  One majority fsync
+        // per commit; what sharding adds is that different home shards
+        // group-commit on independent disks.  Every commit is durable in
+        // exactly one shard group's majority, so the union of the shard
+        // groups' durable logs is the full certified history.
+        let home = owning[0];
+        let durable_started = self.metrics.is_enabled().then(Instant::now);
+        self.shards[home.index()]
+            .replicated
+            .append(commit_version, &request.writeset)?;
+        if let Some(started) = durable_started {
+            self.metrics.record_stage(Stage::Durable, started.elapsed());
+        }
+        self.note_commit(home, commit_version);
 
         Ok(CertificationResponse {
             decision: CertificationDecision::Commit,
             commit_version: Some(commit_version),
-            remote_writesets,
-            system_version,
+            // Bounded at the version *below* the transaction's own commit.
+            // The bound must NOT be re-sampled here: a commit that lands
+            // after ours would enter the stream while our own version is
+            // excluded, and a proxy applying that stream would advance past
+            // its own commit without ever applying it (the certifier never
+            // resends versions at or below a replica's reported version).
+            remote_writesets: self
+                .remote_writesets_between(request.replica_version, commit_version.prev()),
+            system_version: commit_version,
         })
     }
 
-    /// Certifies one drained epoch of pending requests, in arrival order,
-    /// under a single log lock — the epoch leader's body.
+    /// Certifies one drained epoch of single-shard requests owned by
+    /// `shard`, in arrival order — the per-shard epoch leader's body:
     ///
-    /// Decision identity with [`Certifier::certify_serial`] holds because
-    /// each request sees every earlier request's append before it is checked,
-    /// exactly as if they had arrived serially; the forced-abort RNG is drawn
-    /// under the same guard (only for requests that survived the floor and
-    /// conflict checks), keeping the draw sequence in lockstep with the
-    /// serial path.  The per-epoch wins are one lock acquisition, a footprint
-    /// pre-screen that lets provably conflict-free writesets skip the log
-    /// scan, and one grouped durable append (one majority fsync per epoch).
-    fn process_epoch(&self, epoch: Vec<(CertificationRequest, DecisionSlot)>) {
-        let epoch_len = epoch.len() as u64;
-        let mut commits: Vec<(Version, Arc<WriteSet>, DecisionSlot)> =
-            Vec::with_capacity(epoch.len());
-        let mut inner = self.inner.lock();
-        for (request, slot) in epoch {
-            let floor = inner.log.floor();
-            if request.replica_version < floor {
-                slot.fill(Err(Error::Unavailable(format!(
-                    "replica {} at version {} is below the certifier truncation floor {floor}; \
-                     state transfer required",
-                    request.replica.value(),
-                    request.replica_version
-                ))));
-                continue;
-            }
-            self.metrics.incr(CounterId::CertifyRequests);
-            inner.requests += 1;
-
-            if request.start_version < floor {
-                inner.conflict_aborts += 1;
-                self.metrics.incr(CounterId::CertifyAborts);
-                self.metrics
-                    .emit(Event::new(Component::Certifier, EventKind::CertifyAbort).shard(0));
-                slot.fill(Ok(Decided {
-                    decision: CertificationDecision::Abort {
-                        reason: format!(
-                            "snapshot {} below truncation floor {floor}",
-                            request.start_version
-                        ),
-                        forced: false,
-                    },
-                    commit_version: None,
-                    system_version: inner.log.system_version(),
-                }));
-                continue;
-            }
-
-            // Pre-screen: if no bucket covering the writeset's footprint has
-            // committed past the snapshot, the scan provably finds nothing.
-            let conflict = if inner
-                .log
-                .prescreen_clear(&request.writeset, request.start_version)
-            {
-                self.metrics.incr(CounterId::PrescreenHits);
-                None
-            } else {
-                self.metrics.incr(CounterId::PrescreenMisses);
-                inner
-                    .log
-                    .conflict_after(&request.writeset, request.start_version)
-            };
-            if let Some(conflict_version) = conflict {
-                inner.conflict_aborts += 1;
-                self.metrics.incr(CounterId::CertifyAborts);
-                self.metrics
-                    .emit(Event::new(Component::Certifier, EventKind::CertifyAbort).shard(0));
-                slot.fill(Ok(Decided {
-                    decision: CertificationDecision::Abort {
-                        reason: format!("write-write conflict with {conflict_version}"),
-                        forced: false,
-                    },
-                    commit_version: None,
-                    system_version: inner.log.system_version(),
-                }));
-                continue;
-            }
-
-            if self.forced_abort_rate > 0.0 && inner.rng.gen::<f64>() < self.forced_abort_rate {
-                inner.forced_aborts += 1;
-                self.metrics.incr(CounterId::CertifyAborts);
-                self.metrics
-                    .emit(Event::new(Component::Certifier, EventKind::CertifyAbort).shard(0));
-                slot.fill(Ok(Decided {
-                    decision: CertificationDecision::Abort {
-                        reason: "forced abort (experiment)".into(),
-                        forced: true,
-                    },
-                    commit_version: None,
-                    system_version: inner.log.system_version(),
-                }));
-                continue;
-            }
-
-            let writeset = Arc::new(request.writeset);
-            let commit_version = inner
-                .log
-                .append_shared(Arc::clone(&writeset), request.start_version);
-            inner.commits += 1;
-            // Commit slots are filled only after the grouped durable append:
-            // the decision is never announced before it is durable.
-            commits.push((commit_version, writeset, slot));
+    /// * **Phase 1** (shard lock only): per request, in arrival order,
+    ///   decide a verdict — conservative floor abort, conflict against the
+    ///   shard log (pre-screened), conflict against an *earlier accepted
+    ///   epoch entry*, or clean.  Without forced aborts a clean verdict is
+    ///   final, so the intra-epoch check against tentatively accepted
+    ///   entries is sound — and complete, because an accepted entry's commit
+    ///   version always exceeds any well-formed snapshot (snapshots never
+    ///   run ahead of the system version the sequencer has published).
+    /// * **Phase 2** (sequencer, taken **once**): walk the verdicts in
+    ///   arrival order, assigning dense versions to the clean entries and
+    ///   appending them to the shard log inside the single critical section
+    ///   — preserving the stream-merge invariant — while aborts capture the
+    ///   system version at their position.
+    ///
+    /// The decisions are exactly those of the direct path applied to the
+    /// epoch one request at a time: phase 1 sees the same conflicts (log
+    /// conflicts are older than every epoch commit, so "first conflict"
+    /// agrees), and phase 2 assigns the same versions.  The epoch's wins are
+    /// one shard-lock and one sequencer acquisition, a footprint pre-screen
+    /// that lets provably conflict-free writesets skip the suffix scan, and
+    /// one grouped majority fsync on the shard's durable log.
+    fn process_shard_epoch(
+        &self,
+        shard: ShardId,
+        epoch: Vec<(CertificationRequest, DecisionSlot)>,
+    ) {
+        enum Verdict {
+            /// Abort whose reason is fully known in phase 1 (below-floor or
+            /// shard-log conflict).
+            Abort(CertificationDecision),
+            /// Conflicts with the accepted epoch entry at this index; the
+            /// reason needs that entry's commit version, assigned in
+            /// phase 2.
+            EpochConflict(usize),
+            /// Accepted: commits as `accepted[index]`.
+            Clean(usize),
         }
-        drop(inner);
+
+        let epoch_len = epoch.len() as u64;
+        type Material = (Arc<WriteSet>, Arc<HashSet<(TableId, RowKey)>>, Version);
+        let mut accepted: Vec<Material> = Vec::with_capacity(epoch.len());
+        let mut staged: Vec<(Verdict, DecisionSlot)> = Vec::with_capacity(epoch.len());
+
+        let mut log = self.shards[shard.index()].log.lock();
+        for (request, slot) in epoch {
+            let verdict = if request.start_version < log.floor() {
+                Verdict::Abort(CertificationDecision::below_floor(
+                    request.start_version,
+                    log.floor(),
+                ))
+            } else {
+                let log_conflict = if log.prescreen_clear(&request.writeset, request.start_version)
+                {
+                    self.metrics.incr(CounterId::PrescreenHits);
+                    None
+                } else {
+                    self.metrics.incr(CounterId::PrescreenMisses);
+                    log.conflict_after(&request.writeset, request.start_version)
+                };
+                if let Some(conflict_version) = log_conflict {
+                    Verdict::Abort(CertificationDecision::conflict(conflict_version))
+                } else if let Some(index) = accepted.iter().position(|(_, footprint, _)| {
+                    request.writeset.conflicts_with_footprint(footprint)
+                }) {
+                    Verdict::EpochConflict(index)
+                } else {
+                    let writeset = Arc::new(request.writeset);
+                    let footprint = Arc::new(writeset.footprint());
+                    accepted.push((writeset, footprint, request.start_version));
+                    Verdict::Clean(accepted.len() - 1)
+                }
+            };
+            staged.push((verdict, slot));
+        }
+
+        // Phase 2: one sequencer critical section for the whole epoch.
+        // `commit_versions[j]` is always assigned before any
+        // `EpochConflict(j)` reads it, because `accepted[j]` precedes the
+        // conflicting request in arrival order.
+        let mut commit_versions: Vec<Version> = Vec::with_capacity(accepted.len());
+        let mut commits: Vec<(Version, Arc<WriteSet>, DecisionSlot)> =
+            Vec::with_capacity(accepted.len());
+        let mut aborts: Vec<(CertificationDecision, Version, DecisionSlot)> = Vec::new();
+        let mut sequencer = self.sequencer.lock();
+        for (verdict, slot) in staged {
+            sequencer.requests += 1;
+            match verdict {
+                Verdict::Clean(index) => {
+                    let commit_version = sequencer.version.next();
+                    sequencer.version = commit_version;
+                    sequencer.commits += 1;
+                    let (writeset, footprint, start_version) = &accepted[index];
+                    log.append_at_with_footprint(
+                        commit_version,
+                        Arc::clone(writeset),
+                        Arc::clone(footprint),
+                        *start_version,
+                    );
+                    commit_versions.push(commit_version);
+                    commits.push((commit_version, Arc::clone(writeset), slot));
+                }
+                Verdict::Abort(decision) => {
+                    sequencer.conflict_aborts += 1;
+                    aborts.push((decision, sequencer.version, slot));
+                }
+                Verdict::EpochConflict(index) => {
+                    sequencer.conflict_aborts += 1;
+                    let decision = CertificationDecision::conflict(commit_versions[index]);
+                    aborts.push((decision, sequencer.version, slot));
+                }
+            }
+        }
+        drop(sequencer);
+        drop(log);
 
         self.metrics.add(CounterId::CertifyBatchSize, epoch_len);
         self.metrics.emit(
             Event::new(Component::Certifier, EventKind::CertifyBatch)
                 .version(epoch_len)
-                .shard(0),
+                .shard(shard.index()),
         );
+
+        for (decision, system_version, slot) in aborts {
+            self.note_abort(shard);
+            slot.fill(Ok(Decided {
+                decision,
+                commit_version: None,
+                system_version,
+            }));
+        }
 
         if commits.is_empty() {
             return;
         }
+        // Commit slots are filled only after the grouped durable append: the
+        // decision is never announced before it is durable.
         let group: Vec<(Version, Arc<WriteSet>)> = commits
             .iter()
             .map(|(version, writeset, _)| (*version, Arc::clone(writeset)))
             .collect();
-        let durable_started = Instant::now();
-        let appended = self.replicated.append_group(&group);
-        if appended.is_ok() && self.metrics.is_enabled() {
-            self.metrics
-                .record_stage(Stage::Durable, durable_started.elapsed());
+        let durable_started = self.metrics.is_enabled().then(Instant::now);
+        let appended = self.shards[shard.index()].replicated.append_group(&group);
+        if let (Ok(()), Some(started)) = (&appended, durable_started) {
+            self.metrics.record_stage(Stage::Durable, started.elapsed());
         }
         for (commit_version, _, slot) in commits {
             match &appended {
                 Ok(()) => {
-                    if self.metrics.is_enabled() {
-                        self.metrics.incr(CounterId::DurableAppends);
-                        self.metrics.incr(CounterId::CertifyCommits);
-                        self.metrics.record_shard_commit(0);
-                        self.metrics.emit(
-                            Event::new(Component::Certifier, EventKind::CertifyCommit)
-                                .version(commit_version.0)
-                                .shard(0),
-                        );
-                        self.metrics.emit(
-                            Event::new(Component::Certifier, EventKind::DurableAppend)
-                                .version(commit_version.0)
-                                .shard(0),
-                        );
-                    }
+                    self.note_commit(shard, commit_version);
                     slot.fill(Ok(Decided {
                         decision: CertificationDecision::Commit,
                         commit_version: Some(commit_version),
-                        // At the instant this request committed serially the
-                        // system stood exactly at its commit version.
+                        // At the instant this request committed in the
+                        // serial-equivalent order the system stood exactly
+                        // at its commit version.
                         system_version: commit_version,
                     }));
                 }
@@ -794,85 +898,177 @@ impl Certifier {
         }
     }
 
-    /// Gathers the remote writesets owed to `request`'s replica, bounded
-    /// above by `up_to` (the decision-time version): the batched path's
-    /// waiter-side counterpart of the serial path's under-lock gather.
-    fn remotes_between(
-        &self,
-        request: &CertificationRequest,
-        up_to: Version,
-    ) -> Result<Vec<RemoteWriteSet>> {
-        let mut inner = self.inner.lock();
-        if request.replica_version < inner.log.floor() {
-            // A concurrent truncation raced past the replica's version
-            // between decision and gather: the suffix is no longer gap-free.
-            return Err(Error::Unavailable(format!(
-                "replica {} at version {} is below the certifier truncation floor {}; \
-                 state transfer required",
-                request.replica.value(),
-                request.replica_version,
-                inner.log.floor()
-            )));
+    /// Seals a durable checkpoint of every shard's certified log.  Each
+    /// shard's image holds its truncation floor plus its entries above it,
+    /// and is stamped with the global system version sampled *before* the
+    /// per-shard seals — entries that land concurrently are included in some
+    /// image but never claimed, so the stamp is always a safe lower bound.
+    /// Returns the stamped version.
+    pub fn seal_checkpoint(&self) -> Version {
+        let version = self.sequencer.lock().version;
+        for shard in &self.shards {
+            let payload = {
+                let log = shard.log.lock();
+                let floor = log.floor();
+                encode_checkpoint_payload(floor, &log.entries_after(floor))
+            };
+            shard.checkpoints.seal(version, &payload);
         }
-        let pending = inner.log.entries_after(request.replica_version);
-        let mut remote_writesets = Vec::with_capacity(pending.len());
-        for (commit_version, writeset) in pending {
-            if commit_version > up_to {
-                break;
-            }
-            let conflict_free_to = inner
-                .log
-                .conflict_free_back_to(commit_version, request.replica_version);
-            remote_writesets.push(RemoteWriteSet {
-                commit_version,
-                writeset,
-                conflict_free_to,
-            });
-        }
-        Ok(remote_writesets)
+        version
     }
 
-    /// Returns the remote writesets committed after `since`, used by the
-    /// proxy's bounded-staleness refresh (Section 6.2) and by replica
-    /// recovery.
+    /// Drops log entries at or below `watermark` from every shard's
+    /// in-memory and durable logs.  Per shard, the watermark is clamped to
+    /// that shard's newest sealed checkpoint version, so no record is ever
+    /// dropped before an image covers it.  Returns the total number of
+    /// in-memory entries discarded across shards (a multi-shard entry
+    /// counts once per owning shard, matching what memory is freed).
+    ///
+    /// # Errors
+    ///
+    /// Propagates durable-log rewrite failures.
+    pub fn truncate_below(&self, watermark: Version) -> Result<usize> {
+        let mut dropped = 0usize;
+        for shard in &self.shards {
+            let bound = watermark.min(shard.checkpoints.latest_version());
+            if bound.is_zero() {
+                continue;
+            }
+            dropped += shard.log.lock().truncate_up_to(bound);
+            // New appends are strictly above `bound` (the floor carries the
+            // system version), so trimming the durable log outside the
+            // in-memory lock cannot race a record back below the floor.
+            shard.replicated.truncate_below(bound)?;
+        }
+        // Refresh the certify-path floor cache (monotone: floors only grow,
+        // and only under this method).
+        self.floor_cache
+            .fetch_max(self.truncation_floor().value(), Ordering::AcqRel);
+        Ok(dropped)
+    }
+
+    /// The truncation floor: the highest per-shard floor.  A certification
+    /// or refresh reaching below it cannot be served from the logs any more.
     #[must_use]
-    pub fn writesets_after(&self, since: Version) -> Vec<RemoteWriteSet> {
-        let mut inner = self.inner.lock();
-        let pending = inner.log.entries_after(since);
-        pending
-            .into_iter()
-            .map(|(commit_version, writeset)| {
-                let conflict_free_to = inner.log.conflict_free_back_to(commit_version, since);
-                RemoteWriteSet {
-                    commit_version,
-                    writeset,
-                    conflict_free_to,
-                }
+    pub fn truncation_floor(&self) -> Version {
+        self.shards
+            .iter()
+            .map(|shard| shard.log.lock().floor())
+            .max()
+            .unwrap_or(Version::ZERO)
+    }
+
+    /// The version every shard's newest sealed checkpoint covers up to (the
+    /// minimum across shards; [`Version::ZERO`] before the first seal).
+    #[must_use]
+    pub fn checkpoint_version(&self) -> Version {
+        self.shards
+            .iter()
+            .map(|shard| shard.checkpoints.latest_version())
+            .min()
+            .unwrap_or(Version::ZERO)
+    }
+
+    /// The newest sealed checkpoint image's payload, for state transfer to
+    /// a joining certifier — decodable with [`decode_checkpoint_payload`].
+    /// Only a one-shard certifier has a single image; with more shards this
+    /// is `None`.
+    #[must_use]
+    pub fn latest_checkpoint_payload(&self) -> Option<Vec<u8>> {
+        match self.shards.as_slice() {
+            [shard] => shard.checkpoints.latest().map(|sealed| sealed.payload),
+            _ => None,
+        }
+    }
+
+    /// Total number of entries held across every shard's in-memory log
+    /// (bounded-memory assertions; multi-shard entries count once per
+    /// owning shard).
+    #[must_use]
+    pub fn log_len(&self) -> usize {
+        self.shards.iter().map(|shard| shard.log.lock().len()).sum()
+    }
+
+    /// Per-shard version streams after `since` (exclusive): the fan-out half
+    /// of update propagation.  Pair with [`merge_shard_streams`] bounded by
+    /// a [`Certifier::system_version`] sampled **before** this call.
+    #[must_use]
+    pub fn shard_streams_after(&self, since: Version) -> Vec<ShardStream> {
+        self.shards
+            .iter()
+            .enumerate()
+            .map(|(index, shard)| ShardStream {
+                shard: ShardId(index as u32),
+                entries: stream_between(&mut shard.log.lock(), since, Version(u64::MAX)),
             })
             .collect()
+    }
+
+    /// The remote writesets committed after `since`, as one gap-free stream
+    /// in ascending global version order — used by the proxy's
+    /// bounded-staleness refresh (Section 6.2), by replica recovery and by
+    /// the equivalence tests.
+    #[must_use]
+    pub fn writesets_after(&self, since: Version) -> Vec<RemoteWriteSet> {
+        // Sample the bound BEFORE the streams: every commit at or below it
+        // has finished its shard appends (they happened inside the sequencer
+        // critical section that advanced the version).
+        let up_to = self.sequencer.lock().version;
+        self.remote_writesets_between(since, up_to)
+    }
+
+    /// The remote writesets over `(since, up_to]`.  `up_to` must be a
+    /// version whose shard appends are known complete relative to this call
+    /// — a system version the caller sampled under the sequencer lock (or
+    /// one version below the caller's own just-appended commit).
+    fn remote_writesets_between(&self, since: Version, up_to: Version) -> Vec<RemoteWriteSet> {
+        if since >= up_to {
+            // The requester is current: skip the fan-out on the hot path.
+            return Vec::new();
+        }
+        if let [shard] = self.shards.as_slice() {
+            // One stream is already the global one: no merge.
+            return stream_between(&mut shard.log.lock(), since, up_to);
+        }
+        merge_shard_streams(&self.shard_streams_after(since), up_to)
     }
 
     /// Current statistics.
     #[must_use]
     pub fn stats(&self) -> CertifierStats {
-        let inner = self.inner.lock();
+        let mut log = ReplicatedLogStats::default();
+        for shard in &self.shards {
+            let shard = shard.replicated.stats();
+            log.entries += shard.entries;
+            log.leader_fsyncs += shard.leader_fsyncs;
+            log.leader_log_bytes += shard.leader_log_bytes;
+            log.leader_group_commit.merge(&shard.leader_group_commit);
+            log.nodes_up += shard.nodes_up;
+            log.nodes_total += shard.nodes_total;
+        }
+        let sequencer = self.sequencer.lock();
         CertifierStats {
-            requests: inner.requests,
-            commits: inner.commits,
-            conflict_aborts: inner.conflict_aborts,
-            forced_aborts: inner.forced_aborts,
-            log: self.replicated.stats(),
+            requests: sequencer.requests,
+            commits: sequencer.commits,
+            conflict_aborts: sequencer.conflict_aborts,
+            forced_aborts: sequencer.forced_aborts,
+            multi_shard_commits: sequencer.multi_shard_commits,
+            log,
         }
     }
+}
 
-    /// Reads the durable log of a given certifier node (recovery tooling).
-    ///
-    /// # Errors
-    ///
-    /// Propagates decode errors and unknown-node errors.
-    pub fn durable_entries(&self, node: CertifierNodeId) -> Result<Vec<(Version, WriteSet)>> {
-        self.replicated.durable_entries(node)
-    }
+/// One shard log's entries over `(since, up_to]`, each extended-certified
+/// back to `since`.
+fn stream_between(log: &mut CertifierLog, since: Version, up_to: Version) -> Vec<RemoteWriteSet> {
+    log.entries_between(since, up_to)
+        .into_iter()
+        .map(|(commit_version, writeset)| RemoteWriteSet {
+            commit_version,
+            conflict_free_to: log.conflict_free_back_to(commit_version, since),
+            writeset,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -880,6 +1076,7 @@ mod tests {
     use tashkent_common::{TableId, Value, WriteItem};
 
     use super::*;
+    use crate::paxos::CertifierNodeId;
 
     fn ws(keys: &[i64]) -> WriteSet {
         WriteSet::from_items(
@@ -1006,7 +1203,7 @@ mod tests {
         certifier.crash_node(CertifierNodeId(0));
         // Leader fails over, still available.
         assert!(certifier.is_available());
-        assert_ne!(certifier.leader(), CertifierNodeId(0));
+        assert_ne!(certifier.shard_leader(ShardId(0)), CertifierNodeId(0));
         certifier.certify(&request(1, 1, &[2])).unwrap();
         certifier.crash_node(CertifierNodeId(1));
         assert!(!certifier.is_available());
@@ -1018,22 +1215,6 @@ mod tests {
         certifier.recover_node(CertifierNodeId(0)).unwrap();
         assert!(certifier.is_available());
         certifier.certify(&request(2, 2, &[3])).unwrap();
-    }
-
-    #[test]
-    fn recovery_from_durable_entries_reproduces_the_log() {
-        let certifier = Certifier::new(CertifierConfig::default());
-        for k in 1..=6 {
-            certifier.certify(&request(k - 1, k - 1, &[k as i64])).unwrap();
-        }
-        let entries = certifier.durable_entries(certifier.leader()).unwrap();
-        assert_eq!(entries.len(), 6);
-        let recovered = Certifier::from_entries(CertifierConfig::default(), &entries);
-        assert_eq!(recovered.system_version(), Version(6));
-        // The recovered certifier still detects conflicts against old
-        // entries.
-        let response = recovered.certify(&request(0, 6, &[1])).unwrap();
-        assert!(!response.decision.is_commit());
     }
 
     #[test]
@@ -1070,11 +1251,14 @@ mod tests {
         // Seal at version 6, then truncate with a watermark of 4.
         assert_eq!(certifier.seal_checkpoint(), Version(6));
         assert_eq!(certifier.checkpoint_version(), Version(6));
+        let payload = certifier.latest_checkpoint_payload().unwrap();
+        assert_eq!(decode_checkpoint_payload(&payload).unwrap().1.len(), 6);
         assert_eq!(certifier.truncate_below(Version(4)).unwrap(), 4);
         assert_eq!(certifier.truncation_floor(), Version(4));
         assert_eq!(certifier.log_len(), 2);
         // The durable log was trimmed too.
-        let durable = certifier.durable_entries(certifier.leader()).unwrap();
+        let leader = certifier.shard_leader(ShardId(0));
+        let durable = certifier.shard_durable_entries(ShardId(0), leader).unwrap();
         let versions: Vec<u64> = durable.iter().map(|(v, _)| v.value()).collect();
         assert_eq!(versions, vec![5, 6]);
     }
@@ -1104,12 +1288,16 @@ mod tests {
         }
         certifier.seal_checkpoint();
         certifier.truncate_below(Version(4)).unwrap();
-        // A snapshot below the floor aborts conservatively (retryable).
+        // A snapshot below the floor aborts conservatively (retryable), and
+        // the reason names the floor.
         let response = certifier.certify(&request(3, 4, &[99])).unwrap();
-        assert!(matches!(
+        assert_eq!(
             response.decision,
-            CertificationDecision::Abort { forced: false, .. }
-        ));
+            CertificationDecision::Abort {
+                reason: "snapshot v3 below truncation floor v4".into(),
+                forced: false,
+            }
+        );
         // A replica whose applied version is below the floor cannot be
         // served a gap-free suffix: loud error, state transfer required.
         assert!(matches!(
@@ -1118,41 +1306,6 @@ mod tests {
         ));
         let stats = certifier.stats();
         assert_eq!(stats.conflict_aborts, 1);
-    }
-
-    #[test]
-    fn state_transfer_bootstraps_from_checkpoint_plus_suffix() {
-        let certifier = Certifier::new(CertifierConfig::default());
-        for k in 1..=4 {
-            certifier.certify(&request(k - 1, k - 1, &[k as i64])).unwrap();
-        }
-        certifier.seal_checkpoint();
-        certifier.truncate_below(Version(2)).unwrap();
-        // Re-seal so the image records the trimmed floor, then commit two
-        // more transactions to form the suffix.
-        certifier.seal_checkpoint();
-        certifier.certify(&request(4, 4, &[5])).unwrap();
-        certifier.certify(&request(5, 5, &[6])).unwrap();
-
-        let payload = certifier.latest_checkpoint_payload().unwrap();
-        let suffix: Vec<(Version, WriteSet)> = certifier
-            .writesets_after(Version(4))
-            .into_iter()
-            .map(|r| (r.commit_version, (*r.writeset).clone()))
-            .collect();
-        let joiner =
-            Certifier::from_checkpoint(CertifierConfig::default(), &payload, &suffix).unwrap();
-        assert_eq!(joiner.system_version(), Version(6));
-        assert_eq!(joiner.truncation_floor(), Version(2));
-        // The joiner detects conflicts against transferred entries...
-        let response = joiner.certify(&request(4, 4, &[5])).unwrap();
-        assert!(!response.decision.is_commit());
-        // ...and keeps committing past the transferred history.
-        let response = joiner.certify(&request(6, 6, &[7])).unwrap();
-        assert_eq!(response.commit_version, Some(Version(7)));
-        // Its durable log holds only the retained range.
-        let durable = joiner.durable_entries(joiner.leader()).unwrap();
-        assert_eq!(durable.first().unwrap().0, Version(3));
     }
 
     #[test]

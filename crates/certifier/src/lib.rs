@@ -31,11 +31,15 @@
 //!   conflict-free") queries needed by Tashkent-API.
 //! * [`paxos`] — the replicated durable log: leader, majority
 //!   acknowledgement, node crash / recovery / state transfer.
-//! * [`certifier`] — the [`certifier::Certifier`] façade used by proxies.
-//! * [`sharded`] — the [`sharded::ShardedCertifier`]: N independent
-//!   certification shards (each with its own replicated durable log) behind
-//!   a global commit-version sequencer, so intersection work scales beyond
-//!   one thread while replicas still see one totally-ordered stream.
+//! * [`certifier`] — the [`certifier::Certifier`] used by proxies: its
+//!   request / response types and the one certification engine, N shards
+//!   (one by default) behind a global commit-version sequencer, each with
+//!   its own log, replicated durable log and checkpoints.  Certification
+//!   has two paths: the direct ordered two-phase certify and the per-shard
+//!   two-phase epoch.
+//! * [`sharded`] — [`sharded::ShardedCertifierConfig`] and the fan-in
+//!   ([`sharded::merge_shard_streams`]) that reassembles per-shard version
+//!   streams into the one totally-ordered stream replicas apply.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,7 +57,4 @@ pub use certifier::{
 };
 pub use log::CertifierLog;
 pub use paxos::{CertifierNodeId, ReplicatedLog, ReplicatedLogStats};
-pub use sharded::{
-    merge_shard_streams, ShardStream, ShardedCertifier, ShardedCertifierConfig,
-    ShardedCertifierStats,
-};
+pub use sharded::{merge_shard_streams, ShardStream, ShardedCertifier, ShardedCertifierConfig};

@@ -187,25 +187,18 @@ impl CertifierLog {
     /// checked the writeset, seeding the memoised extended-certification
     /// bound.
     pub fn append(&mut self, writeset: WriteSet, start_version: Version) -> Version {
-        self.append_shared(Arc::new(writeset), start_version)
-    }
-
-    /// [`CertifierLog::append`] with an already-shared writeset, so batched
-    /// certification can log the entry and keep the same `Arc` for the
-    /// epoch's grouped durable append without a deep clone.
-    pub fn append_shared(&mut self, writeset: Arc<WriteSet>, start_version: Version) -> Version {
         let commit_version = self.system_version().next();
-        let entry = LogEntry::new(commit_version, writeset, start_version);
+        let entry = LogEntry::new(commit_version, Arc::new(writeset), start_version);
         let footprint = Arc::clone(&entry.footprint);
         self.entries.push(entry);
         self.index_footprint(commit_version, &footprint);
         commit_version
     }
 
-    /// Appends an entry with an explicit version (used by certifier recovery
-    /// and by backup nodes applying the leader's state).  The memoised
-    /// extended-certification bound starts at the entry's own version (no
-    /// certification work is known for recovered entries).
+    /// Appends an entry with an explicit version (a shard's log holds only
+    /// the writesets touching its rows, so its versions may skip).  The
+    /// memoised extended-certification bound starts at the entry's own
+    /// version (no certification work is known for it).
     pub fn append_at(&mut self, commit_version: Version, writeset: Arc<WriteSet>) {
         let footprint = Arc::new(writeset.footprint());
         let checked = commit_version.prev();
@@ -213,12 +206,12 @@ impl CertifierLog {
     }
 
     /// [`CertifierLog::append_at`] with a caller-computed footprint and
-    /// certification bound, for the sharded certifier: the writeset is
-    /// hashed once *outside* the global sequencer critical section and
-    /// shared across every owning shard's log, and `checked_down_to` seeds
-    /// the memoised extended-certification bound with the transaction's
-    /// start version (certification already proved the entry conflict-free
-    /// back to there), exactly like [`CertifierLog::append`].
+    /// certification bound, for the certifier: the writeset is hashed once
+    /// *outside* the global sequencer critical section and shared across
+    /// every owning shard's log, and `checked_down_to` seeds the memoised
+    /// extended-certification bound with the transaction's start version
+    /// (certification already proved the entry conflict-free back to
+    /// there), exactly like [`CertifierLog::append`].
     pub fn append_at_with_footprint(
         &mut self,
         commit_version: Version,
@@ -240,7 +233,15 @@ impl CertifierLog {
     /// writesets a replica at version `since` has not seen yet.
     #[must_use]
     pub fn entries_after(&self, since: Version) -> Vec<(Version, Arc<WriteSet>)> {
+        self.entries_between(since, Version(u64::MAX))
+    }
+
+    /// The entries committed in `(since, up_to]`: [`CertifierLog::entries_after`]
+    /// stopping at `up_to`.
+    #[must_use]
+    pub fn entries_between(&self, since: Version, up_to: Version) -> Vec<(Version, Arc<WriteSet>)> {
         self.suffix(since)
+            .take_while(|e| e.commit_version <= up_to)
             .map(|e| (e.commit_version, Arc::clone(&e.writeset)))
             .collect()
     }
@@ -329,18 +330,6 @@ impl CertifierLog {
             }
         }
         dropped
-    }
-
-    /// Restores the truncation floor when rebuilding a log from a sealed
-    /// checkpoint (incremental state transfer): the checkpoint's floor is
-    /// adopted directly instead of being clamped to the (possibly still
-    /// empty) log's system version.  The floor stays monotone.
-    pub fn restore_floor(&mut self, floor: Version) {
-        debug_assert!(
-            self.entries.first().is_none_or(|e| e.commit_version > floor),
-            "restored floor must lie below every entry"
-        );
-        self.floor = self.floor.max(floor);
     }
 
     fn suffix(&self, after: Version) -> impl Iterator<Item = &LogEntry> {

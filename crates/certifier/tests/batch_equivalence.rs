@@ -1,14 +1,13 @@
 //! The batched certifier's correctness anchors.
 //!
 //! 1. **Decision equivalence**: on any trace of certification requests the
-//!    batched, pre-screened path (`batch: true`, the default) must be
-//!    decision-for-decision identical to the serial scan (`batch: false`) —
-//!    same commit/abort decisions, same commit versions, same remote-writeset
-//!    streams (including `conflict_free_to` bounds), same forced-abort
-//!    pattern (the RNG is drawn once per surviving request in both paths, so
-//!    equal seeds must produce equal draw sequences).  Checked for the
-//!    unsharded [`Certifier`] and for the [`ShardedCertifier`] at 1, 2 and 4
-//!    shards.
+//!    batched, pre-screened per-shard epochs (`batch: true`, the default)
+//!    must be decision-for-decision identical to the direct path taken one
+//!    request at a time (`batch: false`) — same commit/abort decisions, same
+//!    commit versions, same remote-writeset streams (including
+//!    `conflict_free_to` bounds), same forced-abort pattern (with forced
+//!    aborts on, both sides take the direct path and draw once per surviving
+//!    request).  Checked for the [`Certifier`] at 1, 2 and 4 shards.
 //! 2. **Pre-screen soundness**: whenever the footprint index declares a
 //!    writeset clear ([`CertifierLog::prescreen_clear`]), the full suffix
 //!    scan ([`CertifierLog::conflict_after`]) must find nothing — a screened
@@ -19,8 +18,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tashkent_certifier::{
-    CertificationRequest, Certifier, CertifierConfig, CertifierLog, ShardedCertifier,
-    ShardedCertifierConfig,
+    CertificationRequest, Certifier, CertifierConfig, CertifierLog, ShardedCertifierConfig,
 };
 use tashkent_common::{ReplicaId, TableId, Value, Version, WriteItem, WriteSet};
 
@@ -76,61 +74,21 @@ fn digest(response: &tashkent_certifier::CertificationResponse) -> ResponseDiges
     )
 }
 
-fn unsharded_pair(forced_abort_rate: f64) -> (Certifier, Certifier) {
-    let base = CertifierConfig {
-        forced_abort_rate,
-        ..CertifierConfig::default()
+/// A direct-path (`batch: false`) and a batched certifier over `shards`.
+fn pair(shards: usize, forced_abort_rate: f64) -> (Certifier, Certifier) {
+    let config = |batch| ShardedCertifierConfig {
+        shards,
+        base: CertifierConfig {
+            forced_abort_rate,
+            batch,
+            ..CertifierConfig::default()
+        },
     };
-    (
-        Certifier::new(CertifierConfig {
-            batch: false,
-            ..base.clone()
-        }),
-        Certifier::new(CertifierConfig { batch: true, ..base }),
-    )
+    (Certifier::new(config(false)), Certifier::new(config(true)))
 }
 
-fn sharded_pair(shards: usize, forced_abort_rate: f64) -> (ShardedCertifier, ShardedCertifier) {
-    let base = CertifierConfig {
-        forced_abort_rate,
-        ..CertifierConfig::default()
-    };
-    (
-        ShardedCertifier::new(ShardedCertifierConfig {
-            shards,
-            base: CertifierConfig {
-                batch: false,
-                ..base.clone()
-            },
-        }),
-        ShardedCertifier::new(ShardedCertifierConfig {
-            shards,
-            base: CertifierConfig { batch: true, ..base },
-        }),
-    )
-}
-
-fn assert_unsharded_equivalent(forced_abort_rate: f64, seed: u64, trace: usize) {
-    let (serial, batched) = unsharded_pair(forced_abort_rate);
-    let mut rng = StdRng::seed_from_u64(seed);
-    for step in 0..trace {
-        let system = serial.system_version();
-        assert_eq!(batched.system_version(), system, "step {step}");
-        let request = random_request(&mut rng, system);
-        let expected = serial.certify(&request).unwrap();
-        let actual = batched.certify(&request).unwrap();
-        assert_eq!(digest(&expected), digest(&actual), "step {step}");
-    }
-    let expected = serial.stats();
-    let actual = batched.stats();
-    assert_eq!(expected.commits, actual.commits);
-    assert_eq!(expected.conflict_aborts, actual.conflict_aborts);
-    assert_eq!(expected.forced_aborts, actual.forced_aborts);
-    assert_eq!(expected.requests, actual.requests);
-}
-
-fn assert_sharded_equivalent(shards: usize, forced_abort_rate: f64, seed: u64, trace: usize) {
-    let (serial, batched) = sharded_pair(shards, forced_abort_rate);
+fn assert_equivalent(shards: usize, forced_abort_rate: f64, seed: u64, trace: usize) {
+    let (serial, batched) = pair(shards, forced_abort_rate);
     let mut rng = StdRng::seed_from_u64(seed);
     for step in 0..trace {
         let system = serial.system_version();
@@ -150,25 +108,25 @@ fn assert_sharded_equivalent(shards: usize, forced_abort_rate: f64, seed: u64, t
 
 #[test]
 fn batched_certifier_matches_the_serial_scan() {
-    assert_unsharded_equivalent(0.0, 0xB1, 400);
+    assert_equivalent(1, 0.0, 0xB1, 400);
 }
 
 #[test]
 fn batched_certifier_forced_aborts_stay_in_rng_lockstep() {
-    assert_unsharded_equivalent(0.15, 0xB2, 400);
+    assert_equivalent(1, 0.15, 0xB2, 400);
 }
 
 #[test]
 fn batched_sharded_certifier_matches_the_serial_scan() {
     for (shards, seed) in [(1usize, 0xB3u64), (2, 0xB4), (4, 0xB5)] {
-        assert_sharded_equivalent(shards, 0.0, seed, 400);
+        assert_equivalent(shards, 0.0, seed, 400);
     }
 }
 
 #[test]
 fn batched_sharded_forced_aborts_stay_in_rng_lockstep() {
     for (shards, seed) in [(1usize, 0xB6u64), (2, 0xB7), (4, 0xB8)] {
-        assert_sharded_equivalent(shards, 0.15, seed, 400);
+        assert_equivalent(shards, 0.15, seed, 400);
     }
 }
 
@@ -176,7 +134,7 @@ fn batched_sharded_forced_aborts_stay_in_rng_lockstep() {
 fn equivalence_holds_across_truncation_floors() {
     // Truncation rebuilds the pre-screen index; decisions — including the
     // conservative below-floor aborts — must stay identical afterwards.
-    let (serial, batched) = unsharded_pair(0.0);
+    let (serial, batched) = pair(1, 0.0);
     let mut rng = StdRng::seed_from_u64(0xB9);
     for _ in 0..120 {
         let request = random_request(&mut rng, serial.system_version());

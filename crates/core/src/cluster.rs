@@ -3,8 +3,7 @@
 use std::sync::Arc;
 
 use tashkent_certifier::{
-    Certifier, CertifierConfig, CertifierNodeId, CertifierStats, ShardedCertifier,
-    ShardedCertifierConfig,
+    Certifier, CertifierConfig, CertifierNodeId, CertifierStats, ShardedCertifierConfig,
 };
 use tashkent_common::{
     metrics::GaugeId, ClusterConfig, CommitPathTrace, Error, Event, MetricsRegistry,
@@ -87,15 +86,11 @@ impl Cluster {
             metrics: Arc::clone(&metrics),
             batch: true,
         };
-        let certifier: CertifierHandle = if config.certifier_shards > 1 {
-            Arc::new(ShardedCertifier::new(ShardedCertifierConfig {
-                shards: config.certifier_shards,
-                base: certifier_config,
-            }))
-            .into()
-        } else {
-            Arc::new(Certifier::new(certifier_config)).into()
-        };
+        let certifier: CertifierHandle = Arc::new(Certifier::new(ShardedCertifierConfig {
+            shards: config.certifier_shards,
+            base: certifier_config,
+        }))
+        .into();
         // Networked transports put a wire between every proxy and the
         // certifier: the data plane of each replica's handle crosses a
         // session, the control plane stays on the in-process handle.
@@ -698,7 +693,7 @@ mod tests {
             let mut config = ClusterConfig::small(system);
             config.certifier_shards = 4;
             let cluster = Cluster::new(config).unwrap();
-            assert!(cluster.certifier().as_sharded().is_some());
+            assert_eq!(cluster.certifier().shard_count(), 4);
             let t = cluster.create_table("kv", &["v"]);
             // Mix single- and multi-shard writesets from both replicas.
             for i in 0..6 {

@@ -61,9 +61,7 @@ pub use replica::ReplicaNode;
 pub use trimmer::{Trimmer, DEFAULT_TRIM_INTERVAL};
 pub use watchdog::{detect, AnomalyKind, FiredAnomaly, Verdict, Watchdog, WatchdogConfig};
 
-pub use tashkent_certifier::{
-    Certifier, CertifierConfig, CertifierNodeId, ShardedCertifier, ShardedCertifierConfig,
-};
+pub use tashkent_certifier::{Certifier, CertifierConfig, CertifierNodeId, ShardedCertifierConfig};
 pub use tashkent_common::{
     chrome_trace_json, text_timeline, ClusterConfig, CommitPathTrace, Component, CounterId, Error,
     Event, EventKind, GaugeId, IoChannelMode, MetricsRegistry, MetricsSnapshot, ReplicaId, Result,

@@ -20,8 +20,8 @@
 //! from an image during incremental state transfer.
 //!
 //! Each layer additionally clamps to its *own* newest checkpoint when it
-//! actually drops records ([`tashkent_certifier::Certifier::truncate_below`],
-//! [`crate::ReplicaNode::truncate_wal_below`]), so the cluster-wide
+//! actually drops records ([`tashkent_certifier::Certifier::truncate_below`]
+//! per shard, [`crate::ReplicaNode::truncate_wal_below`]), so the cluster-wide
 //! watermark is a liveness optimisation, not the only line of defence.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

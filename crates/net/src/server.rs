@@ -215,9 +215,7 @@ fn pump_one(
                 available: handle.is_available(),
             }),
             Message::StateTransferRequest => Some(Message::StateTransferResponse {
-                checkpoint: handle
-                    .as_single()
-                    .and_then(|certifier| certifier.latest_checkpoint_payload()),
+                checkpoint: handle.local().latest_checkpoint_payload(),
             }),
             Message::Ping => Some(Message::Pong),
             Message::Goodbye => {

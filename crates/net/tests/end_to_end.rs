@@ -4,6 +4,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use tashkent_certifier::certifier::decode_checkpoint_payload;
 use tashkent_certifier::{Certifier, CertifierConfig, CertificationRequest};
 use tashkent_common::{
     metrics::MetricsRegistry, Component, CounterId, EventKind, GaugeId, ReplicaId, TableId,
@@ -35,7 +36,7 @@ fn commit(service: &dyn CertifierService, key: i64) -> Version {
 }
 
 fn single_handle() -> CertifierHandle {
-    CertifierHandle::Single(Arc::new(Certifier::new(CertifierConfig::default())))
+    CertifierHandle::Local(Arc::new(Certifier::new(CertifierConfig::default())))
 }
 
 #[test]
@@ -98,7 +99,7 @@ fn conversation_impl(net: Arc<LoopbackNet>) {
     let handle = single_handle();
     let server = NetServer::start(
         "certifier",
-        handle,
+        handle.clone(),
         &net.transport("certifier"),
         "certifier",
         Arc::clone(&metrics),
@@ -117,6 +118,14 @@ fn conversation_impl(net: Arc<LoopbackNet>) {
     assert!(client.as_ref().is_available());
     assert_eq!(client.as_ref().writesets_after(Version(0)).len(), 2);
     assert!(client.state_transfer().unwrap().is_none());
+    // State transfer over the wire: the sealed image arrives intact.
+    assert_eq!(handle.seal_checkpoint(), Version(2));
+    let payload = client.state_transfer().unwrap().expect("a sealed image");
+    let (floor, entries) = decode_checkpoint_payload(&payload).unwrap();
+    assert_eq!(floor, Version::ZERO);
+    let versions: Vec<Version> = entries.iter().map(|(version, _)| *version).collect();
+    assert_eq!(versions, vec![Version(1), Version(2)]);
+    assert_eq!(entries[1].1, ws(2));
 
     let snapshot = metrics.snapshot();
     assert!(snapshot.counter(CounterId::NetMessages) >= 10);

@@ -1,19 +1,19 @@
-//! Proxy-side fan-out over the sharded certifier.
+//! The proxy's handle on the certifier.
 //!
-//! [`CertifierHandle`] is the proxy's uniform view of "the certifier":
-//! either the paper's single [`Certifier`] or a [`ShardedCertifier`].  The
-//! handle keeps the sharding invisible to the commit pipelines — for the
-//! sharded case, [`CertifierHandle::writesets_after`] *fans out* to every
-//! shard's version stream and *fans in* by merging them on ascending global
-//! commit version ([`tashkent_certifier::merge_shard_streams`]), so `apply_remotes_serial` and
-//! `commit_concurrent` consume exactly the gap-free totally-ordered stream
-//! they were written against.
+//! [`CertifierHandle`] is the proxy's uniform view of "the certifier": the
+//! in-process [`Certifier`], or one reached across a wire through a
+//! [`CertifierService`].  Either way the commit pipelines see one gap-free,
+//! totally-ordered stream of remote writesets — with several certification
+//! shards, [`Certifier::writesets_after`] fans out to every shard's version
+//! stream and fans in by global commit version
+//! ([`tashkent_certifier::merge_shard_streams`]) — so `apply_remotes_serial`
+//! and `commit_concurrent` are oblivious to sharding and transport.
 
 use std::sync::Arc;
 
 use tashkent_certifier::{
     CertificationRequest, CertificationResponse, Certifier, CertifierNodeId, CertifierStats,
-    RemoteWriteSet, ShardedCertifier,
+    RemoteWriteSet,
 };
 use tashkent_common::{Result, ShardId, Version, WriteSet};
 
@@ -55,11 +55,8 @@ pub trait CertifierService: Send + Sync {
 /// A cheaply-cloneable handle to the cluster's certification service.
 #[derive(Clone)]
 pub enum CertifierHandle {
-    /// The unsharded certifier of the paper.
-    Single(Arc<Certifier>),
-    /// The sharded certifier (PR 4): per-shard logs behind a global
-    /// sequencer.
-    Sharded(Arc<ShardedCertifier>),
+    /// The in-process certifier (one shard or several).
+    Local(Arc<Certifier>),
     /// A certifier reached over a wire: the data plane goes through a
     /// [`CertifierService`] (network round-trips), while the control plane
     /// — fault injection, checkpoint/truncation, log inspection — delegates
@@ -77,8 +74,7 @@ pub enum CertifierHandle {
 impl std::fmt::Debug for CertifierHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CertifierHandle::Single(c) => f.debug_tuple("Single").field(c).finish(),
-            CertifierHandle::Sharded(c) => f.debug_tuple("Sharded").field(c).finish(),
+            CertifierHandle::Local(c) => f.debug_tuple("Local").field(c).finish(),
             CertifierHandle::Remote { colocated, .. } => {
                 f.debug_tuple("Remote").field(colocated).finish()
             }
@@ -88,44 +84,41 @@ impl std::fmt::Debug for CertifierHandle {
 
 impl From<Arc<Certifier>> for CertifierHandle {
     fn from(certifier: Arc<Certifier>) -> Self {
-        CertifierHandle::Single(certifier)
-    }
-}
-
-impl From<Arc<ShardedCertifier>> for CertifierHandle {
-    fn from(certifier: Arc<ShardedCertifier>) -> Self {
-        CertifierHandle::Sharded(certifier)
+        CertifierHandle::Local(certifier)
     }
 }
 
 impl CertifierHandle {
+    /// The in-process certifier behind this handle — a `Remote` handle's
+    /// colocated one — for control-plane operations, which never cross the
+    /// wire.
+    #[must_use]
+    pub fn local(&self) -> &Arc<Certifier> {
+        match self {
+            CertifierHandle::Local(c) => c,
+            CertifierHandle::Remote { colocated, .. } => colocated.local(),
+        }
+    }
+
     /// Certifies an update transaction.
     ///
     /// # Errors
     ///
-    /// Returns [`tashkent_common::Error::Unavailable`] if the certifier (or,
-    /// sharded, any shard owning the writeset) has lost its majority.
+    /// Returns [`tashkent_common::Error::Unavailable`] if any shard owning
+    /// the writeset has lost its majority (or the wire is down).
     pub fn certify(&self, request: &CertificationRequest) -> Result<CertificationResponse> {
         match self {
-            CertifierHandle::Single(c) => c.certify(request),
-            CertifierHandle::Sharded(c) => c.certify(request),
+            CertifierHandle::Local(c) => c.certify(request),
             CertifierHandle::Remote { service, .. } => service.certify(request),
         }
     }
 
     /// The remote writesets committed after `since`, as one gap-free stream
     /// in ascending global version order.
-    ///
-    /// For the sharded certifier this is the fan-out/fan-in: sample the
-    /// system version, fetch every shard's stream
-    /// ([`ShardedCertifier::shard_streams_after`]), merge by version with
-    /// the sampled bound ([`tashkent_certifier::merge_shard_streams`]).
-    /// Everything above this call is oblivious to sharding.
     #[must_use]
     pub fn writesets_after(&self, since: Version) -> Vec<RemoteWriteSet> {
         match self {
-            CertifierHandle::Single(c) => c.writesets_after(since),
-            CertifierHandle::Sharded(c) => c.writesets_after(since),
+            CertifierHandle::Local(c) => c.writesets_after(since),
             CertifierHandle::Remote { service, .. } => service.writesets_after(since),
         }
     }
@@ -134,31 +127,35 @@ impl CertifierHandle {
     #[must_use]
     pub fn system_version(&self) -> Version {
         match self {
-            CertifierHandle::Single(c) => c.system_version(),
-            CertifierHandle::Sharded(c) => c.system_version(),
+            CertifierHandle::Local(c) => c.system_version(),
             CertifierHandle::Remote { service, .. } => service.system_version(),
         }
     }
 
-    /// `true` if certification can make progress (every replicated group —
-    /// the single group, or all shard groups — has a majority up).
+    /// `true` if certification can make progress (every shard group has a
+    /// majority up).
     #[must_use]
     pub fn is_available(&self) -> bool {
         match self {
-            CertifierHandle::Single(c) => c.is_available(),
-            CertifierHandle::Sharded(c) => c.is_available(),
+            CertifierHandle::Local(c) => c.is_available(),
             CertifierHandle::Remote { service, .. } => service.is_available(),
         }
     }
 
-    /// Crashes one certifier node (for the sharded certifier: that node in
-    /// every shard's group — the physical-machine fault model).
-    pub fn crash_node(&self, node: CertifierNodeId) {
+    /// The truncation floor: versions at or below it can no longer be served
+    /// from the certified logs (highest per-shard floor).
+    #[must_use]
+    pub fn truncation_floor(&self) -> Version {
         match self {
-            CertifierHandle::Single(c) => c.crash_node(node),
-            CertifierHandle::Sharded(c) => c.crash_node(node),
-            CertifierHandle::Remote { colocated, .. } => colocated.crash_node(node),
+            CertifierHandle::Local(c) => c.truncation_floor(),
+            CertifierHandle::Remote { service, .. } => service.truncation_floor(),
         }
+    }
+
+    /// Crashes one certifier node (that node in every shard's group — the
+    /// physical-machine fault model).
+    pub fn crash_node(&self, node: CertifierNodeId) {
+        self.local().crash_node(node);
     }
 
     /// Recovers one certifier node via state transfer.
@@ -168,47 +165,28 @@ impl CertifierHandle {
     /// Returns [`tashkent_common::Error::Unavailable`] if no up node can
     /// donate the log.
     pub fn recover_node(&self, node: CertifierNodeId) -> Result<()> {
-        match self {
-            CertifierHandle::Single(c) => c.recover_node(node),
-            CertifierHandle::Sharded(c) => c.recover_node(node),
-            CertifierHandle::Remote { colocated, .. } => colocated.recover_node(node),
-        }
+        self.local().recover_node(node)
     }
 
-    /// Statistics in the unsharded shape (sharded counters are aggregated
-    /// across shards; see
-    /// [`ShardedCertifierStats::aggregate`](tashkent_certifier::ShardedCertifierStats::aggregate)).
+    /// Statistics (durable-log counters summed across shards).
     #[must_use]
     pub fn stats(&self) -> CertifierStats {
-        match self {
-            CertifierHandle::Single(c) => c.stats(),
-            CertifierHandle::Sharded(c) => c.stats().aggregate(),
-            CertifierHandle::Remote { colocated, .. } => colocated.stats(),
-        }
+        self.local().stats()
     }
 
-    /// Number of certification shards (1 for the unsharded certifier).
+    /// Number of certification shards.
     ///
     /// Together with the `shard_*` methods below this gives fault injectors
-    /// one uniform, shard-addressed view of the certification service: the
-    /// unsharded certifier is addressed as the single shard `ShardId(0)`.
+    /// one uniform, shard-addressed view of the certification service.
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        match self {
-            CertifierHandle::Single(_) => 1,
-            CertifierHandle::Sharded(c) => c.shard_count(),
-            CertifierHandle::Remote { colocated, .. } => colocated.shard_count(),
-        }
+        self.local().shard_count()
     }
 
     /// Total number of nodes in each shard's replicated group.
     #[must_use]
     pub fn nodes_per_shard(&self) -> usize {
-        match self {
-            CertifierHandle::Single(c) => c.node_count(),
-            CertifierHandle::Sharded(c) => c.nodes_per_shard(),
-            CertifierHandle::Remote { colocated, .. } => colocated.nodes_per_shard(),
-        }
+        self.local().nodes_per_shard()
     }
 
     /// The current leader of one shard's replicated group.
@@ -218,14 +196,7 @@ impl CertifierHandle {
     /// Panics if `shard` is out of range.
     #[must_use]
     pub fn shard_leader(&self, shard: ShardId) -> CertifierNodeId {
-        match self {
-            CertifierHandle::Single(c) => {
-                assert_eq!(shard, ShardId(0), "unsharded certifier has one shard");
-                c.leader()
-            }
-            CertifierHandle::Sharded(c) => c.shard_leader(shard),
-            CertifierHandle::Remote { colocated, .. } => colocated.shard_leader(shard),
-        }
+        self.local().shard_leader(shard)
     }
 
     /// The up nodes of one shard's replicated group, in node-id order.
@@ -235,14 +206,7 @@ impl CertifierHandle {
     /// Panics if `shard` is out of range.
     #[must_use]
     pub fn shard_up_nodes(&self, shard: ShardId) -> Vec<CertifierNodeId> {
-        match self {
-            CertifierHandle::Single(c) => {
-                assert_eq!(shard, ShardId(0), "unsharded certifier has one shard");
-                c.up_nodes()
-            }
-            CertifierHandle::Sharded(c) => c.shard_up_nodes(shard),
-            CertifierHandle::Remote { colocated, .. } => colocated.shard_up_nodes(shard),
-        }
+        self.local().shard_up_nodes(shard)
     }
 
     /// Crashes one node of one shard's replicated group.
@@ -251,14 +215,7 @@ impl CertifierHandle {
     ///
     /// Panics if `shard` is out of range.
     pub fn crash_shard_node(&self, shard: ShardId, node: CertifierNodeId) {
-        match self {
-            CertifierHandle::Single(c) => {
-                assert_eq!(shard, ShardId(0), "unsharded certifier has one shard");
-                c.crash_node(node);
-            }
-            CertifierHandle::Sharded(c) => c.crash_shard_node(shard, node),
-            CertifierHandle::Remote { colocated, .. } => colocated.crash_shard_node(shard, node),
-        }
+        self.local().crash_shard_node(shard, node);
     }
 
     /// Recovers one node of one shard's replicated group via state transfer.
@@ -272,14 +229,7 @@ impl CertifierHandle {
     ///
     /// Panics if `shard` is out of range.
     pub fn recover_shard_node(&self, shard: ShardId, node: CertifierNodeId) -> Result<()> {
-        match self {
-            CertifierHandle::Single(c) => {
-                assert_eq!(shard, ShardId(0), "unsharded certifier has one shard");
-                c.recover_node(node)
-            }
-            CertifierHandle::Sharded(c) => c.recover_shard_node(shard, node),
-            CertifierHandle::Remote { colocated, .. } => colocated.recover_shard_node(shard, node),
-        }
+        self.local().recover_shard_node(shard, node)
     }
 
     /// Reads the durable log of one node of one shard's group (the
@@ -297,24 +247,13 @@ impl CertifierHandle {
         shard: ShardId,
         node: CertifierNodeId,
     ) -> Result<Vec<(Version, WriteSet)>> {
-        match self {
-            CertifierHandle::Single(c) => {
-                assert_eq!(shard, ShardId(0), "unsharded certifier has one shard");
-                c.durable_entries(node)
-            }
-            CertifierHandle::Sharded(c) => c.shard_durable_entries(shard, node),
-            CertifierHandle::Remote { colocated, .. } => colocated.shard_durable_entries(shard, node),
-        }
+        self.local().shard_durable_entries(shard, node)
     }
 
-    /// Seals a durable checkpoint of the certified log (every shard's log,
-    /// when sharded).  Returns the version the checkpoint covers up to.
+    /// Seals a durable checkpoint of every shard's certified log.  Returns
+    /// the version the checkpoint covers up to.
     pub fn seal_checkpoint(&self) -> Version {
-        match self {
-            CertifierHandle::Single(c) => c.seal_checkpoint(),
-            CertifierHandle::Sharded(c) => c.seal_checkpoint(),
-            CertifierHandle::Remote { colocated, .. } => colocated.seal_checkpoint(),
-        }
+        self.local().seal_checkpoint()
     }
 
     /// Drops certified-log entries at or below `watermark` from the
@@ -325,65 +264,21 @@ impl CertifierHandle {
     ///
     /// Propagates durable-log rewrite failures.
     pub fn truncate_below(&self, watermark: Version) -> Result<usize> {
-        match self {
-            CertifierHandle::Single(c) => c.truncate_below(watermark),
-            CertifierHandle::Sharded(c) => c.truncate_below(watermark),
-            CertifierHandle::Remote { colocated, .. } => colocated.truncate_below(watermark),
-        }
-    }
-
-    /// The truncation floor: versions at or below it can no longer be served
-    /// from the certified logs (highest per-shard floor when sharded).
-    #[must_use]
-    pub fn truncation_floor(&self) -> Version {
-        match self {
-            CertifierHandle::Single(c) => c.truncation_floor(),
-            CertifierHandle::Sharded(c) => c.truncation_floor(),
-            CertifierHandle::Remote { service, .. } => service.truncation_floor(),
-        }
+        self.local().truncate_below(watermark)
     }
 
     /// The version the newest sealed checkpoint covers up to (minimum across
-    /// shards when sharded; [`Version::ZERO`] before the first seal).
+    /// shards; [`Version::ZERO`] before the first seal).
     #[must_use]
     pub fn checkpoint_version(&self) -> Version {
-        match self {
-            CertifierHandle::Single(c) => c.checkpoint_version(),
-            CertifierHandle::Sharded(c) => c.checkpoint_version(),
-            CertifierHandle::Remote { colocated, .. } => colocated.checkpoint_version(),
-        }
+        self.local().checkpoint_version()
     }
 
     /// Total number of entries held in the in-memory certified logs
     /// (bounded-memory assertions).
     #[must_use]
     pub fn log_len(&self) -> usize {
-        match self {
-            CertifierHandle::Single(c) => c.log_len(),
-            CertifierHandle::Sharded(c) => c.log_len(),
-            CertifierHandle::Remote { colocated, .. } => colocated.log_len(),
-        }
-    }
-
-    /// The sharded certifier behind this handle, if it is sharded (per-shard
-    /// fault injection and inspection).
-    #[must_use]
-    pub fn as_sharded(&self) -> Option<&Arc<ShardedCertifier>> {
-        match self {
-            CertifierHandle::Sharded(c) => Some(c),
-            CertifierHandle::Single(_) => None,
-            CertifierHandle::Remote { colocated, .. } => colocated.as_sharded(),
-        }
-    }
-
-    /// The unsharded certifier behind this handle, if it is unsharded.
-    #[must_use]
-    pub fn as_single(&self) -> Option<&Arc<Certifier>> {
-        match self {
-            CertifierHandle::Single(c) => Some(c),
-            CertifierHandle::Sharded(_) => None,
-            CertifierHandle::Remote { colocated, .. } => colocated.as_single(),
-        }
+        self.local().log_len()
     }
 }
 
@@ -420,10 +315,8 @@ mod tests {
     fn sharded_fan_in_matches_the_single_stream_shape() {
         let single: CertifierHandle =
             Arc::new(Certifier::new(CertifierConfig::default())).into();
-        let sharded: CertifierHandle = Arc::new(ShardedCertifier::new(
-            ShardedCertifierConfig::with_shards(4),
-        ))
-        .into();
+        let sharded: CertifierHandle =
+            Arc::new(Certifier::new(ShardedCertifierConfig::with_shards(4))).into();
         for handle in [&single, &sharded] {
             for k in 0..10 {
                 commit(handle, &[k, k + 100]);
@@ -436,8 +329,8 @@ mod tests {
             assert!(handle.is_available());
             assert_eq!(handle.stats().commits, 10);
         }
-        assert!(single.as_single().is_some() && single.as_sharded().is_none());
-        assert!(sharded.as_sharded().is_some() && sharded.as_single().is_none());
+        assert_eq!(single.shard_count(), 1);
+        assert_eq!(sharded.shard_count(), 4);
     }
 
     /// A [`CertifierService`] that forwards to an in-process certifier while
@@ -479,7 +372,7 @@ mod tests {
         });
         let handle = CertifierHandle::Remote {
             service: service.clone(),
-            colocated: Box::new(CertifierHandle::Single(certifier)),
+            colocated: Box::new(CertifierHandle::Local(Arc::clone(&certifier))),
         };
 
         // Data plane: each of the five wire operations crosses the service.
@@ -495,7 +388,7 @@ mod tests {
         assert_eq!(handle.shard_count(), 1);
         assert_eq!(handle.log_len(), 1);
         assert_eq!(handle.checkpoint_version(), Version::ZERO);
-        assert!(handle.as_single().is_some() && handle.as_sharded().is_none());
+        assert!(Arc::ptr_eq(handle.local(), &certifier));
         handle.crash_node(CertifierNodeId(1));
         handle.recover_node(CertifierNodeId(1)).unwrap();
         assert_eq!(
@@ -508,10 +401,8 @@ mod tests {
 
     #[test]
     fn node_faults_flow_through_the_handle() {
-        let handle: CertifierHandle = Arc::new(ShardedCertifier::new(
-            ShardedCertifierConfig::with_shards(2),
-        ))
-        .into();
+        let handle: CertifierHandle =
+            Arc::new(Certifier::new(ShardedCertifierConfig::with_shards(2))).into();
         commit(&handle, &[1]);
         handle.crash_node(CertifierNodeId(0));
         handle.crash_node(CertifierNodeId(1));

@@ -145,8 +145,8 @@ impl std::fmt::Debug for Proxy {
 
 impl Proxy {
     /// Creates a proxy fronting `db` and talking to `certifier` (an
-    /// `Arc<Certifier>`, an `Arc<ShardedCertifier>` or a ready-made
-    /// [`CertifierHandle`] — the pipelines are identical above the handle).
+    /// `Arc<Certifier>` or a ready-made [`CertifierHandle`] — the pipelines
+    /// are identical above the handle).
     #[must_use]
     pub fn new(
         config: ProxyConfig,

@@ -164,8 +164,7 @@ pub fn recover_mw_replica(
 #[cfg(test)]
 mod tests {
     use tashkent_certifier::{
-        CertificationRequest, Certifier, CertifierConfig, ShardedCertifier,
-        ShardedCertifierConfig,
+        CertificationRequest, Certifier, CertifierConfig, ShardedCertifierConfig,
     };
     use tashkent_common::{ReplicaId, SyncMode, TableId, Value, Version, WriteItem, WriteSet};
 
@@ -267,10 +266,8 @@ mod tests {
 
     #[test]
     fn catch_up_consumes_the_sharded_certifiers_merged_stream() {
-        let certifier: CertifierHandle = Arc::new(ShardedCertifier::new(
-            ShardedCertifierConfig::with_shards(4),
-        ))
-        .into();
+        let certifier: CertifierHandle =
+            Arc::new(Certifier::new(ShardedCertifierConfig::with_shards(4))).into();
         fill(&certifier, 10);
         let db = Database::new(EngineConfig::default());
         db.create_table("t", &["x"]);

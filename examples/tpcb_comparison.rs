@@ -146,10 +146,7 @@ fn main() {
         config.clients_per_replica = 4;
         config.certifier_shards = shards;
         let (cluster, report, samples) = run_tpcb(config);
-        let handle = cluster.certifier();
-        let multi_shard = handle
-            .as_sharded()
-            .map_or(0, |sharded| sharded.stats().multi_shard_commits);
+        let stats = cluster.certifier().stats();
         // Commits per second of *measurement window*: `DriverReport::elapsed`
         // also counts the shutdown join of in-flight transactions (long for
         // Tashkent-API pipelines, and equally so with one shard), which
@@ -158,9 +155,10 @@ fn main() {
         let window_tput = report.committed as f64 / window().as_secs_f64();
         let label = format!("{shards} shard(s)");
         println!(
-            "{}{window_tput:>14.0}{:>14}{multi_shard:>18}",
+            "{}{window_tput:>14.0}{:>14}{:>18}",
             report.table_row(&label),
-            handle.stats().commits,
+            stats.commits,
+            stats.multi_shard_commits,
         );
         print_timeline(&label, &samples);
     }
