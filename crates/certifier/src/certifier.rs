@@ -61,6 +61,7 @@ use std::time::Instant;
 use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tashkent_common::codec::{Reader, Writer};
 use tashkent_common::metrics::{CounterId, GaugeId, Stage};
 use tashkent_common::{
     Component, Error, Event, EventKind, MetricsRegistry, ReplicaId, Result, RowKey, ShardId,
@@ -81,13 +82,9 @@ use crate::sharded::{merge_shard_streams, ShardStream, ShardedCertifierConfig};
 #[must_use]
 pub fn encode_checkpoint_payload(floor: Version, entries: &[(Version, Arc<WriteSet>)]) -> Vec<u8> {
     let mut payload = Vec::with_capacity(8 + entries.len() * 64);
-    payload.extend_from_slice(&floor.0.to_be_bytes());
+    payload.put_u64(floor.0);
     for (version, writeset) in entries {
-        let record = WalRecord::Commit {
-            version: *version,
-            writeset: (**writeset).clone(),
-        };
-        payload.extend_from_slice(&record.encode());
+        WalRecord::encode_commit_into(&mut payload, *version, writeset);
     }
     payload
 }
@@ -97,24 +94,15 @@ pub fn encode_checkpoint_payload(floor: Version, entries: &[(Version, Arc<WriteS
 /// # Errors
 ///
 /// Returns [`Error::Corruption`] if the payload is truncated or a record
-/// frame fails its checksum.
+/// frame fails its checksum or decoding.
 pub fn decode_checkpoint_payload(bytes: &[u8]) -> Result<(Version, Vec<(Version, WriteSet)>)> {
-    if bytes.len() < 8 {
-        return Err(Error::Corruption(
-            "truncated certifier checkpoint payload".into(),
-        ));
-    }
-    let floor = Version(u64::from_be_bytes(bytes[0..8].try_into().unwrap()));
+    let mut r = Reader::new(bytes);
+    let floor = Version(r.u64("certifier checkpoint floor")?);
     // Unlike WAL replay, a checkpoint image admits no torn tail: every byte
     // must decode, or the image is corrupt.
-    let mut buf = bytes::Bytes::copy_from_slice(&bytes[8..]);
     let mut entries = Vec::new();
-    loop {
-        use bytes::Buf as _;
-        if buf.remaining() == 0 {
-            break;
-        }
-        match WalRecord::decode_from(&mut buf)? {
+    while !r.is_empty() {
+        match WalRecord::decode_from(&mut r)? {
             Some(WalRecord::Commit { version, writeset }) => entries.push((version, writeset)),
             Some(WalRecord::Checkpoint { .. }) => {}
             None => {
@@ -1235,6 +1223,14 @@ mod tests {
         ));
         assert!(matches!(
             decode_checkpoint_payload(&payload[..payload.len() - 1]),
+            Err(Error::Corruption(_))
+        ));
+        // A complete record frame with an empty payload after the floor has
+        // no record kind: corruption, not a panic.
+        let mut empty_frame = payload[..8].to_vec();
+        empty_frame.extend_from_slice(&[0, 0, 0, 0, 0x81, 0x1C, 0x9D, 0xC5]);
+        assert!(matches!(
+            decode_checkpoint_payload(&empty_frame),
             Err(Error::Corruption(_))
         ));
     }

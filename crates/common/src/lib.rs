@@ -5,6 +5,9 @@
 //! Ordering for High-Performance Scalable Database Replication"*
 //! (Elnikety, Dropsho, Pedone — EuroSys 2006):
 //!
+//! * [`codec`] — the one binary codec every on-disk and wire format is
+//!   built from: the FNV-1a checksum, checked big-endian reads with bounded
+//!   pre-allocation, `Vec<u8>` writers and the checksummed frame.
 //! * [`ids`] — identifiers and the global [`ids::Version`] counter that names
 //!   database snapshots.
 //! * [`value`] — the column value model used by the storage engine and by
@@ -32,6 +35,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod codec;
 pub mod config;
 pub mod error;
 pub mod events;

@@ -24,9 +24,9 @@
 //!
 //! A [`MetricsSnapshot`] is a self-contained copy of the registry that can
 //! be serialised with [`MetricsSnapshot::to_bytes`] / decoded with
-//! [`MetricsSnapshot::from_bytes`] (a hand-rolled length-prefixed binary
-//! layout in the style of `tashkent-storage`'s codec — the vendored serde
-//! stand-in provides derives only).  The flight recorder in the `tashkent`
+//! [`MetricsSnapshot::from_bytes`] (a length-prefixed binary layout on the
+//! shared [`crate::codec`] reader and writer — the vendored serde stand-in
+//! provides derives only).  The flight recorder in the `tashkent`
 //! crate samples snapshots on an interval into a ring buffer so post-hoc
 //! analysis can see a sub-second timeline of a run.
 
@@ -37,6 +37,7 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
+use crate::codec::{Reader, Writer};
 use crate::events::{
     merge_timelines, Component, Event, EventRing, COMPONENT_COUNT, EVENT_RING_CAPACITY,
 };
@@ -800,31 +801,24 @@ impl MetricsSnapshot {
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(256);
-        put_u32(&mut out, SNAPSHOT_MAGIC);
+        out.put_u32(SNAPSHOT_MAGIC);
         // Nanoseconds, so the round-trip is bit-exact (u64 nanoseconds
         // cover ~585 years of registry uptime).
-        put_u64(
-            &mut out,
-            self.elapsed.as_nanos().min(u128::from(u64::MAX)) as u64,
-        );
-        put_u8(&mut out, self.stages.len() as u8);
+        out.put_u64(self.elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
+        out.put_u8(self.stages.len() as u8);
         for stage in &self.stages {
             encode_histogram(&mut out, stage);
         }
         encode_histogram(&mut out, &self.lock_wait);
-        put_u8(&mut out, self.counters.len() as u8);
-        for &counter in &self.counters {
-            put_u64(&mut out, counter);
-        }
-        put_u8(&mut out, self.gauges.len() as u8);
+        out.put_u8(self.counters.len() as u8);
+        self.counters.iter().for_each(|&counter| out.put_u64(counter));
+        out.put_u8(self.gauges.len() as u8);
         for &(value, high) in &self.gauges {
-            put_i64(&mut out, value);
-            put_i64(&mut out, high);
+            out.put_i64(value);
+            out.put_i64(high);
         }
-        put_u8(&mut out, self.shard_commits.len() as u8);
-        for &commits in &self.shard_commits {
-            put_u64(&mut out, commits);
-        }
+        out.put_u8(self.shard_commits.len() as u8);
+        self.shard_commits.iter().for_each(|&commits| out.put_u64(commits));
         out
     }
 
@@ -834,37 +828,23 @@ impl MetricsSnapshot {
     ///
     /// Returns [`Error::Corruption`] on a truncated or malformed buffer.
     pub fn from_bytes(bytes: &[u8]) -> Result<MetricsSnapshot> {
-        let mut cursor = Cursor { bytes, at: 0 };
-        let magic = cursor.u32()?;
+        let mut r = Reader::new(bytes);
+        let magic = r.u32("metrics snapshot magic")?;
         if magic != SNAPSHOT_MAGIC {
             return Err(Error::Corruption(format!(
                 "bad metrics snapshot magic {magic:#x}"
             )));
         }
-        let elapsed = Duration::from_nanos(cursor.u64()?);
-        let stage_count = cursor.u8()? as usize;
-        let mut stages = Vec::with_capacity(stage_count.min(STAGE_COUNT * 2));
-        for _ in 0..stage_count {
-            stages.push(decode_histogram(&mut cursor)?);
-        }
-        let lock_wait = decode_histogram(&mut cursor)?;
-        let counter_count = cursor.u8()? as usize;
-        let mut counters = Vec::with_capacity(counter_count);
-        for _ in 0..counter_count {
-            counters.push(cursor.u64()?);
-        }
-        let gauge_count = cursor.u8()? as usize;
-        let mut gauges = Vec::with_capacity(gauge_count);
-        for _ in 0..gauge_count {
-            let value = cursor.i64()?;
-            let high = cursor.i64()?;
-            gauges.push((value, high));
-        }
-        let shard_count = cursor.u8()? as usize;
-        let mut shard_commits = Vec::with_capacity(shard_count);
-        for _ in 0..shard_count {
-            shard_commits.push(cursor.u64()?);
-        }
+        let elapsed = Duration::from_nanos(r.u64("snapshot elapsed")?);
+        let stage_count = r.u8("stage count")? as usize;
+        let stages = r.vec(stage_count, decode_histogram)?;
+        let lock_wait = decode_histogram(&mut r)?;
+        let counter_count = r.u8("counter count")? as usize;
+        let counters = r.vec(counter_count, |r| r.u64("counter"))?;
+        let gauge_count = r.u8("gauge count")? as usize;
+        let gauges = r.vec(gauge_count, |r| Ok((r.i64("gauge")?, r.i64("gauge high")?)))?;
+        let shard_count = r.u8("shard count")? as usize;
+        let shard_commits = r.vec(shard_count, |r| r.u64("shard commits"))?;
         Ok(MetricsSnapshot {
             elapsed,
             stages,
@@ -882,83 +862,14 @@ fn duration_micros(duration: Duration) -> u64 {
     duration.as_micros().min(u128::from(u64::MAX)) as u64
 }
 
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u128(out: &mut Vec<u8>, v: u128) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl Cursor<'_> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&[u8]> {
-        if self.bytes.len() - self.at < n {
-            return Err(Error::Corruption(format!(
-                "truncated metrics snapshot: need {n} bytes for {what}, {} remaining",
-                self.bytes.len() - self.at
-            )));
-        }
-        let slice = &self.bytes[self.at..self.at + n];
-        self.at += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1, "u8")?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_be_bytes(self.take(2, "u16")?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_be_bytes(self.take(4, "u32")?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_be_bytes(self.take(8, "u64")?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_be_bytes(self.take(8, "i64")?.try_into().unwrap()))
-    }
-
-    fn u128(&mut self) -> Result<u128> {
-        Ok(u128::from_be_bytes(
-            self.take(16, "u128")?.try_into().unwrap(),
-        ))
-    }
-}
-
 /// Encodes a histogram as its summary fields plus the non-zero buckets as
 /// `(index, count)` pairs — compact, since runs populate a few dozen of
 /// the 288 buckets.
 fn encode_histogram(out: &mut Vec<u8>, histogram: &LatencyHistogram) {
-    put_u64(out, histogram.count());
-    put_u128(out, histogram.sum_micros());
-    put_u64(out, duration_micros(histogram.min()));
-    put_u64(out, duration_micros(histogram.max()));
+    out.put_u64(histogram.count());
+    out.put_u128(histogram.sum_micros());
+    out.put_u64(duration_micros(histogram.min()));
+    out.put_u64(duration_micros(histogram.max()));
     let nonzero: Vec<(usize, u64)> = histogram
         .bucket_counts()
         .iter()
@@ -966,23 +877,23 @@ fn encode_histogram(out: &mut Vec<u8>, histogram: &LatencyHistogram) {
         .filter(|(_, &c)| c > 0)
         .map(|(i, &c)| (i, c))
         .collect();
-    put_u16(out, nonzero.len() as u16);
+    out.put_u16(nonzero.len() as u16);
     for (index, count) in nonzero {
-        put_u16(out, index as u16);
-        put_u64(out, count);
+        out.put_u16(index as u16);
+        out.put_u64(count);
     }
 }
 
-fn decode_histogram(cursor: &mut Cursor<'_>) -> Result<LatencyHistogram> {
-    let count = cursor.u64()?;
-    let sum_micros = cursor.u128()?;
-    let min_micros = cursor.u64()?;
-    let max_micros = cursor.u64()?;
-    let nonzero = cursor.u16()? as usize;
+fn decode_histogram(r: &mut Reader<'_>) -> Result<LatencyHistogram> {
+    let count = r.u64("histogram count")?;
+    let sum_micros = r.u128("histogram sum")?;
+    let min_micros = r.u64("histogram min")?;
+    let max_micros = r.u64("histogram max")?;
+    let nonzero = r.u16("histogram bucket count")? as usize;
     let mut buckets = vec![0u64; LatencyHistogram::bucket_count()];
     for _ in 0..nonzero {
-        let index = cursor.u16()? as usize;
-        let bucket_count = cursor.u64()?;
+        let index = r.u16("bucket index")? as usize;
+        let bucket_count = r.u64("bucket count")?;
         if index >= buckets.len() {
             return Err(Error::Corruption(format!(
                 "metrics snapshot bucket index {index} out of range"

@@ -2,8 +2,8 @@
 //! at the moment an anomaly (or an invariant violation) happens and written
 //! to one self-contained file.
 //!
-//! A [`DiagnosticBundle`] packs the metrics snapshot (reusing the
-//! [`MetricsSnapshot`] binary codec from PR 6), the recent commit-path
+//! A [`DiagnosticBundle`] packs the metrics snapshot (nesting the
+//! [`MetricsSnapshot`] binary encoding), the recent commit-path
 //! traces, the full event-journal contents, a per-replica progress vector,
 //! and the detector verdict that triggered the capture.  The anomaly
 //! watchdog writes one when a detector fires; the fault harness writes one
@@ -18,6 +18,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use tashkent_common::codec::{Reader, Writer};
 use tashkent_common::metrics::STAGE_COUNT;
 use tashkent_common::{CommitPathTrace, Error, Event, MetricsSnapshot, Result};
 
@@ -62,35 +63,34 @@ impl DiagnosticBundle {
             .map_or_else(|| PathBuf::from(DEFAULT_BUNDLE_DIR), PathBuf::from)
     }
 
-    /// Serialises the bundle with the same hand-rolled big-endian framing
-    /// the metrics snapshot codec uses (the vendored serde is a no-op stub).
+    /// Serialises the bundle on the shared [`tashkent_common::codec`]
+    /// writer (the vendored serde is a no-op stub), nesting the metrics
+    /// snapshot's own encoding.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let snapshot = self.snapshot.to_bytes();
         let mut out = Vec::with_capacity(512 + snapshot.len());
-        put_u32(&mut out, BUNDLE_MAGIC);
-        put_bytes(&mut out, self.kind.as_bytes());
-        put_bytes(&mut out, self.detail.as_bytes());
-        put_bytes(&mut out, &snapshot);
-        put_u32(&mut out, self.traces.len() as u32);
+        out.put_u32(BUNDLE_MAGIC);
+        out.put_bytes32(self.kind.as_bytes());
+        out.put_bytes32(self.detail.as_bytes());
+        out.put_bytes32(&snapshot);
+        out.put_u32(self.traces.len() as u32);
         for trace in &self.traces {
-            put_u64(&mut out, trace.tx);
-            put_u64(&mut out, trace.started_micros);
-            out.push(STAGE_COUNT as u8);
-            for mark in &trace.marks {
-                put_u64(&mut out, *mark);
-            }
+            out.put_u64(trace.tx);
+            out.put_u64(trace.started_micros);
+            out.put_u8(STAGE_COUNT as u8);
+            trace.marks.iter().for_each(|&mark| out.put_u64(mark));
         }
-        put_u32(&mut out, self.events.len() as u32);
+        out.put_u32(self.events.len() as u32);
         for event in &self.events {
             for word in event.encode() {
-                put_u64(&mut out, word);
+                out.put_u64(word);
             }
         }
-        put_u32(&mut out, self.progress.len() as u32);
+        out.put_u32(self.progress.len() as u32);
         for (replica, version) in &self.progress {
-            put_u32(&mut out, *replica);
-            put_u64(&mut out, *version);
+            out.put_u32(*replica);
+            out.put_u64(*version);
         }
         out
     }
@@ -102,23 +102,21 @@ impl DiagnosticBundle {
     /// [`Error::Corruption`] on a bad magic number, truncated input, or an
     /// event record that does not decode.
     pub fn from_bytes(bytes: &[u8]) -> Result<DiagnosticBundle> {
-        let mut cursor = Cursor { bytes, at: 0 };
-        let magic = cursor.u32()?;
+        let mut r = Reader::new(bytes);
+        let magic = r.u32("diagnostic bundle magic")?;
         if magic != BUNDLE_MAGIC {
             return Err(Error::Corruption(format!(
                 "diagnostic bundle magic mismatch: {magic:#010x}"
             )));
         }
-        let kind = cursor.string()?;
-        let detail = cursor.string()?;
-        let snapshot_bytes = cursor.bytes_block()?;
-        let snapshot = MetricsSnapshot::from_bytes(&snapshot_bytes)?;
-        let trace_count = cursor.u32()? as usize;
-        let mut traces = Vec::with_capacity(trace_count.min(4096));
-        for _ in 0..trace_count {
-            let tx = cursor.u64()?;
-            let started_micros = cursor.u64()?;
-            let marks_len = cursor.u8()? as usize;
+        let kind = r.str32("bundle kind")?;
+        let detail = r.str32("bundle detail")?;
+        let snapshot = MetricsSnapshot::from_bytes(r.bytes32("bundle metrics snapshot")?)?;
+        let trace_count = r.u32("trace count")? as usize;
+        let traces = r.vec(trace_count, |r| {
+            let tx = r.u64("trace tx")?;
+            let started_micros = r.u64("trace start")?;
+            let marks_len = r.u8("trace mark count")? as usize;
             if marks_len != STAGE_COUNT {
                 return Err(Error::Corruption(format!(
                     "trace mark count {marks_len} != stage count {STAGE_COUNT}"
@@ -126,30 +124,21 @@ impl DiagnosticBundle {
             }
             let mut marks = [0u64; STAGE_COUNT];
             for mark in &mut marks {
-                *mark = cursor.u64()?;
+                *mark = r.u64("trace mark")?;
             }
-            traces.push(CommitPathTrace {
-                tx,
-                started_micros,
-                marks,
-            });
-        }
-        let event_count = cursor.u32()? as usize;
-        let mut events = Vec::with_capacity(event_count.min(4096));
-        for _ in 0..event_count {
-            let words = [cursor.u64()?, cursor.u64()?, cursor.u64()?, cursor.u64()?];
-            let event = Event::decode(words).ok_or_else(|| {
+            Ok(CommitPathTrace { tx, started_micros, marks })
+        })?;
+        let event_count = r.u32("event count")? as usize;
+        let events = r.vec(event_count, |r| {
+            let words = [r.u64("event")?, r.u64("event")?, r.u64("event")?, r.u64("event")?];
+            Event::decode(words).ok_or_else(|| {
                 Error::Corruption("diagnostic bundle holds an undecodable event".into())
-            })?;
-            events.push(event);
-        }
-        let progress_count = cursor.u32()? as usize;
-        let mut progress = Vec::with_capacity(progress_count.min(4096));
-        for _ in 0..progress_count {
-            let replica = cursor.u32()?;
-            let version = cursor.u64()?;
-            progress.push((replica, version));
-        }
+            })
+        })?;
+        let progress_count = r.u32("progress count")? as usize;
+        let progress = r.vec(progress_count, |r| {
+            Ok((r.u32("progress replica")?, r.u64("progress version")?))
+        })?;
         Ok(DiagnosticBundle {
             kind,
             detail,
@@ -200,63 +189,6 @@ impl DiagnosticBundle {
         let bytes = std::fs::read(path)
             .map_err(|e| Error::Io(format!("reading bundle {}: {e}", path.display())))?;
         DiagnosticBundle::from_bytes(&bytes)
-    }
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    put_u32(out, bytes.len() as u32);
-    out.extend_from_slice(bytes);
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8]> {
-        let end = self.at.checked_add(n).filter(|end| *end <= self.bytes.len());
-        let Some(end) = end else {
-            return Err(Error::Corruption("diagnostic bundle truncated".into()));
-        };
-        let slice = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        let slice = self.take(4)?;
-        Ok(u32::from_be_bytes([slice[0], slice[1], slice[2], slice[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        let slice = self.take(8)?;
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(slice);
-        Ok(u64::from_be_bytes(buf))
-    }
-
-    fn bytes_block(&mut self) -> Result<Vec<u8>> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
-    }
-
-    fn string(&mut self) -> Result<String> {
-        let bytes = self.bytes_block()?;
-        String::from_utf8(bytes)
-            .map_err(|_| Error::Corruption("diagnostic bundle holds invalid UTF-8".into()))
     }
 }
 

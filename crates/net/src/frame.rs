@@ -9,17 +9,18 @@
 //! +-------+---------+----------+-----------------+----------+
 //! ```
 //!
-//! The checksum is FNV-1a over the payload only (same function the storage
-//! log uses, so a corrupted frame and a corrupted log record report through
-//! the same [`Error::Corruption`] channel).  A frame whose `version` differs
+//! It is the trailing-checksum layout of the shared [`FrameLayout`]: the
+//! checksum is FNV-1a over the payload only, as for every log record, dump
+//! and checkpoint, so a corrupted frame and a corrupted log record report through
+//! the same [`Corruption`](tashkent_common::Error::Corruption) channel.  A frame whose `version` differs
 //! from [`PROTOCOL_VERSION`] is *skipped* — its length is trusted, its
 //! payload discarded — so a rolling upgrade never panics an old node, it
 //! just ignores what it cannot parse.  A frame with a bad magic is a
-//! [`Error::Protocol`] error: the stream is not speaking TKNP at all and the
+//! [`Protocol`](tashkent_common::Error::Protocol) error: the stream is not speaking TKNP at all and the
 //! session must be torn down.
 
-use tashkent_common::{Error, Result};
-use tashkent_storage::codec::checksum;
+use tashkent_common::codec::{FrameLayout, Reader};
+use tashkent_common::Result;
 
 /// The four magic bytes opening every frame.
 pub const MAGIC: [u8; 4] = *b"TKNP";
@@ -27,13 +28,18 @@ pub const MAGIC: [u8; 4] = *b"TKNP";
 /// The protocol version this build speaks.
 pub const PROTOCOL_VERSION: u16 = 1;
 
-/// Frame overhead in bytes: magic + version + length + checksum.
-pub const FRAME_OVERHEAD: usize = 4 + 2 + 4 + 4;
-
 /// The largest payload a peer may send (16 MiB).  A length above this is
 /// treated as corruption — it is far beyond any writeset batch the cluster
-/// produces and protects the reader from allocating on garbage.
+/// produces and protects the reader from waiting on garbage.
 pub const MAX_PAYLOAD: usize = 16 << 20;
+
+/// The frame layout: a `u16` protocol version after the magic, the checksum
+/// after the payload.
+pub const TKNP: FrameLayout = FrameLayout {
+    trailing_checksum: true,
+    max_payload: MAX_PAYLOAD,
+    ..FrameLayout::new("TKNP", &MAGIC, 2)
+};
 
 /// Encodes one payload into a complete frame at [`PROTOCOL_VERSION`].
 #[must_use]
@@ -45,12 +51,8 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
 /// version (tests use this to exercise the cross-version skip path).
 #[must_use]
 pub fn encode_frame_with_version(payload: &[u8], version: u16) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&version.to_be_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&checksum(payload).to_be_bytes());
+    let mut out = Vec::with_capacity(TKNP.overhead() + payload.len());
+    TKNP.write(&mut out, u64::from(version), |p| p.extend_from_slice(payload));
     out
 }
 
@@ -98,63 +100,33 @@ impl FrameReader {
     ///
     /// # Errors
     ///
-    /// * [`Error::Protocol`] — the stream does not start with the `TKNP`
-    ///   magic; the connection is not speaking this protocol.
-    /// * [`Error::Corruption`] — the length field is implausible or the
-    ///   payload checksum does not match.
+    /// * [`Error::Protocol`](tashkent_common::Error::Protocol) — the stream
+    ///   does not start with the `TKNP` magic; the connection is not
+    ///   speaking this protocol.
+    /// * [`Error::Corruption`](tashkent_common::Error::Corruption) — the
+    ///   length field is implausible or the payload checksum does not match.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>> {
         loop {
-            if self.buf.len() < FRAME_OVERHEAD {
+            let mut r = Reader::new(&self.buf);
+            let Some((version, payload)) = TKNP.read(&mut r)? else {
                 return Ok(None);
-            }
-            if self.buf[0..4] != MAGIC {
-                return Err(Error::Protocol(format!(
-                    "bad frame magic {:02x?} (expected {:02x?})",
-                    &self.buf[0..4],
-                    MAGIC
-                )));
-            }
-            let version = u16::from_be_bytes([self.buf[4], self.buf[5]]);
-            let length =
-                u32::from_be_bytes([self.buf[6], self.buf[7], self.buf[8], self.buf[9]]) as usize;
-            if length > MAX_PAYLOAD {
-                return Err(Error::Corruption(format!(
-                    "frame length {length} exceeds the {MAX_PAYLOAD}-byte maximum"
-                )));
-            }
-            let total = FRAME_OVERHEAD + length;
-            if self.buf.len() < total {
-                return Ok(None);
-            }
-            let payload_end = 10 + length;
-            let stored = u32::from_be_bytes([
-                self.buf[payload_end],
-                self.buf[payload_end + 1],
-                self.buf[payload_end + 2],
-                self.buf[payload_end + 3],
-            ]);
-            let computed = checksum(&self.buf[10..payload_end]);
-            if stored != computed {
-                return Err(Error::Corruption(format!(
-                    "frame checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
-                )));
-            }
-            if version != PROTOCOL_VERSION {
+            };
+            let current = (version == u64::from(PROTOCOL_VERSION)).then(|| payload.to_vec());
+            self.buf.drain(..r.consumed());
+            match current {
+                Some(payload) => return Ok(Some(payload)),
                 // A well-formed frame from another protocol version: skip
                 // it and keep decoding.
-                self.skipped_versions += 1;
-                self.buf.drain(0..total);
-                continue;
+                None => self.skipped_versions += 1,
             }
-            let payload = self.buf[10..payload_end].to_vec();
-            self.buf.drain(0..total);
-            return Ok(Some(payload));
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use tashkent_common::Error;
+
     use super::*;
 
     #[test]

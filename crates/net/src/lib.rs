@@ -6,10 +6,11 @@
 //! between them without changing any of that code:
 //!
 //! * [`frame`] — the `TKNP` framed wire format: magic, protocol version,
-//!   length prefix, FNV-1a payload checksum.  Truncated or corrupted frames
+//!   length prefix, FNV-1a payload checksum (a layout of the shared
+//!   [`tashkent_common::codec`]).  Truncated or corrupted frames
 //!   surface as typed errors; frames from a different protocol version are
 //!   skipped, never panicked on.
-//! * [`message`] — the hand-rolled binary codec for every replica↔certifier
+//! * [`message`] — the binary codec for every replica↔certifier
 //!   message: certify request/decision, writeset stream fetch, status,
 //!   recovery state transfer, and session control (hello, ping, goodbye).
 //! * [`transport`] — the [`Transport`]/[`Listener`]/[`Connection`] traits:

@@ -2,10 +2,10 @@
 //!
 //! Each wire payload is one [`Envelope`]: a request id (echoed verbatim in
 //! the response so the client's session manager can match replies to pending
-//! callers) and a tagged [`Message`].  The codec is hand-rolled on the same
-//! [`bytes`] idiom as the storage log codec, and reuses the storage encoders
-//! for the structured types (writesets, versions) so the wire format and the
-//! on-disk format agree on those layouts.
+//! callers) and a tagged [`Message`].  The codec is built from the shared
+//! [`tashkent_common::codec`] reader and writer, and reuses the storage
+//! encoders for the structured types (writesets, versions) so the wire
+//! format and the on-disk format agree on those layouts.
 //!
 //! Every decoder returns [`Error::Corruption`] on truncation and
 //! [`Error::Protocol`] on an unknown message tag — nothing in this module
@@ -13,39 +13,17 @@
 
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 use tashkent_certifier::{
     CertificationDecision, CertificationRequest, CertificationResponse, RemoteWriteSet,
 };
+use tashkent_common::codec::{Reader, Writer};
 use tashkent_common::{Error, ReplicaId, Result, Version};
 use tashkent_storage::codec::{
     decode_version, decode_writeset, encode_version, encode_writeset,
 };
 
-/// Checks that at least `needed` bytes remain in the buffer.
-fn need(buf: &impl Buf, needed: usize, what: &str) -> Result<()> {
-    if buf.remaining() < needed {
-        return Err(Error::Corruption(format!(
-            "truncated {what}: need {needed} bytes, {} remaining",
-            buf.remaining()
-        )));
-    }
-    Ok(())
-}
-
-fn encode_string(buf: &mut BytesMut, s: &str) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn decode_string(buf: &mut Bytes, what: &str) -> Result<String> {
-    need(buf, 4, what)?;
-    let len = buf.get_u32() as usize;
-    need(buf, len, what)?;
-    let raw = buf.split_to(len);
-    String::from_utf8(raw.to_vec())
-        .map_err(|_| Error::Corruption(format!("invalid utf-8 in {what}")))
-}
+use crate::frame::{PROTOCOL_VERSION, TKNP};
 
 /// One wire payload: a request id plus the message it carries.
 ///
@@ -169,54 +147,61 @@ impl Message {
     }
 }
 
-fn encode_remote_writeset(buf: &mut BytesMut, remote: &RemoteWriteSet) {
-    encode_version(buf, remote.commit_version);
-    encode_version(buf, remote.conflict_free_to);
-    encode_writeset(buf, &remote.writeset);
+fn encode_remote_writesets(buf: &mut Vec<u8>, writesets: &[RemoteWriteSet]) {
+    buf.put_u32(writesets.len() as u32);
+    for remote in writesets {
+        encode_version(buf, remote.commit_version);
+        encode_version(buf, remote.conflict_free_to);
+        encode_writeset(buf, &remote.writeset);
+    }
 }
 
-fn decode_remote_writeset(buf: &mut Bytes) -> Result<RemoteWriteSet> {
-    let commit_version = decode_version(buf)?;
-    let conflict_free_to = decode_version(buf)?;
-    let writeset = decode_writeset(buf)?;
-    Ok(RemoteWriteSet {
-        commit_version,
-        writeset: Arc::new(writeset),
-        conflict_free_to,
+fn decode_remote_writesets(r: &mut Reader<'_>, what: &str) -> Result<Vec<RemoteWriteSet>> {
+    let count = r.u32(what)? as usize;
+    r.vec(count, |r| {
+        Ok(RemoteWriteSet {
+            commit_version: decode_version(r)?,
+            conflict_free_to: decode_version(r)?,
+            writeset: Arc::new(decode_writeset(r)?),
+        })
     })
 }
 
-fn encode_decision(buf: &mut BytesMut, decision: &CertificationDecision) {
+fn encode_decision(buf: &mut Vec<u8>, decision: &CertificationDecision) {
     match decision {
         CertificationDecision::Commit => buf.put_u8(0),
         CertificationDecision::Abort { reason, forced } => {
             buf.put_u8(1);
             buf.put_u8(u8::from(*forced));
-            encode_string(buf, reason);
+            buf.put_bytes32(reason.as_bytes());
         }
     }
 }
 
-fn decode_decision(buf: &mut Bytes) -> Result<CertificationDecision> {
-    need(buf, 1, "decision tag")?;
-    match buf.get_u8() {
+fn decode_decision(r: &mut Reader<'_>) -> Result<CertificationDecision> {
+    match r.u8("decision tag")? {
         0 => Ok(CertificationDecision::Commit),
-        1 => {
-            need(buf, 1, "abort flags")?;
-            let forced = buf.get_u8() != 0;
-            let reason = decode_string(buf, "abort reason")?;
-            Ok(CertificationDecision::Abort { reason, forced })
-        }
+        1 => Ok(CertificationDecision::Abort {
+            forced: r.u8("abort flags")? != 0,
+            reason: r.str32("abort reason")?,
+        }),
         other => Err(Error::Corruption(format!("unknown decision tag {other}"))),
     }
 }
 
 /// Encodes one [`Envelope`] into `buf`.
 pub fn encode_message(buf: &mut BytesMut, envelope: &Envelope) {
+    let mut out = Vec::new();
+    encode_envelope(&mut out, envelope);
+    buf.extend_from_slice(&out);
+}
+
+/// Appends one [`Envelope`] to `buf`.
+pub fn encode_envelope(buf: &mut Vec<u8>, envelope: &Envelope) {
     buf.put_u64(envelope.request_id);
     buf.put_u8(envelope.message.tag());
     match &envelope.message {
-        Message::Hello { node } | Message::HelloAck { node } => encode_string(buf, node),
+        Message::Hello { node } | Message::HelloAck { node } => buf.put_bytes32(node.as_bytes()),
         Message::CertifyRequest(request) => {
             buf.put_u32(request.replica.value());
             encode_version(buf, request.start_version);
@@ -233,18 +218,10 @@ pub fn encode_message(buf: &mut BytesMut, envelope: &Envelope) {
                 None => buf.put_u8(0),
             }
             encode_version(buf, response.system_version);
-            buf.put_u32(response.remote_writesets.len() as u32);
-            for remote in &response.remote_writesets {
-                encode_remote_writeset(buf, remote);
-            }
+            encode_remote_writesets(buf, &response.remote_writesets);
         }
         Message::FetchWritesets { since } => encode_version(buf, *since),
-        Message::WritesetBatch { writesets } => {
-            buf.put_u32(writesets.len() as u32);
-            for remote in writesets {
-                encode_remote_writeset(buf, remote);
-            }
-        }
+        Message::WritesetBatch { writesets } => encode_remote_writesets(buf, writesets),
         Message::StatusRequest
         | Message::StateTransferRequest
         | Message::Ping
@@ -262,8 +239,7 @@ pub fn encode_message(buf: &mut BytesMut, envelope: &Envelope) {
         Message::StateTransferResponse { checkpoint } => match checkpoint {
             Some(bytes) => {
                 buf.put_u8(1);
-                buf.put_u32(bytes.len() as u32);
-                buf.put_slice(bytes);
+                buf.put_bytes32(bytes);
             }
             None => buf.put_u8(0),
         },
@@ -272,114 +248,82 @@ pub fn encode_message(buf: &mut BytesMut, envelope: &Envelope) {
             detail,
         } => {
             buf.put_u8(u8::from(*unavailable));
-            encode_string(buf, detail);
+            buf.put_bytes32(detail.as_bytes());
         }
     }
 }
 
-/// Decodes one [`Envelope`] from `buf`.
+/// Decodes one [`Envelope`] from `buf`, advancing it past the envelope.
+///
+/// # Errors
+///
+/// As for [`decode_envelope`].
+pub fn decode_message(buf: &mut Bytes) -> Result<Envelope> {
+    let mut r = Reader::new(buf.as_slice());
+    let envelope = decode_envelope(&mut r);
+    *buf = Bytes::copy_from_slice(&buf[r.consumed()..]);
+    envelope
+}
+
+/// Decodes one [`Envelope`] from `r`.
 ///
 /// # Errors
 ///
 /// [`Error::Corruption`] on truncation or malformed fields;
 /// [`Error::Protocol`] on an unknown message tag.
-pub fn decode_message(buf: &mut Bytes) -> Result<Envelope> {
-    need(buf, 9, "envelope header")?;
-    let request_id = buf.get_u64();
-    let tag = buf.get_u8();
-    let message = match tag {
+pub fn decode_envelope(r: &mut Reader<'_>) -> Result<Envelope> {
+    // Struct fields below are listed in wire order, which is the order Rust
+    // evaluates them in.
+    let request_id = r.u64("envelope request id")?;
+    let message = match r.u8("envelope message tag")? {
         0 => Message::Hello {
-            node: decode_string(buf, "hello node name")?,
+            node: r.str32("hello node name")?,
         },
         1 => Message::HelloAck {
-            node: decode_string(buf, "hello-ack node name")?,
+            node: r.str32("hello-ack node name")?,
         },
-        2 => {
-            need(buf, 4, "certify replica id")?;
-            let replica = ReplicaId(buf.get_u32());
-            let start_version = decode_version(buf)?;
-            let replica_version = decode_version(buf)?;
-            let writeset = decode_writeset(buf)?;
-            Message::CertifyRequest(CertificationRequest {
-                replica,
-                start_version,
-                writeset,
-                replica_version,
-            })
-        }
-        3 => {
-            let decision = decode_decision(buf)?;
-            need(buf, 1, "commit-version flag")?;
-            let commit_version = if buf.get_u8() != 0 {
-                Some(decode_version(buf)?)
-            } else {
-                None
-            };
-            let system_version = decode_version(buf)?;
-            need(buf, 4, "remote-writeset count")?;
-            let count = buf.get_u32() as usize;
-            let mut remote_writesets = Vec::with_capacity(count.min(4096));
-            for _ in 0..count {
-                remote_writesets.push(decode_remote_writeset(buf)?);
-            }
-            Message::CertifyDecision(CertificationResponse {
-                decision,
-                commit_version,
-                remote_writesets,
-                system_version,
-            })
-        }
+        2 => Message::CertifyRequest(CertificationRequest {
+            replica: ReplicaId(r.u32("certify replica id")?),
+            start_version: decode_version(r)?,
+            replica_version: decode_version(r)?,
+            writeset: decode_writeset(r)?,
+        }),
+        3 => Message::CertifyDecision(CertificationResponse {
+            decision: decode_decision(r)?,
+            commit_version: match r.u8("commit-version flag")? {
+                0 => None,
+                _ => Some(decode_version(r)?),
+            },
+            system_version: decode_version(r)?,
+            remote_writesets: decode_remote_writesets(r, "remote-writeset count")?,
+        }),
         4 => Message::FetchWritesets {
-            since: decode_version(buf)?,
+            since: decode_version(r)?,
         },
-        5 => {
-            need(buf, 4, "writeset-batch count")?;
-            let count = buf.get_u32() as usize;
-            let mut writesets = Vec::with_capacity(count.min(4096));
-            for _ in 0..count {
-                writesets.push(decode_remote_writeset(buf)?);
-            }
-            Message::WritesetBatch { writesets }
-        }
+        5 => Message::WritesetBatch {
+            writesets: decode_remote_writesets(r, "writeset-batch count")?,
+        },
         6 => Message::StatusRequest,
-        7 => {
-            let system_version = decode_version(buf)?;
-            let truncation_floor = decode_version(buf)?;
-            need(buf, 1, "availability flag")?;
-            Message::StatusResponse {
-                system_version,
-                truncation_floor,
-                available: buf.get_u8() != 0,
-            }
-        }
+        7 => Message::StatusResponse {
+            system_version: decode_version(r)?,
+            truncation_floor: decode_version(r)?,
+            available: r.u8("availability flag")? != 0,
+        },
         8 => Message::StateTransferRequest,
-        9 => {
-            need(buf, 1, "checkpoint flag")?;
-            let checkpoint = if buf.get_u8() != 0 {
-                need(buf, 4, "checkpoint length")?;
-                let len = buf.get_u32() as usize;
-                need(buf, len, "checkpoint payload")?;
-                Some(buf.split_to(len).to_vec())
-            } else {
-                None
-            };
-            Message::StateTransferResponse { checkpoint }
-        }
+        9 => Message::StateTransferResponse {
+            checkpoint: match r.u8("checkpoint flag")? {
+                0 => None,
+                _ => Some(r.bytes32("checkpoint payload")?.to_vec()),
+            },
+        },
         10 => Message::Ping,
         11 => Message::Pong,
         12 => Message::Goodbye,
-        13 => {
-            need(buf, 1, "error flags")?;
-            let unavailable = buf.get_u8() != 0;
-            let detail = decode_string(buf, "error detail")?;
-            Message::ErrorReply {
-                unavailable,
-                detail,
-            }
-        }
-        other => {
-            return Err(Error::Protocol(format!("unknown message tag {other}")));
-        }
+        13 => Message::ErrorReply {
+            unavailable: r.u8("error flags")? != 0,
+            detail: r.str32("error detail")?,
+        },
+        other => return Err(Error::Protocol(format!("unknown message tag {other}"))),
     };
     Ok(Envelope {
         request_id,
@@ -387,12 +331,11 @@ pub fn decode_message(buf: &mut Bytes) -> Result<Envelope> {
     })
 }
 
-/// Convenience: encodes an envelope straight into a complete wire frame.
-#[must_use]
-pub fn to_frame(envelope: &Envelope) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(64);
-    encode_message(&mut buf, envelope);
-    crate::frame::encode_frame(&buf)
+/// Appends an envelope to `out` as one complete wire frame.
+pub fn encode_framed(out: &mut Vec<u8>, envelope: &Envelope) {
+    TKNP.write(out, u64::from(PROTOCOL_VERSION), |payload| {
+        encode_envelope(payload, envelope);
+    });
 }
 
 #[cfg(test)]
@@ -418,7 +361,7 @@ mod tests {
         let mut bytes = buf.freeze();
         let decoded = decode_message(&mut bytes).unwrap();
         assert_eq!(decoded, envelope);
-        assert_eq!(bytes.remaining(), 0, "codec must consume what it wrote");
+        assert!(bytes.is_empty(), "codec must consume what it wrote");
     }
 
     #[test]
@@ -472,12 +415,11 @@ mod tests {
 
     #[test]
     fn unknown_tag_is_a_protocol_error() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u64(1);
         buf.put_u8(200);
-        let mut bytes = buf.freeze();
         assert!(matches!(
-            decode_message(&mut bytes),
+            decode_envelope(&mut Reader::new(&buf)),
             Err(Error::Protocol(_))
         ));
     }

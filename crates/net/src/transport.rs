@@ -13,10 +13,11 @@
 //!   connection is gone (peer closed, link severed, socket reset); the
 //!   caller must drop it and, if it owns the session, reconnect.
 
+use tashkent_common::codec::Reader;
 use tashkent_common::{metrics::MetricsRegistry, CounterId, Result};
 
 use crate::frame::FrameReader;
-use crate::message::{decode_message, to_frame, Envelope};
+use crate::message::{decode_envelope, encode_framed, Envelope};
 
 /// One established bidirectional byte stream.
 pub trait Connection: Send {
@@ -118,7 +119,7 @@ impl FramedConn {
 
     /// Stages one envelope for sending (flushed by [`FramedConn::flush`]).
     pub fn queue(&mut self, envelope: &Envelope, metrics: &MetricsRegistry) {
-        self.out.extend_from_slice(&to_frame(envelope));
+        encode_framed(&mut self.out, envelope);
         metrics.incr(CounterId::NetMessages);
     }
 
@@ -161,8 +162,7 @@ impl FramedConn {
         }
         let mut envelopes = Vec::new();
         while let Some(payload) = self.reader.next_frame()? {
-            let mut bytes = bytes::Bytes::from(payload);
-            envelopes.push(decode_message(&mut bytes)?);
+            envelopes.push(decode_envelope(&mut Reader::new(&payload))?);
             metrics.incr(CounterId::NetMessages);
         }
         Ok(envelopes)

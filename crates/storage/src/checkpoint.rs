@@ -20,14 +20,8 @@
 //! or below the newest *sealed* checkpoint's version.
 
 use parking_lot::Mutex;
-use tashkent_common::{Error, Result, Version};
-
-use crate::codec::checksum;
-
-/// Magic prefix of a checkpoint image frame.
-pub const IMAGE_MAGIC: &[u8; 4] = b"TKCP";
-/// Magic prefix of a manifest record.
-pub const MANIFEST_MAGIC: &[u8; 4] = b"TKMF";
+use tashkent_common::codec::{FrameLayout, Reader, Writer};
+use tashkent_common::{Result, Version};
 
 /// Sealed images (and manifests) retained per store: the current one, plus
 /// fallbacks for torn seals.
@@ -44,17 +38,17 @@ pub struct SealedCheckpoint {
     pub payload: Vec<u8>,
 }
 
-/// Encodes a checkpoint image frame: magic, version, length, checksum,
-/// payload.  The same frame-around-payload convention as the database dump
-/// codec, so a truncated or bit-flipped image is always rejected.
+/// A checkpoint image: `TKCP ‖ version u64 ‖ length ‖ checksum ‖ payload`.
+pub const IMAGE: FrameLayout = FrameLayout::new("checkpoint image", b"TKCP", 8);
+/// A manifest: `TKMF ‖ length ‖ checksum ‖ seq u64 ‖ slot u64 ‖ version u64`.
+pub const MANIFEST: FrameLayout = FrameLayout::new("manifest", b"TKMF", 0);
+
+/// Encodes a checkpoint image frame around `payload`, so a truncated or
+/// bit-flipped image is always rejected.
 #[must_use]
 pub fn encode_image(version: Version, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 20);
-    out.extend_from_slice(IMAGE_MAGIC);
-    out.extend_from_slice(&version.0.to_be_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(&checksum(payload).to_be_bytes());
-    out.extend_from_slice(payload);
+    let mut out = Vec::with_capacity(payload.len() + IMAGE.overhead());
+    IMAGE.write(&mut out, version.0, |p| p.put_slice(payload));
     out
 }
 
@@ -62,67 +56,40 @@ pub fn encode_image(version: Version, payload: &[u8]) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`Error::Corruption`] on wrong magic, any truncation or a
-/// checksum mismatch.
+/// Returns [`Protocol`](tashkent_common::Error::Protocol) on wrong magic and
+/// [`Corruption`](tashkent_common::Error::Corruption) on any truncation,
+/// stray bytes or a checksum mismatch.
 pub fn decode_image(bytes: &[u8]) -> Result<(Version, Vec<u8>)> {
-    if bytes.len() < 20 {
-        return Err(Error::Corruption("truncated checkpoint image header".into()));
-    }
-    if &bytes[0..4] != IMAGE_MAGIC {
-        return Err(Error::Corruption("bad checkpoint image magic".into()));
-    }
-    let version = Version(u64::from_be_bytes(bytes[4..12].try_into().unwrap()));
-    let len = u32::from_be_bytes(bytes[12..16].try_into().unwrap()) as usize;
-    let expected = u32::from_be_bytes(bytes[16..20].try_into().unwrap());
-    let payload = &bytes[20..];
-    if payload.len() != len {
-        return Err(Error::Corruption(format!(
-            "checkpoint image payload length {} does not match header {len}",
-            payload.len()
-        )));
-    }
-    if checksum(payload) != expected {
-        return Err(Error::Corruption("checkpoint image checksum mismatch".into()));
-    }
-    Ok((version, payload.to_vec()))
+    let (version, payload) = IMAGE.read_image(bytes)?;
+    Ok((Version(version), payload.to_vec()))
 }
 
 /// Encodes a manifest record pointing at slot `slot` holding a checkpoint
 /// at `version`, sealed as flip number `seq`.
 #[must_use]
 pub fn encode_manifest(seq: u64, slot: u64, version: Version) -> Vec<u8> {
-    let mut body = Vec::with_capacity(24);
-    body.extend_from_slice(&seq.to_be_bytes());
-    body.extend_from_slice(&slot.to_be_bytes());
-    body.extend_from_slice(&version.0.to_be_bytes());
-    let mut out = Vec::with_capacity(body.len() + 12);
-    out.extend_from_slice(MANIFEST_MAGIC);
-    out.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    out.extend_from_slice(&checksum(&body).to_be_bytes());
-    out.extend_from_slice(&body);
+    let mut out = Vec::with_capacity(MANIFEST.overhead() + 24);
+    MANIFEST.write(&mut out, 0, |body| {
+        body.put_u64(seq);
+        body.put_u64(slot);
+        body.put_u64(version.0);
+    });
     out
 }
 
-fn decode_manifest(bytes: &[u8]) -> Result<(u64, u64, Version)> {
-    if bytes.len() < 12 {
-        return Err(Error::Corruption("truncated manifest header".into()));
-    }
-    if &bytes[0..4] != MANIFEST_MAGIC {
-        return Err(Error::Corruption("bad manifest magic".into()));
-    }
-    let len = u32::from_be_bytes(bytes[4..8].try_into().unwrap()) as usize;
-    let expected = u32::from_be_bytes(bytes[8..12].try_into().unwrap());
-    let body = &bytes[12..];
-    if body.len() != len || len != 24 {
-        return Err(Error::Corruption("torn manifest body".into()));
-    }
-    if checksum(body) != expected {
-        return Err(Error::Corruption("manifest checksum mismatch".into()));
-    }
-    let seq = u64::from_be_bytes(body[0..8].try_into().unwrap());
-    let slot = u64::from_be_bytes(body[8..16].try_into().unwrap());
-    let version = Version(u64::from_be_bytes(body[16..24].try_into().unwrap()));
-    Ok((seq, slot, version))
+/// Decodes a manifest record into `(seq, slot, version)`.
+///
+/// # Errors
+///
+/// As for [`decode_image`].
+pub fn decode_manifest(bytes: &[u8]) -> Result<(u64, u64, Version)> {
+    let (_, body) = MANIFEST.read_image(bytes)?;
+    let mut r = Reader::new(body);
+    Ok((
+        r.u64("manifest seq")?,
+        r.u64("manifest slot")?,
+        Version(r.u64("manifest version")?),
+    ))
 }
 
 #[derive(Debug, Default)]

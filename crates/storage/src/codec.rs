@@ -1,34 +1,22 @@
 //! Binary encoding of values, rows and writesets.
 //!
-//! Used by the write-ahead log, the certifier's persistent log and database
-//! dumps.  The format is a simple length-prefixed binary layout built on
-//! [`bytes`]; it is not meant to be a stable wire format, only a compact and
-//! checkable on-disk representation for the reproduction.
-//!
-//! Every reader returns [`tashkent_common::Error::Corruption`] rather than
-//! panicking when it encounters a truncated or malformed buffer, because
-//! recovery code legitimately reads half-written logs after a crash.
+//! Used by the write-ahead log, the certifier's persistent log, database
+//! dumps and the TKNP wire messages.  The layouts are built from the shared
+//! primitives of [`tashkent_common::codec`]: encoders append to a `Vec<u8>`,
+//! decoders read from a [`Reader`] and return
+//! [`tashkent_common::Error::Corruption`] rather than panicking on a
+//! truncated or malformed buffer, because recovery code legitimately reads
+//! half-written logs after a crash.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use tashkent_common::codec::{Reader, Writer};
 use tashkent_common::{
     Error, Result, RowKey, TableId, Value, Version, WriteItem, WriteOp, WriteSet,
 };
 
 use crate::row::Row;
 
-/// Checks that at least `needed` bytes remain in the buffer.
-fn need(buf: &impl Buf, needed: usize, what: &str) -> Result<()> {
-    if buf.remaining() < needed {
-        return Err(Error::Corruption(format!(
-            "truncated {what}: need {needed} bytes, {} remaining",
-            buf.remaining()
-        )));
-    }
-    Ok(())
-}
-
 /// Encodes a [`Value`].
-pub fn encode_value(buf: &mut BytesMut, value: &Value) {
+pub fn encode_value(buf: &mut Vec<u8>, value: &Value) {
     match value {
         Value::Null => buf.put_u8(0),
         Value::Int(i) => {
@@ -41,13 +29,11 @@ pub fn encode_value(buf: &mut BytesMut, value: &Value) {
         }
         Value::Text(s) => {
             buf.put_u8(3);
-            buf.put_u32(s.len() as u32);
-            buf.put_slice(s.as_bytes());
+            buf.put_bytes32(s.as_bytes());
         }
         Value::Bytes(b) => {
             buf.put_u8(4);
-            buf.put_u32(b.len() as u32);
-            buf.put_slice(b);
+            buf.put_bytes32(b);
         }
     }
 }
@@ -57,53 +43,19 @@ pub fn encode_value(buf: &mut BytesMut, value: &Value) {
 /// # Errors
 ///
 /// Returns [`Error::Corruption`] on a truncated or unknown encoding.
-pub fn decode_value(buf: &mut Bytes) -> Result<Value> {
-    need(buf, 1, "value tag")?;
-    match buf.get_u8() {
+pub fn decode_value(r: &mut Reader<'_>) -> Result<Value> {
+    match r.u8("value tag")? {
         0 => Ok(Value::Null),
-        1 => {
-            need(buf, 8, "int value")?;
-            Ok(Value::Int(buf.get_i64()))
-        }
-        2 => {
-            need(buf, 8, "float value")?;
-            Ok(Value::Float(buf.get_f64()))
-        }
-        3 => {
-            need(buf, 4, "text length")?;
-            let len = buf.get_u32() as usize;
-            need(buf, len, "text payload")?;
-            let raw = buf.split_to(len);
-            String::from_utf8(raw.to_vec())
-                .map(Value::Text)
-                .map_err(|_| Error::Corruption("invalid utf-8 in text value".into()))
-        }
-        4 => {
-            need(buf, 4, "bytes length")?;
-            let len = buf.get_u32() as usize;
-            need(buf, len, "bytes payload")?;
-            Ok(Value::Bytes(buf.split_to(len).to_vec()))
-        }
+        1 => Ok(Value::Int(r.i64("int value")?)),
+        2 => Ok(Value::Float(r.f64("float value")?)),
+        3 => Ok(Value::Text(r.str32("text value")?)),
+        4 => Ok(Value::Bytes(r.bytes32("bytes value")?.to_vec())),
         tag => Err(Error::Corruption(format!("unknown value tag {tag}"))),
     }
 }
 
-/// Encodes a string with a u16 length prefix.
-fn encode_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u16(s.len() as u16);
-    buf.put_slice(s.as_bytes());
-}
-
-fn decode_str(buf: &mut Bytes) -> Result<String> {
-    need(buf, 2, "string length")?;
-    let len = buf.get_u16() as usize;
-    need(buf, len, "string payload")?;
-    String::from_utf8(buf.split_to(len).to_vec())
-        .map_err(|_| Error::Corruption("invalid utf-8 in string".into()))
-}
-
 /// Encodes a [`RowKey`].
-pub fn encode_key(buf: &mut BytesMut, key: &RowKey) {
+pub fn encode_key(buf: &mut Vec<u8>, key: &RowKey) {
     match key {
         RowKey::Int(i) => {
             buf.put_u8(0);
@@ -116,7 +68,7 @@ pub fn encode_key(buf: &mut BytesMut, key: &RowKey) {
         }
         RowKey::Text(s) => {
             buf.put_u8(2);
-            encode_str(buf, s);
+            buf.put_str16(s);
         }
     }
 }
@@ -126,44 +78,30 @@ pub fn encode_key(buf: &mut BytesMut, key: &RowKey) {
 /// # Errors
 ///
 /// Returns [`Error::Corruption`] on a truncated or unknown encoding.
-pub fn decode_key(buf: &mut Bytes) -> Result<RowKey> {
-    need(buf, 1, "key tag")?;
-    match buf.get_u8() {
-        0 => {
-            need(buf, 8, "int key")?;
-            Ok(RowKey::Int(buf.get_i64()))
-        }
-        1 => {
-            need(buf, 16, "pair key")?;
-            Ok(RowKey::Pair(buf.get_i64(), buf.get_i64()))
-        }
-        2 => Ok(RowKey::Text(decode_str(buf)?)),
+pub fn decode_key(r: &mut Reader<'_>) -> Result<RowKey> {
+    match r.u8("key tag")? {
+        0 => Ok(RowKey::Int(r.i64("int key")?)),
+        1 => Ok(RowKey::Pair(r.i64("pair key")?, r.i64("pair key")?)),
+        2 => Ok(RowKey::Text(r.str16("text key")?)),
         tag => Err(Error::Corruption(format!("unknown key tag {tag}"))),
     }
 }
 
-fn encode_columns(buf: &mut BytesMut, columns: &[(String, Value)]) {
+fn encode_columns(buf: &mut Vec<u8>, columns: &[(String, Value)]) {
     buf.put_u16(columns.len() as u16);
     for (name, value) in columns {
-        encode_str(buf, name);
+        buf.put_str16(name);
         encode_value(buf, value);
     }
 }
 
-fn decode_columns(buf: &mut Bytes) -> Result<Vec<(String, Value)>> {
-    need(buf, 2, "column count")?;
-    let count = buf.get_u16() as usize;
-    let mut columns = Vec::with_capacity(count);
-    for _ in 0..count {
-        let name = decode_str(buf)?;
-        let value = decode_value(buf)?;
-        columns.push((name, value));
-    }
-    Ok(columns)
+fn decode_columns(r: &mut Reader<'_>) -> Result<Vec<(String, Value)>> {
+    let count = r.u16("column count")? as usize;
+    r.vec(count, |r| Ok((r.str16("column name")?, decode_value(r)?)))
 }
 
 /// Encodes a [`Row`].
-pub fn encode_row(buf: &mut BytesMut, row: &Row) {
+pub fn encode_row(buf: &mut Vec<u8>, row: &Row) {
     encode_columns(buf, row.columns());
 }
 
@@ -172,12 +110,12 @@ pub fn encode_row(buf: &mut BytesMut, row: &Row) {
 /// # Errors
 ///
 /// Returns [`Error::Corruption`] on a truncated encoding.
-pub fn decode_row(buf: &mut Bytes) -> Result<Row> {
-    Ok(Row::from_columns(decode_columns(buf)?))
+pub fn decode_row(r: &mut Reader<'_>) -> Result<Row> {
+    Ok(Row::from_columns(decode_columns(r)?))
 }
 
 /// Encodes a [`WriteItem`].
-pub fn encode_write_item(buf: &mut BytesMut, item: &WriteItem) {
+pub fn encode_write_item(buf: &mut Vec<u8>, item: &WriteItem) {
     buf.put_u32(item.table.0);
     encode_key(buf, &item.key);
     match &item.op {
@@ -198,18 +136,12 @@ pub fn encode_write_item(buf: &mut BytesMut, item: &WriteItem) {
 /// # Errors
 ///
 /// Returns [`Error::Corruption`] on a truncated or unknown encoding.
-pub fn decode_write_item(buf: &mut Bytes) -> Result<WriteItem> {
-    need(buf, 4, "table id")?;
-    let table = TableId(buf.get_u32());
-    let key = decode_key(buf)?;
-    need(buf, 1, "write op tag")?;
-    let op = match buf.get_u8() {
-        0 => WriteOp::Insert {
-            row: decode_columns(buf)?,
-        },
-        1 => WriteOp::Update {
-            columns: decode_columns(buf)?,
-        },
+pub fn decode_write_item(r: &mut Reader<'_>) -> Result<WriteItem> {
+    let table = TableId(r.u32("table id")?);
+    let key = decode_key(r)?;
+    let op = match r.u8("write op tag")? {
+        0 => WriteOp::Insert { row: decode_columns(r)? },
+        1 => WriteOp::Update { columns: decode_columns(r)? },
         2 => WriteOp::Delete,
         tag => return Err(Error::Corruption(format!("unknown write op tag {tag}"))),
     };
@@ -217,7 +149,7 @@ pub fn decode_write_item(buf: &mut Bytes) -> Result<WriteItem> {
 }
 
 /// Encodes a [`WriteSet`].
-pub fn encode_writeset(buf: &mut BytesMut, ws: &WriteSet) {
+pub fn encode_writeset(buf: &mut Vec<u8>, ws: &WriteSet) {
     buf.put_u32(ws.len() as u32);
     for item in ws.items() {
         encode_write_item(buf, item);
@@ -229,18 +161,13 @@ pub fn encode_writeset(buf: &mut BytesMut, ws: &WriteSet) {
 /// # Errors
 ///
 /// Returns [`Error::Corruption`] on a truncated encoding.
-pub fn decode_writeset(buf: &mut Bytes) -> Result<WriteSet> {
-    need(buf, 4, "writeset length")?;
-    let count = buf.get_u32() as usize;
-    let mut items = Vec::with_capacity(count.min(1 << 16));
-    for _ in 0..count {
-        items.push(decode_write_item(buf)?);
-    }
-    Ok(WriteSet::from_items(items))
+pub fn decode_writeset(r: &mut Reader<'_>) -> Result<WriteSet> {
+    let count = r.u32("writeset length")? as usize;
+    Ok(WriteSet::from_items(r.vec(count, decode_write_item)?))
 }
 
 /// Encodes a [`Version`].
-pub fn encode_version(buf: &mut BytesMut, version: Version) {
+pub fn encode_version(buf: &mut Vec<u8>, version: Version) {
     buf.put_u64(version.0);
 }
 
@@ -249,21 +176,8 @@ pub fn encode_version(buf: &mut BytesMut, version: Version) {
 /// # Errors
 ///
 /// Returns [`Error::Corruption`] on a truncated encoding.
-pub fn decode_version(buf: &mut Bytes) -> Result<Version> {
-    need(buf, 8, "version")?;
-    Ok(Version(buf.get_u64()))
-}
-
-/// A simple 32-bit FNV-1a checksum over a byte slice, used to detect torn
-/// writes at the tail of logs and dumps.
-#[must_use]
-pub fn checksum(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811C_9DC5;
-    for &b in bytes {
-        hash ^= u32::from(b);
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
-    hash
+pub fn decode_version(r: &mut Reader<'_>) -> Result<Version> {
+    Ok(Version(r.u64("version")?))
 }
 
 #[cfg(test)]
@@ -271,11 +185,11 @@ mod tests {
     use super::*;
 
     fn roundtrip_value(v: Value) {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_value(&mut buf, &v);
-        let mut bytes = buf.freeze();
-        assert_eq!(decode_value(&mut bytes).unwrap(), v);
-        assert_eq!(bytes.remaining(), 0);
+        let mut r = Reader::new(&buf);
+        assert_eq!(decode_value(&mut r).unwrap(), v);
+        assert!(r.is_empty());
     }
 
     #[test]
@@ -294,10 +208,9 @@ mod tests {
             RowKey::Pair(1, -2),
             RowKey::Text("user".into()),
         ] {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             encode_key(&mut buf, &key);
-            let mut bytes = buf.freeze();
-            assert_eq!(decode_key(&mut bytes).unwrap(), key);
+            assert_eq!(decode_key(&mut Reader::new(&buf)).unwrap(), key);
         }
     }
 
@@ -312,10 +225,9 @@ mod tests {
             WriteItem::update(TableId(2), (3, 4), vec![("c".into(), Value::Float(0.5))]),
             WriteItem::delete(TableId(3), "key"),
         ]);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_writeset(&mut buf, &ws);
-        let mut bytes = buf.freeze();
-        assert_eq!(decode_writeset(&mut bytes).unwrap(), ws);
+        assert_eq!(decode_writeset(&mut Reader::new(&buf)).unwrap(), ws);
     }
 
     #[test]
@@ -324,21 +236,18 @@ mod tests {
             ("balance".into(), Value::Int(100)),
             ("filler".into(), Value::Bytes(vec![7; 20])),
         ]);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_row(&mut buf, &row);
-        let mut bytes = buf.freeze();
-        assert_eq!(decode_row(&mut bytes).unwrap(), row);
+        assert_eq!(decode_row(&mut Reader::new(&buf)).unwrap(), row);
     }
 
     #[test]
     fn truncated_buffers_error_instead_of_panicking() {
-        let mut buf = BytesMut::new();
-        encode_value(&mut buf, &Value::Text("hello world".into()));
-        let full = buf.freeze();
+        let mut full = Vec::new();
+        encode_value(&mut full, &Value::Text("hello world".into()));
         for cut in 0..full.len() {
-            let mut partial = full.slice(0..cut);
             // Either an error, or (never) a wrong success.
-            if let Ok(v) = decode_value(&mut partial) {
+            if let Ok(v) = decode_value(&mut Reader::new(&full[..cut])) {
                 panic!("decoded {v:?} from truncated buffer of {cut} bytes");
             }
         }
@@ -346,30 +255,17 @@ mod tests {
 
     #[test]
     fn unknown_tags_are_corruption() {
-        let mut bytes = Bytes::from_static(&[9u8]);
         assert!(matches!(
-            decode_value(&mut bytes),
+            decode_value(&mut Reader::new(&[9])),
             Err(Error::Corruption(_))
         ));
-        let mut bytes = Bytes::from_static(&[9u8]);
-        assert!(decode_key(&mut bytes).is_err());
-    }
-
-    #[test]
-    fn checksum_detects_single_bit_flips() {
-        let data = b"the quick brown fox";
-        let c = checksum(data);
-        let mut flipped = data.to_vec();
-        flipped[3] ^= 0x01;
-        assert_ne!(c, checksum(&flipped));
-        assert_eq!(c, checksum(data));
+        assert!(decode_key(&mut Reader::new(&[9])).is_err());
     }
 
     #[test]
     fn version_roundtrips() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_version(&mut buf, Version(123_456));
-        let mut bytes = buf.freeze();
-        assert_eq!(decode_version(&mut bytes).unwrap(), Version(123_456));
+        assert_eq!(decode_version(&mut Reader::new(&buf)).unwrap(), Version(123_456));
     }
 }

@@ -12,8 +12,8 @@
 //! version, together with the version itself, serialisable to a checksummed
 //! byte image (the "dump file").
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use tashkent_common::{Error, Result, RowKey, Version};
+use tashkent_common::codec::{FrameLayout, Reader, Writer};
+use tashkent_common::{Result, RowKey, Version};
 
 use crate::codec;
 use crate::engine::Database;
@@ -37,9 +37,6 @@ pub struct DatabaseDump {
     version: Version,
     tables: Vec<DumpTable>,
 }
-
-/// Magic bytes identifying a dump image.
-const DUMP_MAGIC: &[u8; 4] = b"TKDP";
 
 impl DatabaseDump {
     /// Captures a dump from the engine's internal state (called by
@@ -98,28 +95,23 @@ impl DatabaseDump {
     /// proxy stores, together with the version and an end-of-file marker).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut body = BytesMut::new();
-        codec::encode_version(&mut body, self.version);
-        body.put_u32(self.tables.len() as u32);
-        for table in &self.tables {
-            body.put_u16(table.name.len() as u16);
-            body.put_slice(table.name.as_bytes());
-            body.put_u16(table.columns.len() as u16);
-            for column in &table.columns {
-                body.put_u16(column.len() as u16);
-                body.put_slice(column.as_bytes());
+        let mut out = Vec::new();
+        DUMP.write(&mut out, 0, |body| {
+            codec::encode_version(body, self.version);
+            body.put_u32(self.tables.len() as u32);
+            for table in &self.tables {
+                body.put_str16(&table.name);
+                body.put_u16(table.columns.len() as u16);
+                for column in &table.columns {
+                    body.put_str16(column);
+                }
+                body.put_u32(table.rows.len() as u32);
+                for (key, row) in &table.rows {
+                    codec::encode_key(body, key);
+                    codec::encode_row(body, row);
+                }
             }
-            body.put_u32(table.rows.len() as u32);
-            for (key, row) in &table.rows {
-                codec::encode_key(&mut body, key);
-                codec::encode_row(&mut body, row);
-            }
-        }
-        let mut out = Vec::with_capacity(body.len() + 12);
-        out.extend_from_slice(DUMP_MAGIC);
-        out.extend_from_slice(&(body.len() as u32).to_be_bytes());
-        out.extend_from_slice(&codec::checksum(&body).to_be_bytes());
-        out.extend_from_slice(&body);
+        });
         out
     }
 
@@ -127,75 +119,31 @@ impl DatabaseDump {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Corruption`] if the image is truncated (e.g. the
-    /// database crashed while dumping), its checksum does not match, or its
-    /// contents cannot be decoded.  The caller then falls back to the
-    /// previous dump, exactly as Section 7.1 prescribes.
+    /// Returns [`Corruption`](tashkent_common::Error::Corruption) if the
+    /// image is truncated (e.g. the database crashed while dumping), its
+    /// checksum does not match, or its contents cannot be decoded, and
+    /// [`Protocol`](tashkent_common::Error::Protocol) if it is not a dump
+    /// image at all.  The caller then falls back to the previous dump,
+    /// exactly as Section 7.1 prescribes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() < 12 || &bytes[..4] != DUMP_MAGIC {
-            return Err(Error::Corruption("not a dump image".into()));
-        }
-        let len = u32::from_be_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]) as usize;
-        let expected_checksum = u32::from_be_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
-        let body = &bytes[12..];
-        if body.len() < len {
-            return Err(Error::Corruption(format!(
-                "truncated dump: header promises {len} bytes, {} present",
-                body.len()
-            )));
-        }
-        let body = &body[..len];
-        if codec::checksum(body) != expected_checksum {
-            return Err(Error::Corruption("dump checksum mismatch".into()));
-        }
-        let mut buf = Bytes::copy_from_slice(body);
-        let version = codec::decode_version(&mut buf)?;
-        if buf.remaining() < 4 {
-            return Err(Error::Corruption("truncated dump table count".into()));
-        }
-        let table_count = buf.get_u32() as usize;
-        let mut tables = Vec::with_capacity(table_count);
-        for _ in 0..table_count {
-            let name = read_string16(&mut buf)?;
-            if buf.remaining() < 2 {
-                return Err(Error::Corruption("truncated dump column count".into()));
-            }
-            let column_count = buf.get_u16() as usize;
-            let mut columns = Vec::with_capacity(column_count);
-            for _ in 0..column_count {
-                columns.push(read_string16(&mut buf)?);
-            }
-            if buf.remaining() < 4 {
-                return Err(Error::Corruption("truncated dump row count".into()));
-            }
-            let row_count = buf.get_u32() as usize;
-            let mut rows = Vec::with_capacity(row_count.min(1 << 20));
-            for _ in 0..row_count {
-                let key = codec::decode_key(&mut buf)?;
-                let row = codec::decode_row(&mut buf)?;
-                rows.push((key, row));
-            }
-            tables.push(DumpTable {
-                name,
-                columns,
-                rows,
-            });
-        }
+        let (_, body) = DUMP.read_image(bytes)?;
+        let mut r = Reader::new(body);
+        let version = codec::decode_version(&mut r)?;
+        let table_count = r.u32("dump table count")? as usize;
+        let tables = r.vec(table_count, |r| {
+            let name = r.str16("dump table name")?;
+            let column_count = r.u16("dump column count")? as usize;
+            let columns = r.vec(column_count, |r| r.str16("dump column name"))?;
+            let row_count = r.u32("dump row count")? as usize;
+            let rows = r.vec(row_count, |r| Ok((codec::decode_key(r)?, codec::decode_row(r)?)))?;
+            Ok(DumpTable { name, columns, rows })
+        })?;
         Ok(DatabaseDump { version, tables })
     }
 }
 
-fn read_string16(buf: &mut Bytes) -> Result<String> {
-    if buf.remaining() < 2 {
-        return Err(Error::Corruption("truncated string length".into()));
-    }
-    let len = buf.get_u16() as usize;
-    if buf.remaining() < len {
-        return Err(Error::Corruption("truncated string payload".into()));
-    }
-    String::from_utf8(buf.split_to(len).to_vec())
-        .map_err(|_| Error::Corruption("invalid utf-8 in dump".into()))
-}
+/// A dump image: `TKDP ‖ length ‖ checksum ‖ body`.
+const DUMP: FrameLayout = FrameLayout::new("dump", b"TKDP", 0);
 
 #[cfg(test)]
 mod tests {

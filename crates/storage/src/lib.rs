@@ -22,6 +22,9 @@
 //! * [`row`] — multi-version row chains and snapshot visibility.
 //! * [`disk`] — the simulated log device (configurable fsync latency, shared
 //!   vs dedicated IO channel, crash semantics).
+//! * [`codec`] — the binary layouts of values, keys, rows, writesets and
+//!   versions, built on the shared `tashkent_common::codec` reader, writer
+//!   and checksummed frame that every log record, dump and checkpoint uses.
 //! * [`wal`] — write-ahead log records, the group-commit writer and replay.
 //! * [`locks`] — row-level write locks with wait-for-graph deadlock
 //!   detection (PostgreSQL acquires write locks eagerly, which is what makes

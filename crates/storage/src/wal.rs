@@ -32,8 +32,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use parking_lot::Mutex;
+use tashkent_common::codec::{FrameLayout, Reader, Writer};
 use tashkent_common::metrics::{CounterId, GaugeId};
 use tashkent_common::{
     Component, Error, Event, EventKind, MetricsRegistry, Result, Version, WriteSet,
@@ -78,12 +78,10 @@ impl WalRecord {
             WalRecord::Commit { version, writeset } => {
                 WalRecord::encode_commit_into(&mut frame, *version, writeset);
             }
-            WalRecord::Checkpoint { version } => {
-                let mut payload = BytesMut::new();
+            WalRecord::Checkpoint { version } => FRAME.write(&mut frame, 0, |payload| {
                 payload.put_u8(1);
-                codec::encode_version(&mut payload, *version);
-                push_frame(&mut frame, &payload);
-            }
+                codec::encode_version(payload, *version);
+            }),
         }
         frame
     }
@@ -92,14 +90,14 @@ impl WalRecord {
     /// `version` and `writeset`, without needing to own the writeset: a
     /// caller writing one record to several logs encodes it once.
     pub fn encode_commit_into(out: &mut Vec<u8>, version: Version, writeset: &WriteSet) {
-        let mut payload = BytesMut::new();
-        payload.put_u8(0);
-        codec::encode_version(&mut payload, version);
-        codec::encode_writeset(&mut payload, writeset);
-        push_frame(out, &payload);
+        FRAME.write(out, 0, |payload| {
+            payload.put_u8(0);
+            codec::encode_version(payload, version);
+            codec::encode_writeset(payload, writeset);
+        });
     }
 
-    /// Decodes one frame from the front of `buf`, advancing it.
+    /// Decodes one frame from the front of `r`, advancing it.
     ///
     /// Returns `Ok(None)` on a clean end of log and `Err` on corruption in
     /// the middle of the log.  A *truncated* trailing frame (torn write at
@@ -110,39 +108,22 @@ impl WalRecord {
     /// # Errors
     ///
     /// Returns [`Error::Corruption`] if a complete frame fails its checksum
-    /// or contains an undecodable payload.
-    pub fn decode_from(buf: &mut Bytes) -> Result<Option<WalRecord>> {
-        if buf.remaining() == 0 {
+    /// or contains an undecodable payload — an empty one included.
+    pub fn decode_from(r: &mut Reader<'_>) -> Result<Option<WalRecord>> {
+        let Some((_, payload)) = FRAME.read(r)? else {
             return Ok(None);
-        }
-        if buf.remaining() < 8 {
-            // Torn frame header at the tail.
-            return Ok(None);
-        }
-        let len = buf.get_u32() as usize;
-        let expected_checksum = buf.get_u32();
-        if buf.remaining() < len {
-            // Torn payload at the tail.
-            return Ok(None);
-        }
-        let payload = buf.split_to(len);
-        if codec::checksum(&payload) != expected_checksum {
-            return Err(Error::Corruption("wal frame checksum mismatch".into()));
-        }
-        let mut payload = payload;
-        let kind = payload.get_u8();
-        match kind {
-            0 => {
-                let version = codec::decode_version(&mut payload)?;
-                let writeset = codec::decode_writeset(&mut payload)?;
-                Ok(Some(WalRecord::Commit { version, writeset }))
-            }
-            1 => {
-                let version = codec::decode_version(&mut payload)?;
-                Ok(Some(WalRecord::Checkpoint { version }))
-            }
-            k => Err(Error::Corruption(format!("unknown wal record kind {k}"))),
-        }
+        };
+        let mut payload = Reader::new(payload);
+        Ok(Some(match payload.u8("wal record kind")? {
+            0 => WalRecord::Commit {
+                version: codec::decode_version(&mut payload)?,
+                writeset: codec::decode_writeset(&mut payload)?,
+            },
+            1 => WalRecord::Checkpoint {
+                version: codec::decode_version(&mut payload)?,
+            },
+            k => return Err(Error::Corruption(format!("unknown wal record kind {k}"))),
+        }))
     }
 
     /// Decodes every complete record from a log image (e.g. the durable
@@ -153,22 +134,17 @@ impl WalRecord {
     /// Returns [`Error::Corruption`] if a complete frame in the middle of the
     /// log is malformed.
     pub fn decode_all(log: &[u8]) -> Result<Vec<WalRecord>> {
-        let mut buf = Bytes::copy_from_slice(log);
+        let mut r = Reader::new(log);
         let mut out = Vec::new();
-        while let Some(record) = WalRecord::decode_from(&mut buf)? {
+        while let Some(record) = WalRecord::decode_from(&mut r)? {
             out.push(record);
         }
         Ok(out)
     }
 }
 
-/// Length-prefixes and checksums `payload` onto the end of `out`.
-fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.reserve(payload.len() + 8);
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(&codec::checksum(payload).to_be_bytes());
-    out.extend_from_slice(payload);
-}
+/// A record frame: `length ‖ checksum ‖ payload`, no magic.
+const FRAME: FrameLayout = FrameLayout::new("wal record", b"", 0);
 
 /// Group-commit log writer on top of a [`LogDevice`].
 pub struct WalWriter {
@@ -422,6 +398,21 @@ mod tests {
             WalRecord::decode_all(&log),
             Err(Error::Corruption(_))
         ));
+    }
+
+    /// A complete frame around an empty payload (`length 0`, then the
+    /// checksum of nothing) has no record kind: corruption, not a torn tail
+    /// and not a panic.
+    #[test]
+    fn complete_frame_with_an_empty_payload_is_corruption() {
+        let empty = [0, 0, 0, 0, 0x81, 0x1C, 0x9D, 0xC5];
+        assert!(matches!(
+            WalRecord::decode_all(&empty),
+            Err(Error::Corruption(_))
+        ));
+        let mut log = commit_record(1, 1).encode();
+        log.extend_from_slice(&empty);
+        assert!(WalRecord::decode_all(&log).is_err());
     }
 
     #[test]
