@@ -136,8 +136,10 @@ pub struct CertifierConfig {
     pub metrics: Arc<MetricsRegistry>,
     /// Whether single-shard requests drain through per-shard epochs with a
     /// footprint pre-screen (the default) or take the direct path one at a
-    /// time.  Decisions are identical either way; the flag exists so the
-    /// benches can compare the two and so a regression can be bisected.
+    /// time.  Decisions are identical either way.  The direct path stays
+    /// because it is the reference the equivalence suites compare epochs
+    /// against, and because multi-shard and forced-abort requests always
+    /// take it.
     pub batch: bool,
 }
 

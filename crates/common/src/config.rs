@@ -207,9 +207,9 @@ impl IoChannelMode {
 
 /// Durations and rates describing the hardware of the paper's testbed.
 ///
-/// These are the calibration constants of the performance model; the real
-/// engine also consumes [`ServiceTimes::fsync`] through its simulated disk
-/// device so that functional runs exhibit the same relative costs.
+/// Reference values only: the performance model (`tashkent-sim`) carries
+/// its own in `SimConfig`, and the real cluster's disks are zero-latency,
+/// so no code path reads them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServiceTimes {
     /// Time for one synchronous flush to the disk medium.  Section 9.1
@@ -298,14 +298,7 @@ impl ClusterConfig {
             certifier_shards: 1,
             clients_per_replica: 2,
             io_mode: IoChannelMode::Dedicated,
-            service_times: ServiceTimes {
-                // Keep functional tests fast: a tiny but non-zero fsync so
-                // grouping behaviour is still observable.
-                fsync: Duration::from_micros(200),
-                fsync_jitter: Duration::from_micros(0),
-                network_one_way: Duration::from_micros(0),
-                ..ServiceTimes::default()
-            },
+            service_times: ServiceTimes::default(),
             forced_abort_rate: 0.0,
             staleness_bound: Duration::from_millis(50),
             local_certification: true,

@@ -26,8 +26,7 @@
 //!   [`EventRing::dropped`] instead of tearing the slot.
 //! * **Cheap.**  Recording is a handful of atomic operations and no
 //!   allocation; a disabled registry short-circuits emission on a single
-//!   branch, exactly like the metrics record methods (the
-//!   `events_overhead` bench group pins both modes).
+//!   branch, exactly like the metrics record methods.
 //!
 //! The journal itself is thread-free and IO-free (this crate's ground
 //! rule); the anomaly watchdog and the diagnostic-bundle writer that

@@ -88,7 +88,7 @@ impl Stage {
         }
     }
 
-    /// Column label used by `figures -- metrics`.
+    /// Row label of the stage-breakdown report.
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
@@ -496,10 +496,6 @@ impl TraceTimer {
 #[derive(Debug)]
 pub struct MetricsRegistry {
     enabled: bool,
-    /// Whether [`MetricsRegistry::emit`] records into the journal.  On for
-    /// every enabled registry except the `enabled_without_journal` baseline
-    /// the `events_overhead` bench compares against.
-    journal_enabled: bool,
     started: Instant,
     stages: [ShardedHistogram; STAGE_COUNT],
     lock_wait: ShardedHistogram,
@@ -520,13 +516,8 @@ impl Default for MetricsRegistry {
 
 impl MetricsRegistry {
     fn with_enabled(enabled: bool) -> Self {
-        MetricsRegistry::with_flags(enabled, enabled)
-    }
-
-    fn with_flags(enabled: bool, journal_enabled: bool) -> Self {
         MetricsRegistry {
             enabled,
-            journal_enabled,
             started: Instant::now(),
             stages: std::array::from_fn(|_| ShardedHistogram::new()),
             lock_wait: ShardedHistogram::new(),
@@ -535,7 +526,8 @@ impl MetricsRegistry {
             shard_commits: std::array::from_fn(|_| AtomicU64::new(0)),
             traces: Mutex::new(VecDeque::with_capacity(TRACE_CAPACITY)),
             journal: std::array::from_fn(|_| {
-                EventRing::new(if journal_enabled { EVENT_RING_CAPACITY } else { 1 })
+                // A disabled registry never emits: one slot keeps it cheap.
+                EventRing::new(if enabled { EVENT_RING_CAPACITY } else { 1 })
             }),
         }
     }
@@ -547,21 +539,10 @@ impl MetricsRegistry {
     }
 
     /// Creates a no-op registry: every record method returns immediately.
-    /// This is the default for components constructed outside a cluster,
-    /// and the baseline the overhead acceptance bench compares against.
+    /// This is the default for components constructed outside a cluster.
     #[must_use]
     pub fn disabled() -> Self {
         MetricsRegistry::with_enabled(false)
-    }
-
-    /// Creates a registry that records counters, gauges, histograms and
-    /// traces but whose [`MetricsRegistry::emit`] is a no-op.  This is the
-    /// baseline the `events_overhead` bench compares a fully enabled
-    /// registry against, so the measured delta is exactly the causal event
-    /// journal's cost on the hot path.
-    #[must_use]
-    pub fn enabled_without_journal() -> Self {
-        MetricsRegistry::with_flags(true, false)
     }
 
     /// `true` if this registry records.
@@ -660,7 +641,7 @@ impl MetricsRegistry {
     /// Records `event` into its component's journal ring, stamping it
     /// with the registry clock.  A single branch when disabled.
     pub fn emit(&self, event: Event) {
-        if self.journal_enabled {
+        if self.enabled {
             let mut event = event;
             event.at_micros = self.uptime_micros();
             self.journal[event.component.index()].record(&event);

@@ -74,12 +74,7 @@ impl Cluster {
         let metrics = Arc::new(MetricsRegistry::enabled());
         let certifier_config = CertifierConfig {
             nodes: config.certifiers,
-            disk: DiskConfig {
-                fsync_latency: config.service_times.fsync,
-                fsync_jitter: config.service_times.fsync_jitter,
-                contention_latency: std::time::Duration::ZERO,
-                sleep: false,
-            },
+            disk: DiskConfig::default(),
             durable: config.system.certifier_durable(),
             forced_abort_rate: config.forced_abort_rate,
             seed: 0x7A5B_1001,

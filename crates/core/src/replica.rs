@@ -60,12 +60,7 @@ impl ReplicaNode {
         let sync_mode = config.replica_sync_mode();
         let engine_config = EngineConfig {
             sync_mode,
-            disk: DiskConfig {
-                fsync_latency: config.service_times.fsync,
-                fsync_jitter: config.service_times.fsync_jitter,
-                contention_latency: Duration::ZERO,
-                sleep: false,
-            },
+            disk: DiskConfig::default(),
             ordered_commit_timeout: Duration::from_secs(1),
             lock_wait_timeout: Duration::from_secs(1),
             metrics: Arc::clone(&metrics),

@@ -80,33 +80,26 @@ impl std::fmt::Display for Verdict {
     }
 }
 
-/// Detector thresholds.  Every field is overridable from the environment
-/// (see [`WatchdogConfig::from_env`]), so a soak run can tighten or relax
-/// the watchdog without a rebuild.
+/// Detector thresholds; defaults in parentheses.
 #[derive(Debug, Clone)]
 pub struct WatchdogConfig {
-    /// Consecutive sample deltas that must all show the abort trickle
-    /// (`WATCHDOG_CONVOY_WINDOW`, default 8).
+    /// Consecutive sample deltas that must all show the abort trickle (8).
     pub convoy_window: usize,
-    /// Minimum aborted transactions per sample delta to count as trickle
-    /// (`WATCHDOG_CONVOY_MIN_ABORTS`, default 1).
+    /// Minimum aborted transactions per sample delta to count as trickle (1).
     pub convoy_min_aborts: u64,
-    /// Consecutive sample deltas with zero commits that constitute a stall
-    /// (`WATCHDOG_STALL_WINDOW`, default 4).
+    /// Consecutive sample deltas with zero commits that constitute a stall (4).
     pub stall_window: usize,
     /// Minimum WAL fsyncs across the stalled window — the heartbeat that
-    /// distinguishes a drain stall from a merely idle cluster
-    /// (`WATCHDOG_STALL_MIN_FSYNCS`, default 2).
+    /// distinguishes a drain stall from a merely idle cluster (2).
     pub stall_min_fsyncs: u64,
     /// Samples of post-outage grace: the stall detector stands down while
     /// any retained sample shows [`GaugeId::NodesDown`] non-zero, and the
     /// sample buffer is sized to look this many samples past the stall
-    /// window (`WATCHDOG_STALL_OUTAGE_GRACE`, default 24 — six seconds at
-    /// the 250 ms interval, past the 5 s ordered-commit timeout that bounds
-    /// how long a transaction caught mid-flight by a crash can keep the
-    /// drain busy after the heal).
+    /// window (24 — six seconds at the 250 ms interval, past the 5 s
+    /// ordered-commit timeout that bounds how long a transaction caught
+    /// mid-flight by a crash can keep the drain busy after the heal).
     pub stall_outage_grace: usize,
-    /// Sampling interval of the watchdog's own recorder thread.
+    /// Sampling interval of the watchdog's own recorder thread (250 ms).
     pub interval: Duration,
 }
 
@@ -124,35 +117,6 @@ impl Default for WatchdogConfig {
 }
 
 impl WatchdogConfig {
-    /// The default configuration with any `WATCHDOG_*` environment
-    /// overrides applied (unparsable values are ignored).
-    #[must_use]
-    pub fn from_env() -> Self {
-        fn env_parse<T: std::str::FromStr>(name: &str) -> Option<T> {
-            std::env::var(name).ok()?.parse().ok()
-        }
-        let mut config = WatchdogConfig::default();
-        if let Some(v) = env_parse::<usize>("WATCHDOG_CONVOY_WINDOW") {
-            config.convoy_window = v.max(1);
-        }
-        if let Some(v) = env_parse::<u64>("WATCHDOG_CONVOY_MIN_ABORTS") {
-            config.convoy_min_aborts = v.max(1);
-        }
-        if let Some(v) = env_parse::<usize>("WATCHDOG_STALL_WINDOW") {
-            config.stall_window = v.max(1);
-        }
-        if let Some(v) = env_parse::<u64>("WATCHDOG_STALL_MIN_FSYNCS") {
-            config.stall_min_fsyncs = v.max(1);
-        }
-        if let Some(v) = env_parse::<usize>("WATCHDOG_STALL_OUTAGE_GRACE") {
-            config.stall_outage_grace = v;
-        }
-        if let Some(v) = env_parse::<u64>("WATCHDOG_INTERVAL_MS") {
-            config.interval = Duration::from_millis(v.max(1));
-        }
-        config
-    }
-
     /// How many samples the watchdog retains: the longer detector window
     /// plus one for the delta baseline, stretched to keep the stall
     /// detector's post-outage grace horizon in view.  Detectors still fire

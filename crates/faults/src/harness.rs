@@ -287,7 +287,7 @@ pub fn run_plan(seed: u64, config: &ScheduleConfig, plan: &FaultPlan) -> Schedul
     // independent of the oracle capture below.
     let watchdog = std::env::var_os("FAULT_WATCHDOG")
         .is_some_and(|v| v != "0" && !v.is_empty())
-        .then(|| cluster.start_watchdog(WatchdogConfig::from_env()));
+        .then(|| cluster.start_watchdog(WatchdogConfig::default()));
 
     // The background trimmer seals checkpoints and advances the truncation
     // watermark *during* the schedule, so crashes land on trimmed logs and

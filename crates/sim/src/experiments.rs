@@ -4,8 +4,7 @@
 //! Each [`FigureId`] knows its workload, IO-channel mode, which systems to
 //! plot and which metric the paper reports (throughput or response time);
 //! [`Experiment::run`] sweeps the replica counts 1–15 and produces the same
-//! curves, ready to be printed by the `figures` harness in
-//! `tashkent-bench`.
+//! curves, ready to be printed by this crate's `figures` binary.
 
 use tashkent_common::{IoChannelMode, Series, SystemKind};
 
@@ -253,7 +252,7 @@ impl Experiment {
         }
     }
 
-    /// A faster variant for tests and criterion benches.
+    /// A faster variant for tests and `figures --quick`.
     #[must_use]
     pub fn quick(id: FigureId) -> Self {
         Experiment {

@@ -31,6 +31,9 @@
 //! * [`model`] — the event-driven cluster model and [`model::SimReport`].
 //! * [`experiments`] — ready-made parameter sets for every figure and table
 //!   in the paper's evaluation section.
+//!
+//! The `figures` binary prints them: `cargo run -p tashkent-sim --release
+//! --bin figures -- all` (add `--quick` for shortened runs).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,3 +46,27 @@ pub mod workload;
 pub use experiments::{Experiment, ExperimentOutput, FigureId};
 pub use model::{SimConfig, SimReport, Simulator};
 pub use workload::WorkloadProfile;
+
+/// Runs one figure/table experiment and returns its rendered text.
+#[must_use]
+pub fn run_figure(id: FigureId, quick: bool) -> String {
+    let experiment = if quick {
+        Experiment::quick(id)
+    } else {
+        Experiment::new(id)
+    };
+    experiment.run().render()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn single_figure_renders_rows() {
+        let text = run_figure(FigureId::Fig4, true);
+        assert!(text.contains("fig4"));
+        assert!(text.contains("tashMW"));
+        assert!(text.contains("base"));
+    }
+}

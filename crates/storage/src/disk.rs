@@ -164,8 +164,9 @@ pub struct DiskConfig {
     /// Extra latency added to each fsync when the channel is shared with
     /// non-logging IO (page reads / dirty writebacks).
     pub contention_latency: Duration,
-    /// If `true`, latencies are actually slept; if `false` they are only
-    /// accounted in the statistics.  Functional tests run with `false`.
+    /// If `true`, latencies are actually slept; if `false` every flush
+    /// completes the instant it begins and the latency fields are ignored.
+    /// Functional tests run with `false`.
     pub sleep: bool,
 }
 
@@ -438,6 +439,26 @@ mod tests {
         let start = std::time::Instant::now();
         disk.fsync(1);
         assert!(start.elapsed() >= Duration::from_millis(4));
+    }
+
+    #[test]
+    fn latency_is_ignored_when_not_slept() {
+        let disk = SimulatedDisk::new(DiskConfig {
+            fsync_latency: Duration::from_millis(8),
+            fsync_jitter: Duration::from_millis(2),
+            sleep: false,
+            ..DiskConfig::default()
+        });
+        disk.append(b"x");
+        // No elapsed-time bound: the flush is complete when it is begun.
+        let done = flush_all(&disk, 1);
+        assert!(done <= Instant::now(), "a flush of an unslept disk takes no time");
+        assert_eq!(disk.durable_contents(), b"x");
+        disk.append(b"y");
+        disk.fsync(1);
+        disk.crash();
+        assert_eq!(disk.durable_contents(), b"xy");
+        assert_eq!(disk.stats().fsyncs, 2);
     }
 
     fn slept(latency_ms: u64) -> SimulatedDisk {

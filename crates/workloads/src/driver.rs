@@ -81,8 +81,8 @@ impl DriverReport {
 
     /// The shared column header matching [`DriverReport::table_row`].
     ///
-    /// Every table of driver results in the workspace — `tpcb_comparison`,
-    /// `figures -- tpcw-cluster`, `figures -- metrics` — prints this header
+    /// Every table of driver results in the workspace — the `tpcb_comparison`
+    /// and `tpcw_cluster` examples — prints this header
     /// (plus workload-specific columns appended after it), so the drain
     /// tail is visible everywhere and rows line up across reports.
     #[must_use]

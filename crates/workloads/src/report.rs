@@ -1,8 +1,7 @@
 //! Rendering helpers for metrics snapshots.
 //!
-//! The per-stage commit-path breakdown is printed by `figures -- metrics`
-//! and by the `tpcb_comparison` example; sharing one renderer keeps the two
-//! reports comparable row for row.
+//! The per-stage commit-path breakdown is printed by the `tpcb_comparison`
+//! example under each system's row.
 
 use tashkent_common::metrics::{CounterId, GaugeId, Stage};
 use tashkent_common::MetricsSnapshot;

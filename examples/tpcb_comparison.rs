@@ -92,8 +92,8 @@ fn print_timeline(label: &str, samples: &[FlightSample]) {
 }
 
 fn main() {
-    // Shared driver-report columns (same layout as `figures -- tpcw-cluster`
-    // and `figures -- metrics`) plus the TPC-B-specific durability columns.
+    // Shared driver-report columns (same layout as the `tpcw_cluster`
+    // example) plus the TPC-B-specific durability columns.
     println!(
         "{}{:>16}{:>20}",
         DriverReport::table_header("system"),
