@@ -245,25 +245,6 @@ pub struct CertificationResponse {
     pub system_version: Version,
 }
 
-/// Counters exposed by [`Certifier::stats`].
-#[derive(Debug, Clone, Default)]
-pub struct CertifierStats {
-    /// Certification requests processed.
-    pub requests: u64,
-    /// Requests that committed.
-    pub commits: u64,
-    /// Requests aborted because of a real write-write conflict.
-    pub conflict_aborts: u64,
-    /// Requests aborted by the forced-abort experiment.
-    pub forced_aborts: u64,
-    /// Commits whose writeset spanned more than one shard (these paid the
-    /// ordered two-phase certify).
-    pub multi_shard_commits: u64,
-    /// State of the replicated durable logs, summed across shards (group
-    /// commit merged).
-    pub log: ReplicatedLogStats,
-}
-
 /// A certification decision stripped of its remote-writeset stream: what an
 /// epoch leader hands back to each submitting caller, which then assembles
 /// its own [`CertificationResponse`] (the remote-stream gather — the
@@ -303,16 +284,10 @@ struct Shard {
     checkpoints: CheckpointStore,
 }
 
-/// The global sequencer: version counter, forced-abort randomness and
-/// request counters.
+/// The global sequencer: version counter and forced-abort randomness.
 struct Sequencer {
     version: Version,
     rng: StdRng,
-    requests: u64,
-    commits: u64,
-    conflict_aborts: u64,
-    forced_aborts: u64,
-    multi_shard_commits: u64,
 }
 
 /// The certifier component shared by every replica proxy in a cluster.
@@ -374,11 +349,6 @@ impl Certifier {
             sequencer: Mutex::new(Sequencer {
                 version: Version::ZERO,
                 rng: StdRng::seed_from_u64(base.seed),
-                requests: 0,
-                commits: 0,
-                conflict_aborts: 0,
-                forced_aborts: 0,
-                multi_shard_commits: 0,
             }),
             forced_abort_rate,
             metrics: base.metrics,
@@ -637,17 +607,13 @@ impl Certifier {
         // Decide under the sequencer lock (never acquire a shard lock while
         // holding it — the sequencer is the innermost lock).
         let mut sequencer = self.sequencer.lock();
-        sequencer.requests += 1;
         let decision = if floored {
-            sequencer.conflict_aborts += 1;
             Some(CertificationDecision::below_floor(request.start_version, floor))
         } else if let Some(conflict_version) = conflict {
-            sequencer.conflict_aborts += 1;
             Some(CertificationDecision::conflict(conflict_version))
         } else if self.forced_abort_rate > 0.0
             && sequencer.rng.gen::<f64>() < self.forced_abort_rate
         {
-            sequencer.forced_aborts += 1;
             Some(CertificationDecision::Abort {
                 reason: "forced abort (experiment)".into(),
                 forced: true,
@@ -675,10 +641,6 @@ impl Certifier {
         // shard guards are held — the invariant the stream merge relies on.
         let commit_version = sequencer.version.next();
         sequencer.version = commit_version;
-        sequencer.commits += 1;
-        if owning.len() > 1 {
-            sequencer.multi_shard_commits += 1;
-        }
         let (writeset, footprint) = commit_material.expect("commit implies no conflict");
         for log in &mut guards {
             log.append_at_with_footprint(
@@ -706,6 +668,9 @@ impl Certifier {
             self.metrics.record_stage(Stage::Durable, started.elapsed());
         }
         self.note_commit(home, commit_version);
+        if owning.len() > 1 {
+            self.metrics.incr(CounterId::MultiShardCommits);
+        }
 
         Ok(CertificationResponse {
             decision: CertificationDecision::Commit,
@@ -810,12 +775,10 @@ impl Certifier {
         let mut aborts: Vec<(CertificationDecision, Version, DecisionSlot)> = Vec::new();
         let mut sequencer = self.sequencer.lock();
         for (verdict, slot) in staged {
-            sequencer.requests += 1;
             match verdict {
                 Verdict::Clean(index) => {
                     let commit_version = sequencer.version.next();
                     sequencer.version = commit_version;
-                    sequencer.commits += 1;
                     let (writeset, footprint, start_version) = &accepted[index];
                     log.append_at_with_footprint(
                         commit_version,
@@ -827,11 +790,9 @@ impl Certifier {
                     commits.push((commit_version, Arc::clone(writeset), slot));
                 }
                 Verdict::Abort(decision) => {
-                    sequencer.conflict_aborts += 1;
                     aborts.push((decision, sequencer.version, slot));
                 }
                 Verdict::EpochConflict(index) => {
-                    sequencer.conflict_aborts += 1;
                     let decision = CertificationDecision::conflict(commit_versions[index]);
                     aborts.push((decision, sequencer.version, slot));
                 }
@@ -1023,28 +984,20 @@ impl Certifier {
         merge_shard_streams(&self.shard_streams_after(since), up_to)
     }
 
-    /// Current statistics.
+    /// The replicated durable logs' statistics, summed across shards (group
+    /// commit merged).  Decision counts live in the metrics registry.
     #[must_use]
-    pub fn stats(&self) -> CertifierStats {
+    pub fn stats(&self) -> ReplicatedLogStats {
         let mut log = ReplicatedLogStats::default();
         for shard in &self.shards {
             let shard = shard.replicated.stats();
-            log.entries += shard.entries;
             log.leader_fsyncs += shard.leader_fsyncs;
             log.leader_log_bytes += shard.leader_log_bytes;
             log.leader_group_commit.merge(&shard.leader_group_commit);
             log.nodes_up += shard.nodes_up;
             log.nodes_total += shard.nodes_total;
         }
-        let sequencer = self.sequencer.lock();
-        CertifierStats {
-            requests: sequencer.requests,
-            commits: sequencer.commits,
-            conflict_aborts: sequencer.conflict_aborts,
-            forced_aborts: sequencer.forced_aborts,
-            multi_shard_commits: sequencer.multi_shard_commits,
-            log,
-        }
+        log
     }
 }
 
@@ -1068,6 +1021,16 @@ mod tests {
     use super::*;
     use crate::paxos::CertifierNodeId;
 
+    /// A one-shard certifier reporting into a registry of its own.
+    fn metered() -> (Certifier, Arc<MetricsRegistry>) {
+        let metrics = Arc::new(MetricsRegistry::enabled());
+        let certifier = Certifier::new(CertifierConfig {
+            metrics: Arc::clone(&metrics),
+            ..CertifierConfig::default()
+        });
+        (certifier, metrics)
+    }
+
     fn ws(keys: &[i64]) -> WriteSet {
         WriteSet::from_items(
             keys.iter()
@@ -1087,7 +1050,7 @@ mod tests {
 
     #[test]
     fn non_conflicting_transactions_commit_in_order() {
-        let certifier = Certifier::new(CertifierConfig::default());
+        let (certifier, metrics) = metered();
         let r1 = certifier.certify(&request(0, 0, &[1])).unwrap();
         let r2 = certifier.certify(&request(0, 0, &[2])).unwrap();
         assert!(r1.decision.is_commit());
@@ -1099,15 +1062,14 @@ mod tests {
         // writeset (the replica claimed version 0).
         assert_eq!(r2.remote_writesets.len(), 1);
         assert_eq!(r2.remote_writesets[0].commit_version, Version(1));
-        let stats = certifier.stats();
-        assert_eq!(stats.commits, 2);
-        assert_eq!(stats.requests, 2);
-        assert_eq!(stats.log.entries, 2);
+        assert_eq!(metrics.counter(CounterId::CertifyCommits), 2);
+        assert_eq!(metrics.counter(CounterId::CertifyRequests), 2);
+        assert_eq!(metrics.counter(CounterId::DurableAppends), 2);
     }
 
     #[test]
     fn conflicting_concurrent_transactions_abort() {
-        let certifier = Certifier::new(CertifierConfig::default());
+        let (certifier, metrics) = metered();
         assert!(certifier
             .certify(&request(0, 0, &[5]))
             .unwrap()
@@ -1121,9 +1083,8 @@ mod tests {
         // A transaction that started *after* the first committed does not.
         let response = certifier.certify(&request(1, 1, &[5])).unwrap();
         assert!(response.decision.is_commit());
-        let stats = certifier.stats();
-        assert_eq!(stats.conflict_aborts, 1);
-        assert_eq!(stats.commits, 2);
+        assert_eq!(metrics.counter(CounterId::CertifyAborts), 1);
+        assert_eq!(metrics.counter(CounterId::CertifyCommits), 2);
     }
 
     #[test]
@@ -1175,15 +1136,13 @@ mod tests {
                 &[i],
             ))
             .unwrap();
-            if !response.decision.is_commit() {
+            if let CertificationDecision::Abort { forced, .. } = response.decision {
+                assert!(forced, "disjoint keys abort only by force");
                 aborted += 1;
             }
         }
         let rate = aborted as f64 / 500.0;
         assert!((rate - 0.4).abs() < 0.08, "observed forced abort rate {rate}");
-        let stats = certifier.stats();
-        assert_eq!(stats.forced_aborts, aborted);
-        assert_eq!(stats.conflict_aborts, 0);
     }
 
     #[test]
@@ -1280,7 +1239,7 @@ mod tests {
 
     #[test]
     fn requests_below_the_floor_are_refused_conservatively() {
-        let certifier = Certifier::new(CertifierConfig::default());
+        let (certifier, metrics) = metered();
         for k in 1..=6 {
             certifier.certify(&request(k - 1, k - 1, &[k as i64])).unwrap();
         }
@@ -1302,8 +1261,9 @@ mod tests {
             certifier.certify(&request(4, 3, &[99])),
             Err(Error::Unavailable(_))
         ));
-        let stats = certifier.stats();
-        assert_eq!(stats.conflict_aborts, 1);
+        // The conservative abort is a decision; the refusal is not.
+        assert_eq!(metrics.counter(CounterId::CertifyAborts), 1);
+        assert_eq!(metrics.counter(CounterId::CertifyRequests), 7);
     }
 
     #[test]
@@ -1315,9 +1275,9 @@ mod tests {
                 .unwrap();
         }
         let stats = certifier.stats();
-        assert_eq!(stats.log.entries, 20);
-        assert!(stats.log.leader_fsyncs > 0);
-        assert!(stats.log.leader_log_bytes > 0);
-        assert!(stats.log.leader_group_commit.mean_group_size() >= 1.0);
+        assert_eq!(stats.leader_group_commit.records, 20);
+        assert!(stats.leader_fsyncs > 0);
+        assert!(stats.leader_log_bytes > 0);
+        assert!(stats.leader_group_commit.mean_group_size() >= 1.0);
     }
 }

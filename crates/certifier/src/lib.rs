@@ -53,7 +53,7 @@ pub mod sharded;
 pub use batch::{EpochQueue, Slot};
 pub use certifier::{
     CertificationDecision, CertificationRequest, CertificationResponse, Certifier, CertifierConfig,
-    CertifierStats, RemoteWriteSet,
+    RemoteWriteSet,
 };
 pub use log::CertifierLog;
 pub use paxos::{CertifierNodeId, ReplicatedLog, ReplicatedLogStats};

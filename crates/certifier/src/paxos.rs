@@ -68,8 +68,6 @@ impl Node {
 /// Statistics of the replicated certifier log.
 #[derive(Debug, Clone, Default)]
 pub struct ReplicatedLogStats {
-    /// Log entries appended (committed writesets).
-    pub entries: u64,
     /// fsync operations performed by the current leader's disk.
     pub leader_fsyncs: u64,
     /// Group-commit behaviour of the current leader's disk: the paper's
@@ -87,7 +85,6 @@ pub struct ReplicatedLogStats {
 pub struct ReplicatedLog {
     nodes: Vec<Arc<Node>>,
     leader: Mutex<usize>,
-    entries: Mutex<u64>,
     durable: bool,
     disk_config: DiskConfig,
     /// Truncation floor: records at or below it have been trimmed from the
@@ -109,7 +106,6 @@ impl std::fmt::Debug for ReplicatedLog {
         f.debug_struct("ReplicatedLog")
             .field("nodes", &self.nodes.len())
             .field("leader", &*self.leader.lock())
-            .field("entries", &*self.entries.lock())
             .finish()
     }
 }
@@ -127,7 +123,6 @@ impl ReplicatedLog {
         ReplicatedLog {
             nodes,
             leader: Mutex::new(0),
-            entries: Mutex::new(0),
             durable,
             disk_config,
             floor: Mutex::new(Version::ZERO),
@@ -207,12 +202,6 @@ impl ReplicatedLog {
             .collect()
     }
 
-    /// `true` if the given node is currently up.
-    #[must_use]
-    pub fn is_node_up(&self, id: CertifierNodeId) -> bool {
-        self.nodes.iter().any(|n| n.id == id && n.is_up())
-    }
-
     /// `true` if a majority of certifier nodes is up, i.e. update
     /// transactions can make progress (Section 7).
     #[must_use]
@@ -272,7 +261,6 @@ impl ReplicatedLog {
                 majority
             )));
         }
-        *self.entries.lock() += records;
         let mut frames = Vec::new();
         for (version, writeset) in entries {
             WalRecord::encode_commit_into(&mut frames, version, writeset);
@@ -416,7 +404,6 @@ impl ReplicatedLog {
         let leader = &self.nodes[*self.leader.lock()];
         let disk = leader.device.stats();
         ReplicatedLogStats {
-            entries: *self.entries.lock(),
             leader_fsyncs: disk.fsyncs,
             leader_group_commit: disk.group_commit,
             leader_log_bytes: leader.device.durable_len(),
@@ -462,9 +449,7 @@ mod tests {
             assert_eq!(entries.len(), 5);
             assert_eq!(entries[4].0, Version(5));
         }
-        let stats = log.stats();
-        assert_eq!(stats.entries, 5);
-        assert_eq!(stats.nodes_up, 3);
+        assert_eq!(log.stats().nodes_up, 3);
     }
 
     #[test]
@@ -733,9 +718,7 @@ mod tests {
         for i in 1..=10 {
             log.append(Version(i), &ws(i as i64)).unwrap();
         }
-        let stats = log.stats();
-        assert_eq!(stats.entries, 10);
-        assert_eq!(stats.leader_fsyncs, 0);
+        assert_eq!(log.stats().leader_fsyncs, 0);
     }
 
     #[test]

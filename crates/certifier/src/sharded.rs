@@ -102,7 +102,8 @@ pub fn merge_shard_streams(streams: &[ShardStream], up_to: Version) -> Vec<Remot
 mod tests {
     use std::sync::Arc;
 
-    use tashkent_common::{Error, ReplicaId, TableId, Value, WriteItem, WriteSet};
+    use tashkent_common::metrics::CounterId;
+    use tashkent_common::{Error, MetricsRegistry, ReplicaId, TableId, Value, WriteItem, WriteSet};
 
     use super::*;
     use crate::certifier::{CertificationDecision, CertificationRequest};
@@ -148,7 +149,14 @@ mod tests {
 
     #[test]
     fn conflicts_are_found_across_shard_boundaries() {
-        let certifier = sharded(4);
+        let metrics = Arc::new(MetricsRegistry::enabled());
+        let certifier = Certifier::new(ShardedCertifierConfig {
+            shards: 4,
+            base: CertifierConfig {
+                metrics: Arc::clone(&metrics),
+                ..CertifierConfig::default()
+            },
+        });
         // A multi-shard writeset commits, then every single-key probe that
         // shares a key with it (on whatever shard) must abort.
         let keys = [1i64, 2, 3, 4, 5, 6, 7, 8];
@@ -173,10 +181,9 @@ mod tests {
             .unwrap()
             .decision
             .is_commit());
-        let stats = certifier.stats();
-        assert_eq!(stats.conflict_aborts, keys.len() as u64);
-        assert_eq!(stats.commits, 3);
-        assert!(stats.multi_shard_commits >= 1);
+        assert_eq!(metrics.counter(CounterId::CertifyAborts), keys.len() as u64);
+        assert_eq!(metrics.counter(CounterId::CertifyCommits), 3);
+        assert!(metrics.counter(CounterId::MultiShardCommits) >= 1);
     }
 
     #[test]
@@ -238,15 +245,13 @@ mod tests {
         for i in 0..500 {
             let version = certifier.system_version().value();
             let response = certifier.certify(&request(version, version, &[i])).unwrap();
-            if !response.decision.is_commit() {
+            if let CertificationDecision::Abort { forced, .. } = response.decision {
+                assert!(forced, "disjoint keys abort only by force");
                 aborted += 1;
             }
         }
         let rate = aborted as f64 / 500.0;
         assert!((rate - 0.4).abs() < 0.08, "observed forced abort rate {rate}");
-        let stats = certifier.stats();
-        assert_eq!(stats.forced_aborts, aborted);
-        assert_eq!(stats.conflict_aborts, 0);
     }
 
     #[test]
@@ -295,7 +300,7 @@ mod tests {
         assert!((0..3).all(|shard| up(shard) == 2));
         certifier.recover_node(CertifierNodeId(0)).unwrap();
         assert!((0..3).all(|shard| up(shard) == 3));
-        assert_eq!(certifier.stats().log.nodes_up, 9, "summed across shards");
+        assert_eq!(certifier.stats().nodes_up, 9, "summed across shards");
     }
 
     #[test]
@@ -305,7 +310,7 @@ mod tests {
             let version = certifier.system_version().value();
             certifier.certify(&request(version, version, &[k])).unwrap();
         }
-        assert_eq!(certifier.stats().log.entries, 12);
+        assert_eq!(certifier.stats().leader_group_commit.records, 12);
         for shard in [ShardId(0), ShardId(1)] {
             let leader = certifier.shard_leader(shard);
             let entries = certifier.shard_durable_entries(shard, leader).unwrap();
@@ -398,7 +403,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(certifier.stats().commits, 800);
+        assert_eq!(certifier.system_version(), Version(800));
     }
 
     #[test]

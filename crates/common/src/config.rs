@@ -10,9 +10,9 @@
 //! | `Tashkent-MW` | middleware | middleware (certifier log) | serial but in-memory |
 //! | `Tashkent-API` | middleware → database (`COMMIT <seq>`) | database | concurrent, group-committed |
 //!
-//! [`SystemKind`] selects the variant; [`ClusterConfig`] describes a whole
-//! deployment (replica count, certifier group size, IO-channel layout,
-//! service times) and is shared by the real engine and the simulator.
+//! [`SystemKind`] selects the variant; [`ClusterConfig`] describes a real
+//! deployment (replica count, certifier group and shards, transport and the
+//! proxy's protocol options).  [`IoChannelMode`] is the simulator's.
 
 use std::time::Duration;
 
@@ -205,54 +205,6 @@ impl IoChannelMode {
     }
 }
 
-/// Durations and rates describing the hardware of the paper's testbed.
-///
-/// Reference values only: the performance model (`tashkent-sim`) carries
-/// its own in `SimConfig`, and the real cluster's disks are zero-latency,
-/// so no code path reads them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ServiceTimes {
-    /// Time for one synchronous flush to the disk medium.  Section 9.1
-    /// measures "about 8 ms" with a 6–12 ms spread.
-    pub fsync: Duration,
-    /// Spread added to `fsync` depending on where the data lands on disk.
-    pub fsync_jitter: Duration,
-    /// One-way LAN latency between a proxy and the certifier.
-    pub network_one_way: Duration,
-    /// CPU time to execute one AllUpdates transaction at a replica.
-    pub cpu_allupdates: Duration,
-    /// CPU time to execute one TPC-B transaction at a replica.
-    pub cpu_tpcb: Duration,
-    /// CPU time to execute one TPC-W interaction at a replica (shopping mix
-    /// average; TPC-W is CPU bound).
-    pub cpu_tpcw: Duration,
-    /// CPU time for the certifier to intersection-test one writeset
-    /// ("an order of magnitude less work than executing the transaction").
-    pub certify_cpu: Duration,
-    /// CPU time to apply one remote writeset at a replica (the paper measures
-    /// an apply rate of roughly 900 writesets per second when batched).
-    pub apply_writeset_cpu: Duration,
-    /// Extra non-logging IO pressure on a shared channel per transaction
-    /// (page reads / dirty writebacks competing with the WAL).
-    pub shared_io_overhead: Duration,
-}
-
-impl Default for ServiceTimes {
-    fn default() -> Self {
-        ServiceTimes {
-            fsync: Duration::from_millis(8),
-            fsync_jitter: Duration::from_millis(2),
-            network_one_way: Duration::from_micros(150),
-            cpu_allupdates: Duration::from_micros(600),
-            cpu_tpcb: Duration::from_micros(1800),
-            cpu_tpcw: Duration::from_millis(25),
-            certify_cpu: Duration::from_micros(60),
-            apply_writeset_cpu: Duration::from_micros(800),
-            shared_io_overhead: Duration::from_micros(900),
-        }
-    }
-}
-
 /// Configuration of a whole replicated deployment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClusterConfig {
@@ -266,12 +218,6 @@ pub struct ClusterConfig {
     /// (`1` reproduces the paper's single certifier; each shard is its own
     /// `certifiers`-node replicated group).  See [`crate::ShardMap`].
     pub certifier_shards: usize,
-    /// Closed-loop clients attached to each replica.
-    pub clients_per_replica: usize,
-    /// IO channel layout at the replicas.
-    pub io_mode: IoChannelMode,
-    /// Hardware service times.
-    pub service_times: ServiceTimes,
     /// Fraction of certification requests the certifier aborts at random
     /// *after* performing the full check (Section 9.5's forced abort rates).
     pub forced_abort_rate: f64,
@@ -296,30 +242,8 @@ impl ClusterConfig {
             replicas: 2,
             certifiers: 3,
             certifier_shards: 1,
-            clients_per_replica: 2,
-            io_mode: IoChannelMode::Dedicated,
-            service_times: ServiceTimes::default(),
             forced_abort_rate: 0.0,
             staleness_bound: Duration::from_millis(50),
-            local_certification: true,
-            eager_precertification: true,
-            transport: TransportKind::InProcess,
-        }
-    }
-
-    /// The paper's testbed configuration for a given system and replica count.
-    #[must_use]
-    pub fn paper(system: SystemKind, replicas: usize, io_mode: IoChannelMode) -> Self {
-        ClusterConfig {
-            system,
-            replicas,
-            certifiers: 3,
-            certifier_shards: 1,
-            clients_per_replica: 10,
-            io_mode,
-            service_times: ServiceTimes::default(),
-            forced_abort_rate: 0.0,
-            staleness_bound: Duration::from_secs(2),
             local_certification: true,
             eager_precertification: true,
             transport: TransportKind::InProcess,
@@ -332,7 +256,7 @@ impl ClusterConfig {
     /// # Errors
     ///
     /// Returns `Err` if the replica count or certifier group is empty, the
-    /// abort rate is outside `[0, 1]`, or no clients are configured.
+    /// shard count is invalid, or the abort rate is outside `[0, 1]`.
     pub fn validate(&self) -> Result<(), String> {
         if self.replicas == 0 {
             return Err("a cluster needs at least one replica".to_owned());
@@ -341,9 +265,6 @@ impl ClusterConfig {
             return Err("a cluster needs at least one certifier".to_owned());
         }
         crate::ShardMap::new(self.certifier_shards).validate()?;
-        if self.clients_per_replica == 0 {
-            return Err("each replica needs at least one client".to_owned());
-        }
         if !(0.0..=1.0).contains(&self.forced_abort_rate) {
             return Err(format!(
                 "forced abort rate {} outside [0, 1]",
@@ -430,9 +351,6 @@ mod tests {
         cfg.certifiers = 0;
         assert!(cfg.validate().is_err());
         cfg.certifiers = 3;
-        cfg.clients_per_replica = 0;
-        assert!(cfg.validate().is_err());
-        cfg.clients_per_replica = 2;
         cfg.certifier_shards = 0;
         assert!(cfg.validate().is_err());
         cfg.certifier_shards = 4;
@@ -441,12 +359,15 @@ mod tests {
 
     #[test]
     fn majority_and_sync_mode_derivation() {
-        let cfg = ClusterConfig::paper(SystemKind::TashkentMw, 15, IoChannelMode::Shared);
+        let mut cfg = ClusterConfig::small(SystemKind::TashkentMw);
         assert_eq!(cfg.certifier_majority(), 2);
         assert_eq!(cfg.replica_sync_mode(), SyncMode::Off);
-        let cfg = ClusterConfig::paper(SystemKind::Base, 4, IoChannelMode::Dedicated);
-        assert_eq!(cfg.replica_sync_mode(), SyncMode::Durable);
-        assert_eq!(cfg.clients_per_replica, 10);
+        cfg.certifiers = 5;
+        assert_eq!(cfg.certifier_majority(), 3);
+        for system in [SystemKind::Base, SystemKind::TashkentApi] {
+            let cfg = ClusterConfig::small(system);
+            assert_eq!(cfg.replica_sync_mode(), SyncMode::Durable);
+        }
     }
 
     #[test]
@@ -457,20 +378,9 @@ mod tests {
         assert!(!TransportKind::InProcess.is_networked());
         assert!(TransportKind::Loopback.is_networked());
         assert!(TransportKind::Tcp.is_networked());
-        // Existing constructors stay in-process so nothing changes under
-        // callers that predate networking.
+        // The constructor stays in-process so nothing changes under callers
+        // that predate networking.
         let cfg = ClusterConfig::small(SystemKind::Base);
         assert_eq!(cfg.transport, TransportKind::InProcess);
-        let cfg = ClusterConfig::paper(SystemKind::TashkentApi, 4, IoChannelMode::Shared);
-        assert_eq!(cfg.transport, TransportKind::InProcess);
-    }
-
-    #[test]
-    fn default_service_times_match_measurements() {
-        let st = ServiceTimes::default();
-        assert_eq!(st.fsync, Duration::from_millis(8));
-        assert!(st.certify_cpu < st.cpu_allupdates);
-        // Certification is an order of magnitude cheaper than execution.
-        assert!(st.cpu_allupdates.as_micros() >= 10 * st.certify_cpu.as_micros());
     }
 }

@@ -19,8 +19,8 @@
 //! runs: counters and gauges are single atomic operations, histograms sit
 //! behind a small pool of sharded mutexes with per-thread affinity, and a
 //! registry constructed with [`MetricsRegistry::disabled`] short-circuits
-//! every record call on one branch (the `sharded_certification` bench
-//! compares the two modes; the acceptance bar is ≤ 5 % overhead).
+//! every record call on one branch (the benchmark's `trace_overhead_pct`
+//! row bounds an enabled registry's cost, together with its own spans).
 //!
 //! A [`MetricsSnapshot`] is a self-contained copy of the registry that can
 //! be serialised with [`MetricsSnapshot::to_bytes`] / decoded with
@@ -103,7 +103,7 @@ impl Stage {
 }
 
 /// Number of defined counters.
-pub const COUNTER_COUNT: usize = 22;
+pub const COUNTER_COUNT: usize = 25;
 
 /// A monotonic event counter of the registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -163,6 +163,16 @@ pub enum CounterId {
     /// it.  The anomaly watchdog's drain-stall detector stands down while
     /// this counter moves within its lookback.
     FaultTransitions,
+    /// Times a Tashkent-API proxy had to hold a remote writeset back until
+    /// the installs before it finished, because it artificially conflicts
+    /// with one of them.
+    ArtificialConflictBarriers,
+    /// Lock acquisitions that failed as deadlock victims: a wait-for cycle,
+    /// or a wait that outlived the lock-wait bound (presumed deadlock).
+    Deadlocks,
+    /// Certified commits whose writeset spanned more than one certifier
+    /// shard (these take the ordered two-phase path).
+    MultiShardCommits,
 }
 
 impl CounterId {
@@ -190,6 +200,9 @@ impl CounterId {
         CounterId::PrescreenHits,
         CounterId::PrescreenMisses,
         CounterId::FaultTransitions,
+        CounterId::ArtificialConflictBarriers,
+        CounterId::Deadlocks,
+        CounterId::MultiShardCommits,
     ];
 
     /// Dense index of this counter.
@@ -218,6 +231,9 @@ impl CounterId {
             CounterId::PrescreenHits => 19,
             CounterId::PrescreenMisses => 20,
             CounterId::FaultTransitions => 21,
+            CounterId::ArtificialConflictBarriers => 22,
+            CounterId::Deadlocks => 23,
+            CounterId::MultiShardCommits => 24,
         }
     }
 
@@ -247,6 +263,9 @@ impl CounterId {
             CounterId::PrescreenHits => "prescreen_hits",
             CounterId::PrescreenMisses => "prescreen_misses",
             CounterId::FaultTransitions => "fault_transitions",
+            CounterId::ArtificialConflictBarriers => "artificial_conflict_barriers",
+            CounterId::Deadlocks => "deadlocks",
+            CounterId::MultiShardCommits => "multi_shard_commits",
         }
     }
 }
@@ -747,10 +766,12 @@ impl MetricsSnapshot {
         &self.stages[stage.index()]
     }
 
-    /// The value of `counter` at snapshot time.
+    /// The value of `counter` at snapshot time; zero for a counter the
+    /// snapshot's writer did not know yet (snapshots are length-prefixed,
+    /// and counters are only ever appended).
     #[must_use]
     pub fn counter(&self, counter: CounterId) -> u64 {
-        self.counters[counter.index()]
+        self.counters.get(counter.index()).copied().unwrap_or(0)
     }
 
     /// The `(value, high_water)` of `gauge` at snapshot time.

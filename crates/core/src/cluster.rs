@@ -2,35 +2,19 @@
 
 use std::sync::Arc;
 
-use tashkent_certifier::{
-    Certifier, CertifierConfig, CertifierNodeId, CertifierStats, ShardedCertifierConfig,
-};
+use tashkent_certifier::{Certifier, CertifierConfig, CertifierNodeId, ShardedCertifierConfig};
 use tashkent_common::{
-    metrics::GaugeId, ClusterConfig, CommitPathTrace, Error, Event, MetricsRegistry,
-    MetricsSnapshot, ReplicaId, Result, ShardId, SystemKind, TableId, Version,
+    metrics::{CounterId, GaugeId},
+    ClusterConfig, CommitPathTrace, Error, Event, MetricsRegistry, MetricsSnapshot, ReplicaId,
+    Result, ShardId, SystemKind, TableId, Version,
 };
 use tashkent_net::ClusterNet;
-use tashkent_proxy::{CertifierHandle, Proxy, ProxyStats, ProxyTransaction};
+use tashkent_proxy::{CertifierHandle, Proxy, ProxyTransaction};
 use tashkent_storage::disk::DiskConfig;
 
 use crate::bundle::DiagnosticBundle;
 use crate::replica::ReplicaNode;
 use crate::watchdog::{Watchdog, WatchdogConfig};
-
-/// Aggregate statistics of a cluster.
-#[derive(Debug, Clone, Default)]
-pub struct ClusterStats {
-    /// Per-replica proxy statistics.
-    pub proxies: Vec<ProxyStats>,
-    /// Certifier statistics.
-    pub certifier: Option<CertifierStats>,
-    /// Total committed update transactions across all replicas.
-    pub update_commits: u64,
-    /// Total committed read-only transactions.
-    pub read_only_commits: u64,
-    /// Total aborted transactions (local, certifier and engine aborts).
-    pub aborts: u64,
-}
 
 /// A running replicated database cluster.
 ///
@@ -503,38 +487,13 @@ impl Cluster {
     /// short enough to fall entirely between two flight samples: the gauge
     /// never shows them, the counter delta does.
     ///
-    /// [`CounterId::FaultTransitions`]: tashkent_common::metrics::CounterId::FaultTransitions
     fn refresh_nodes_down(&self) {
         let replicas_down = self.replicas.iter().filter(|r| r.is_crashed()).count();
-        let log = self.certifier.stats().log;
+        let log = self.certifier.stats();
         let certifier_down = log.nodes_total.saturating_sub(log.nodes_up);
         self.metrics
             .gauge_set(GaugeId::NodesDown, (replicas_down + certifier_down) as i64);
-        self.metrics
-            .incr(tashkent_common::metrics::CounterId::FaultTransitions);
-    }
-
-    /// Aggregated statistics across the cluster.
-    #[must_use]
-    pub fn stats(&self) -> ClusterStats {
-        let proxies: Vec<ProxyStats> = self
-            .replicas
-            .iter()
-            .map(|r| r.proxy().stats())
-            .collect();
-        let update_commits = proxies.iter().map(|p| p.update_commits).sum();
-        let read_only_commits = proxies.iter().map(|p| p.read_only_commits).sum();
-        let aborts = proxies
-            .iter()
-            .map(|p| p.local_certification_aborts + p.certifier_aborts + p.engine_aborts)
-            .sum();
-        ClusterStats {
-            proxies,
-            certifier: Some(self.certifier.stats()),
-            update_commits,
-            read_only_commits,
-            aborts,
-        }
+        self.metrics.incr(CounterId::FaultTransitions);
     }
 
     /// Checks that every non-crashed replica is a consistent prefix of the
@@ -676,9 +635,58 @@ mod tests {
             assert_eq!(cluster.system_version(), Version(1));
             let versions = cluster.replica_versions();
             assert!(versions.iter().all(|(_, v)| *v == Version(1)));
-            let stats = cluster.stats();
-            assert_eq!(stats.update_commits, 1);
-            assert!(stats.read_only_commits >= 2);
+        }
+    }
+
+    /// One source per number: a scripted run's commits and aborts land in
+    /// the registry exactly once, whichever pipeline the system uses.
+    #[test]
+    fn registry_ledger_counts_every_outcome_once() {
+        for system in SystemKind::ALL_WITH_ANALYSIS {
+            let cluster = small(system);
+            let t = cluster.create_table("kv", &["v"]);
+            let insert = |replica: usize, key: i64| {
+                let tx = cluster.session(replica).begin();
+                tx.insert(t, key, vec![("v".into(), Value::Int(key))])
+                    .unwrap();
+                tx
+            };
+            let conflicts = |tx: ProxyTransaction| {
+                matches!(tx.commit(), Err(Error::CertificationFailed { .. }))
+            };
+            // Four updates, alternating replicas.
+            for key in 0..4 {
+                insert(key as usize % 2, key).commit().unwrap();
+            }
+            // A certifier conflict: replica 1 has not seen key 100 yet, so
+            // only the certifier can catch the overlap.
+            let (first, second) = (insert(0, 100), insert(1, 100));
+            first.commit().unwrap();
+            assert!(conflicts(second), "{system}");
+            // A local-certification abort: replica 1 learns of key 200 before
+            // its own writer commits, and aborts it without a certify.
+            let stale = insert(1, 200);
+            insert(0, 200).commit().unwrap();
+            cluster.sync_all().unwrap();
+            assert!(conflicts(stale), "{system}");
+            // Three read-only transactions.
+            for replica in [0, 1, 0] {
+                let tx = cluster.session(replica).begin();
+                assert!(tx.read(t, 0).unwrap().is_some());
+                assert!(tx.commit().unwrap().read_only);
+            }
+            assert_eq!(cluster.system_version(), Version(6), "{system}");
+            let snapshot = cluster.metrics_snapshot();
+            let ledger = [
+                CounterId::TxCommitted,
+                CounterId::TxAborted,
+                CounterId::CertifyRequests,
+                CounterId::CertifyCommits,
+                CounterId::CertifyAborts,
+                CounterId::Deadlocks,
+            ]
+            .map(|counter| snapshot.counter(counter));
+            assert_eq!(ledger, [9, 2, 7, 6, 1, 0], "{system}");
         }
     }
 
@@ -712,8 +720,6 @@ mod tests {
             }
             let versions = cluster.replica_versions();
             assert!(versions.iter().all(|(_, v)| *v == Version(6)));
-            let stats = cluster.stats();
-            assert_eq!(stats.update_commits, 6);
         }
     }
 

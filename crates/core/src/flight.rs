@@ -20,11 +20,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use tashkent_common::{MetricsRegistry, MetricsSnapshot};
 
-/// Default sampling interval: fine enough to resolve sub-second throughput
-/// modes, coarse enough that sampling cost is noise.
-pub const DEFAULT_SAMPLE_INTERVAL: Duration = Duration::from_millis(250);
-
-/// Default ring capacity (at the default interval: ~4 minutes of history).
+/// Default ring capacity (at a 250 ms interval: ~4 minutes of history).
 pub const DEFAULT_SAMPLE_CAPACITY: usize = 1024;
 
 /// One timeline entry: when the sample was taken (relative to recorder
@@ -107,12 +103,6 @@ impl FlightRecorder {
             handle: Some(handle),
             capacity,
         }
-    }
-
-    /// Starts sampling with the default interval and capacity.
-    #[must_use]
-    pub fn start_default(registry: Arc<MetricsRegistry>) -> Self {
-        FlightRecorder::start(registry, DEFAULT_SAMPLE_INTERVAL, DEFAULT_SAMPLE_CAPACITY)
     }
 
     /// The timeline recorded so far, oldest first.

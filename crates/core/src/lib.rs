@@ -55,7 +55,7 @@ pub mod trimmer;
 pub mod watchdog;
 
 pub use bundle::DiagnosticBundle;
-pub use cluster::{Cluster, ClusterStats};
+pub use cluster::Cluster;
 pub use flight::{FlightRecorder, FlightSample};
 pub use replica::ReplicaNode;
 pub use trimmer::{Trimmer, DEFAULT_TRIM_INTERVAL};

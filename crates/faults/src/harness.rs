@@ -150,7 +150,6 @@ impl ScheduleConfig {
         let mut config = ClusterConfig::small(self.system);
         config.replicas = self.replicas;
         config.certifier_shards = self.certifier_shards;
-        config.clients_per_replica = self.clients_per_replica;
         if self.partition || self.drop_rate > 0.0 {
             // Link faults need a real wire to cut (and packet loss a real
             // wire to lose): run the whole cluster over the deterministic

@@ -273,7 +273,7 @@ fn cluster_net_wires_replicas_and_links() {
         .unwrap();
     assert!(response.decision.is_commit());
     assert_eq!(handle1.system_version(), Version(1));
-    assert_eq!(handle0.stats().commits, 1);
+    assert_eq!(handle0.stats().leader_group_commit.records, 1);
 
     // Partition replica 1 only: replica 0 keeps certifying.
     assert!(net.sever_certifier_link(1));

@@ -12,8 +12,8 @@
 use std::sync::Arc;
 
 use tashkent_certifier::{
-    CertificationRequest, CertificationResponse, Certifier, CertifierNodeId, CertifierStats,
-    RemoteWriteSet,
+    CertificationRequest, CertificationResponse, Certifier, CertifierNodeId, RemoteWriteSet,
+    ReplicatedLogStats,
 };
 use tashkent_common::{Result, ShardId, Version, WriteSet};
 
@@ -168,9 +168,9 @@ impl CertifierHandle {
         self.local().recover_node(node)
     }
 
-    /// Statistics (durable-log counters summed across shards).
+    /// Durable-log statistics summed across shards.
     #[must_use]
-    pub fn stats(&self) -> CertifierStats {
+    pub fn stats(&self) -> ReplicatedLogStats {
         self.local().stats()
     }
 
@@ -327,7 +327,6 @@ mod tests {
             assert_eq!(versions, vec![4, 5, 6, 7, 8, 9, 10]);
             assert_eq!(handle.system_version(), Version(10));
             assert!(handle.is_available());
-            assert_eq!(handle.stats().commits, 10);
         }
         assert_eq!(single.shard_count(), 1);
         assert_eq!(sharded.shard_count(), 4);
@@ -384,7 +383,7 @@ mod tests {
         assert!(data_calls >= 5, "expected >=5 wire calls, saw {data_calls}");
 
         // Control plane: none of these may touch the wire.
-        assert_eq!(handle.stats().commits, 1);
+        assert_eq!(handle.stats().leader_group_commit.records, 1);
         assert_eq!(handle.shard_count(), 1);
         assert_eq!(handle.log_len(), 1);
         assert_eq!(handle.checkpoint_version(), Version::ZERO);

@@ -39,6 +39,6 @@ pub mod recovery;
 pub mod seen;
 
 pub use fanout::{CertifierHandle, CertifierService};
-pub use proxy::{CommitOutcome, Proxy, ProxyConfig, ProxyStats, ProxyTransaction};
+pub use proxy::{CommitOutcome, Proxy, ProxyConfig, ProxyTransaction};
 pub use recovery::{catch_up, recover_base_or_api_replica, recover_mw_replica};
 pub use seen::SeenWriteSets;

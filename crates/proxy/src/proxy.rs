@@ -61,37 +61,6 @@ pub struct CommitOutcome {
     pub read_only: bool,
 }
 
-/// Counters exposed by [`Proxy::stats`].
-#[derive(Debug, Clone, Default)]
-pub struct ProxyStats {
-    /// Committed update transactions.
-    pub update_commits: u64,
-    /// Committed read-only transactions.
-    pub read_only_commits: u64,
-    /// Transactions aborted by local certification (before reaching the
-    /// certifier).
-    pub local_certification_aborts: u64,
-    /// Transactions aborted by the certifier.
-    pub certifier_aborts: u64,
-    /// Transactions aborted by the local engine (write conflicts, deadlocks,
-    /// wounds).
-    pub engine_aborts: u64,
-    /// Remote writesets applied to the replica.
-    pub remote_writesets_applied: u64,
-    /// Transactions the replica executed to apply remote writesets (grouped
-    /// applications count once).
-    pub remote_apply_transactions: u64,
-    /// Times the Tashkent-API pipeline had to serialise a remote writeset
-    /// behind an artificial conflict.
-    pub artificial_conflict_barriers: u64,
-    /// Bounded-staleness refreshes performed.
-    pub refreshes: u64,
-    /// Soft-recovery resynchronisations performed.
-    pub resyncs: u64,
-    /// Local transactions wounded by eager pre-certification.
-    pub wounded_transactions: u64,
-}
-
 struct ProxyState {
     /// Every version at or below this has been scheduled for application or
     /// local commit at this replica; it is what the proxy reports to the
@@ -112,7 +81,6 @@ struct ProxyState {
     seen: SeenWriteSets,
     /// Last successful contact with the certifier.
     last_contact: Instant,
-    stats: ProxyStats,
 }
 
 struct ProxyShared {
@@ -165,7 +133,6 @@ impl Proxy {
                     grouped_install_active: false,
                     seen: SeenWriteSets::new(),
                     last_contact: Instant::now(),
-                    stats: ProxyStats::default(),
                 }),
                 apply_lock: Mutex::new(()),
             }),
@@ -194,12 +161,6 @@ impl Proxy {
     #[must_use]
     pub fn replica_version(&self) -> Version {
         self.shared.state.lock().scheduled_through
-    }
-
-    /// Statistics snapshot.
-    #[must_use]
-    pub fn stats(&self) -> ProxyStats {
-        self.shared.state.lock().stats.clone()
     }
 
     /// Begins a new client transaction (the proxy intercepting `BEGIN`).
@@ -263,9 +224,7 @@ impl Proxy {
         let _guard = self.shared.apply_lock.lock();
         match self.apply_remotes_serial(&remotes, false) {
             Ok(Some(count)) => {
-                let mut state = self.shared.state.lock();
-                state.stats.refreshes += 1;
-                state.last_contact = Instant::now();
+                self.shared.state.lock().last_contact = Instant::now();
                 Ok(count)
             }
             // Declined: ordered commits are in flight and the fetched
@@ -328,7 +287,6 @@ impl Proxy {
         );
         {
             let mut state = self.shared.state.lock();
-            state.stats.resyncs += 1;
             // Declare all handed-out order indices consumed so that future
             // ordered commits do not wait on indices burned by failures.
             self.shared.db.force_announce_counter(state.order_counter);
@@ -366,7 +324,6 @@ impl Proxy {
             return;
         }
         let committing_id = committing.map(TxHandle::id);
-        let mut wounded = 0;
         for (tx_id, partial) in self.shared.db.active_update_writesets() {
             if Some(tx_id) == committing_id {
                 continue;
@@ -377,11 +334,7 @@ impl Proxy {
                 // doomed to fail certification anyway because the remote
                 // writeset committed after its snapshot.
                 self.shared.db.abort_transaction(tx_id);
-                wounded += 1;
             }
-        }
-        if wounded > 0 {
-            self.shared.state.lock().stats.wounded_transactions += wounded;
         }
     }
 
@@ -466,8 +419,7 @@ impl Proxy {
         if let (Some(started), Ok(_)) = (install_started, &applied) {
             metrics.record_stage(Stage::Install, started.elapsed());
         }
-        let mut state = self.shared.state.lock();
-        state.grouped_install_active = false;
+        self.shared.state.lock().grouped_install_active = false;
         applied?;
         metrics.add(CounterId::RemoteInstalls, to_apply.len() as u64);
         metrics.emit(
@@ -475,8 +427,6 @@ impl Proxy {
                 .version(target_version.0)
                 .node(self.shared.config.replica.value() as usize),
         );
-        state.stats.remote_writesets_applied += to_apply.len() as u64;
-        state.stats.remote_apply_transactions += 1;
         Ok(Some(to_apply.len()))
     }
 
@@ -518,12 +468,7 @@ impl Proxy {
         }
         // [C5] finalise the local commit.
         if !decision_commit {
-            let mut state = self.shared.state.lock();
-            state.stats.certifier_aborts += 1;
-            return Err(Error::CertificationFailed {
-                start_version: tx.start_version(),
-                detail: "certifier aborted the transaction".into(),
-            });
+            return self.finish_update_commit(tx, false, None);
         }
         let version = commit_version.expect("commit decision carries a version");
         let already_applied = {
@@ -552,9 +497,6 @@ impl Proxy {
             // holds the apply lock, so use the lock-free body — calling
             // `resync()` here would re-lock `apply_lock` and self-deadlock.
             self.resync_locked()?;
-            let mut state = self.shared.state.lock();
-            state.stats.engine_aborts += 1;
-            drop(state);
             return Err(match e {
                 Error::InvalidTransactionState { tx, .. } => Error::WriteConflict {
                     tx,
@@ -563,16 +505,15 @@ impl Proxy {
                 other => other,
             });
         }
-        self.shared.state.lock().stats.update_commits += 1;
         Ok(CommitOutcome {
             commit_version: Some(version),
             read_only: false,
         })
     }
 
-    /// Common epilogue of the Tashkent-API pipeline: records the final
-    /// outcome of an update transaction whose remote writesets have been
-    /// installed (directly or through a recovery resync).
+    /// Common epilogue of the commit pipelines: the final outcome of an
+    /// update transaction whose remote writesets have been installed
+    /// (directly or through a recovery resync).
     fn finish_update_commit(
         &self,
         tx: &TxHandle,
@@ -580,13 +521,11 @@ impl Proxy {
         commit_version: Option<Version>,
     ) -> Result<CommitOutcome> {
         if !decision_commit {
-            self.shared.state.lock().stats.certifier_aborts += 1;
             return Err(Error::CertificationFailed {
                 start_version: tx.start_version(),
                 detail: "certifier aborted the transaction".into(),
             });
         }
-        self.shared.state.lock().stats.update_commits += 1;
         Ok(CommitOutcome {
             commit_version,
             read_only: false,
@@ -670,7 +609,7 @@ impl Proxy {
             order_index: u64,
             needs_barrier: bool,
         }
-        let (scheduled, own_slot, base_version) = loop {
+        let (scheduled, own_slot) = loop {
             let mut state = self.shared.state.lock();
             // A serial grouped install is mid-flight: wait it out rather
             // than hand out an order index whose announce could expose a
@@ -717,41 +656,23 @@ impl Proxy {
             } else {
                 None
             };
-            break (scheduled, own_slot, base);
+            break (scheduled, own_slot);
         };
-        let _ = base_version;
 
         // Submit remote writesets concurrently, inserting a barrier before
         // any writeset with an artificial conflict.
-        fn join_one(
-            handle: thread::JoinHandle<Result<Version>>,
-            failures: &mut Vec<Error>,
-            apply_transactions: &mut u64,
-        ) {
-            match handle.join() {
-                Ok(Ok(_)) => *apply_transactions += 1,
-                Ok(Err(e)) => failures.push(e),
-                Err(_) => failures.push(Error::Protocol("apply thread panicked".into())),
-            }
-        }
-        fn drain_joins(
-            handles: &mut Vec<thread::JoinHandle<Result<Version>>>,
-            failures: &mut Vec<Error>,
-            apply_transactions: &mut u64,
-        ) {
-            for handle in handles.drain(..) {
-                join_one(handle, failures, apply_transactions);
-            }
-        }
+        // An apply thread's failure, if it had one.
+        let failure = |handle: thread::JoinHandle<Result<Version>>| match handle.join() {
+            Ok(result) => result.err(),
+            Err(_) => Some(Error::Protocol("apply thread panicked".into())),
+        };
+        let metrics = &self.shared.config.metrics;
         let mut handles: Vec<thread::JoinHandle<Result<Version>>> = Vec::new();
         let mut failures: Vec<Error> = Vec::new();
-        let mut applied = 0u64;
-        let mut apply_transactions = 0u64;
-        let mut barriers = 0u64;
         for item in scheduled {
             if item.needs_barrier && !handles.is_empty() {
-                barriers += 1;
-                drain_joins(&mut handles, &mut failures, &mut apply_transactions);
+                metrics.incr(CounterId::ArtificialConflictBarriers);
+                failures.extend(handles.drain(..).filter_map(failure));
             } else if handles.len() >= CONCURRENT_WINDOW {
                 // Bound the live apply threads even when the serial catch-up
                 // declined and the whole backlog streams through this
@@ -759,15 +680,14 @@ impl Proxy {
                 // one OS thread per backlog entry.  Join only the oldest —
                 // under ordered announces it finishes first — so the window
                 // stays full instead of draining to empty every 64 items.
-                join_one(handles.remove(0), &mut failures, &mut apply_transactions);
+                failures.extend(failure(handles.remove(0)));
             }
             self.wound_conflicting_locals(&item.remote.writeset, Some(tx));
             let db = self.shared.db.clone();
             let remote = item.remote;
             let order_index = item.order_index;
-            let metrics = Arc::clone(&self.shared.config.metrics);
+            let metrics = Arc::clone(metrics);
             let node = self.shared.config.replica.value() as usize;
-            applied += 1;
             handles.push(thread::spawn(move || {
                 let install_started = metrics.is_enabled().then(Instant::now);
                 let result =
@@ -803,13 +723,7 @@ impl Proxy {
             commit_version
         };
 
-        drain_joins(&mut handles, &mut failures, &mut apply_transactions);
-        {
-            let mut state = self.shared.state.lock();
-            state.stats.remote_writesets_applied += applied;
-            state.stats.remote_apply_transactions += apply_transactions;
-            state.stats.artificial_conflict_barriers += barriers;
-        }
+        failures.extend(handles.into_iter().filter_map(failure));
 
         if !failures.is_empty() {
             // Soft recovery: bring the replica back in sync serially.  The
@@ -837,7 +751,6 @@ impl Proxy {
         if writeset.is_empty() {
             // Read-only transactions commit immediately.
             ptx.tx.commit()?;
-            self.shared.state.lock().stats.read_only_commits += 1;
             return Ok(CommitOutcome {
                 commit_version: None,
                 read_only: true,
@@ -849,10 +762,9 @@ impl Proxy {
         // version to reduce work at the certifier.
         let mut effective_start = ptx.label_version.max(ptx.tx.start_version());
         let replica_version = {
-            let mut state = self.shared.state.lock();
+            let state = self.shared.state.lock();
             if self.shared.config.local_certification {
                 if let Some(conflict) = state.seen.conflict_after(&writeset, effective_start) {
-                    state.stats.local_certification_aborts += 1;
                     drop(state);
                     ptx.tx.abort();
                     return Err(Error::CertificationFailed {
@@ -916,10 +828,6 @@ impl Proxy {
         }
         result
     }
-
-    fn record_engine_abort(&self) {
-        self.shared.state.lock().stats.engine_aborts += 1;
-    }
 }
 
 /// A client transaction running through the proxy (the JDBC-like interface of
@@ -979,9 +887,7 @@ impl ProxyTransaction {
         key: impl Into<RowKey>,
         row: Vec<(String, Value)>,
     ) -> Result<()> {
-        self.tx.insert(table, key, row).inspect_err(|_| {
-            self.proxy.record_engine_abort();
-        })
+        self.tx.insert(table, key, row)
     }
 
     /// Updates columns of a row.
@@ -995,9 +901,7 @@ impl ProxyTransaction {
         key: impl Into<RowKey>,
         columns: Vec<(String, Value)>,
     ) -> Result<()> {
-        self.tx.update(table, key, columns).inspect_err(|_| {
-            self.proxy.record_engine_abort();
-        })
+        self.tx.update(table, key, columns)
     }
 
     /// Deletes a row.
@@ -1006,9 +910,7 @@ impl ProxyTransaction {
     ///
     /// Propagates engine conflicts / deadlocks.
     pub fn delete(&self, table: TableId, key: impl Into<RowKey>) -> Result<()> {
-        self.tx.delete(table, key).inspect_err(|_| {
-            self.proxy.record_engine_abort();
-        })
+        self.tx.delete(table, key)
     }
 
     /// The transaction's writeset captured so far.
@@ -1069,6 +971,5 @@ impl ProxyTransaction {
                 .node(self.proxy.shared.config.replica.value() as usize),
         );
         self.tx.abort();
-        self.proxy.record_engine_abort();
     }
 }

@@ -204,12 +204,6 @@ impl CheckpointStore {
         out
     }
 
-    /// `true` if at least one intact checkpoint is sealed.
-    #[must_use]
-    pub fn has_checkpoint(&self) -> bool {
-        self.latest().is_some()
-    }
-
     /// Test hook: appends a raw (possibly torn or corrupt) manifest write,
     /// simulating a crash mid-flip.
     pub fn install_raw_manifest(&self, bytes: Vec<u8>) {

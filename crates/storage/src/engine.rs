@@ -30,13 +30,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, RwLock};
-use tashkent_common::metrics::Stage;
+use tashkent_common::metrics::{CounterId, Stage};
 use tashkent_common::{
     Component, Error, Event, EventKind, MetricsRegistry, Result, RowKey, SyncMode, TableId, TxId,
     Value, Version, WriteOp, WriteSet,
 };
 
-use crate::disk::{DiskConfig, DiskStats, LogDevice, SimulatedDisk};
+use crate::disk::{DiskConfig, LogDevice, SimulatedDisk};
 use crate::dump::DatabaseDump;
 use crate::locks::LockManager;
 use crate::row::{Row, TableData};
@@ -96,32 +96,6 @@ impl EngineConfig {
     }
 }
 
-/// Counters exposed by [`Database::stats`].
-#[derive(Debug, Clone, Default)]
-pub struct EngineStats {
-    /// Committed update transactions.
-    pub commits: u64,
-    /// Committed read-only transactions.
-    pub read_only_commits: u64,
-    /// Aborted transactions (conflicts, deadlocks, explicit aborts).
-    pub aborts: u64,
-    /// Aborts that were deadlock victims.
-    pub deadlocks: u64,
-    /// Current database version (the replica's `replica_version` as far as
-    /// the engine knows it).
-    pub version: Version,
-    /// Log-device statistics (fsync counts, group-commit sizes).
-    pub wal: DiskStats,
-}
-
-#[derive(Debug, Default)]
-struct Counters {
-    commits: u64,
-    read_only_commits: u64,
-    aborts: u64,
-    deadlocks: u64,
-}
-
 /// Mutable data protected by the announce lock: the table heaps, the current
 /// version and the ordered-commit announce counter.
 #[derive(Debug, Default)]
@@ -146,7 +120,6 @@ struct DbShared {
     wal: WalWriter,
     device: Arc<dyn LogDevice>,
     sync_mode: Mutex<SyncMode>,
-    counters: Mutex<Counters>,
     crashed: AtomicBool,
     ordered_commit_timeout: Duration,
     metrics: Arc<MetricsRegistry>,
@@ -194,7 +167,6 @@ impl Database {
                 wal: WalWriter::with_metrics(Arc::clone(&device), Arc::clone(&config.metrics)),
                 device,
                 sync_mode: Mutex::new(config.sync_mode),
-                counters: Mutex::new(Counters::default()),
                 crashed: AtomicBool::new(false),
                 ordered_commit_timeout: config.ordered_commit_timeout,
                 metrics: config.metrics,
@@ -377,20 +349,6 @@ impl Database {
     #[must_use]
     pub fn sync_mode(&self) -> SyncMode {
         *self.shared.sync_mode.lock()
-    }
-
-    /// Current engine statistics.
-    #[must_use]
-    pub fn stats(&self) -> EngineStats {
-        let counters = self.shared.counters.lock();
-        EngineStats {
-            commits: counters.commits,
-            read_only_commits: counters.read_only_commits,
-            aborts: counters.aborts,
-            deadlocks: counters.deadlocks,
-            version: self.version(),
-            wal: self.shared.wal.device_stats(),
-        }
     }
 
     /// The log device backing this engine (shared for crash simulation and
@@ -831,7 +789,7 @@ impl Database {
         match acquired {
             Ok(()) => Ok(()),
             Err(Error::Deadlock { tx }) => {
-                self.shared.counters.lock().deadlocks += 1;
+                self.shared.metrics.incr(CounterId::Deadlocks);
                 Err(Error::Deadlock { tx })
             }
             Err(e) => Err(e),
@@ -918,7 +876,6 @@ impl Database {
             if tx.is_active() {
                 tx.state = TxState::Aborted;
                 tx.write_buffer.clear();
-                self.shared.counters.lock().aborts += 1;
             }
         }
         drop(txns);
@@ -959,7 +916,6 @@ impl Database {
                 Ok(())
             })?;
             self.shared.locks.release_all(id, true);
-            self.shared.counters.lock().read_only_commits += 1;
             return Ok(None);
         }
         // First-committer-wins validation against committed state.
@@ -1019,7 +975,6 @@ impl Database {
         })
         .ok();
         self.shared.locks.release_all(id, true);
-        self.shared.counters.lock().commits += 1;
     }
 
     /// Standalone commit: the engine assigns the next version itself and
@@ -1420,8 +1375,6 @@ mod tests {
         assert_eq!(v, Version(1));
         assert_eq!(db.version(), Version(1));
         assert_eq!(balance(&db, t, 1), 100);
-        let stats = db.stats();
-        assert_eq!(stats.commits, 1);
     }
 
     #[test]
@@ -1431,8 +1384,8 @@ mod tests {
         assert!(tx.read(t, 1).unwrap().is_none());
         tx.commit().unwrap();
         assert_eq!(db.version(), Version::ZERO);
-        assert_eq!(db.stats().read_only_commits, 1);
-        assert_eq!(db.stats().wal.fsyncs, 0, "read-only commits never fsync");
+        let fsyncs = db.log_device().stats().fsyncs;
+        assert_eq!(fsyncs, 0, "read-only commits never fsync");
     }
 
     #[test]
@@ -1490,7 +1443,6 @@ mod tests {
             ));
         }
         assert_eq!(balance(&db, t, 1), 10);
-        assert!(db.stats().aborts >= 1);
     }
 
     #[test]
@@ -1552,7 +1504,6 @@ mod tests {
             other => panic!("expected update, got {other:?}"),
         }
         tx.abort();
-        assert_eq!(db.stats().aborts, 1);
     }
 
     #[test]
@@ -1612,9 +1563,7 @@ mod tests {
         }
         // Group commit: fewer fsyncs than commits is possible (not asserted
         // strictly because timing-dependent), but every commit is durable.
-        let stats = db.stats();
-        assert_eq!(stats.commits, 4);
-        assert!(stats.wal.fsyncs <= 4);
+        assert!(db.log_device().stats().fsyncs <= 4);
     }
 
     #[test]
@@ -1687,9 +1636,8 @@ mod tests {
             tx.insert(t, i, vec![("x".into(), Value::Int(i))]).unwrap();
             tx.commit().unwrap();
         }
-        let stats = db.stats();
-        assert_eq!(stats.commits, 10);
-        assert_eq!(stats.wal.fsyncs, 0);
+        assert_eq!(db.version(), Version(10));
+        assert_eq!(db.log_device().stats().fsyncs, 0);
         // The WAL content exists but is volatile: a crash loses it.
         db.crash();
         let recovered =
@@ -1779,7 +1727,6 @@ mod tests {
             // Dropped without commit.
         }
         assert!(db.read_latest(t, 1).is_none());
-        assert_eq!(db.stats().aborts, 1);
         // The lock was released: a new writer can proceed.
         let tx = db.begin();
         tx.insert(t, 1, vec![("balance".into(), Value::Int(2))])

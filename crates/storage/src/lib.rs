@@ -79,7 +79,7 @@ pub mod wal;
 pub use checkpoint::{CheckpointStore, SealedCheckpoint};
 pub use disk::{DiskStats, LogDevice, SimulatedDisk};
 pub use dump::DatabaseDump;
-pub use engine::{Database, EngineConfig, EngineStats, TxHandle};
+pub use engine::{Database, EngineConfig, TxHandle};
 pub use row::Row;
 pub use schema::TableSchema;
 pub use wal::{WalRecord, WalWriter};

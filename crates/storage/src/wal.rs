@@ -40,7 +40,7 @@ use tashkent_common::{
 };
 
 use crate::codec;
-use crate::disk::{wait_until, DiskStats, Flush, LogDevice};
+use crate::disk::{wait_until, Flush, LogDevice};
 
 /// One record of the write-ahead log.
 #[derive(Debug, Clone, PartialEq)]
@@ -316,12 +316,6 @@ impl WalWriter {
     #[must_use]
     pub fn durable_lsn(&self) -> u64 {
         self.device.durable_len()
-    }
-
-    /// Statistics of the underlying device.
-    #[must_use]
-    pub fn device_stats(&self) -> DiskStats {
-        self.device.stats()
     }
 
     /// Reads back every record currently *durable* on the device.

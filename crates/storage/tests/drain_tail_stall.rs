@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use tashkent_common::{TableId, Value, Version, WriteItem, WriteSet};
+use tashkent_common::{CounterId, MetricsRegistry, TableId, Value, Version, WriteItem, WriteSet};
 use tashkent_storage::{Database, EngineConfig};
 
 fn update(table: TableId, key: i64, value: i64) -> WriteSet {
@@ -37,13 +37,18 @@ fn update(table: TableId, key: i64, value: i64) -> WriteSet {
     )])
 }
 
-fn seeded_db() -> (Arc<Database>, TableId) {
-    let db = Database::new(EngineConfig::default());
+/// A database at version 1 and the registry it counts deadlocks into.
+fn seeded_db() -> (Arc<Database>, TableId, Arc<MetricsRegistry>) {
+    let metrics = Arc::new(MetricsRegistry::enabled());
+    let db = Database::new(EngineConfig {
+        metrics: Arc::clone(&metrics),
+        ..EngineConfig::default()
+    });
     let t = db.create_table("t", &["x"]);
     let tx = db.begin();
     tx.insert(t, 1, vec![("x".into(), Value::Int(0))]).unwrap();
     tx.commit().unwrap(); // version 1
-    (Arc::new(db), t)
+    (Arc::new(db), t, metrics)
 }
 
 /// The exact two-apply interleaving of the stall: the later-ordered apply
@@ -55,7 +60,7 @@ fn seeded_db() -> (Arc<Database>, TableId) {
 /// later retries behind it.
 #[test]
 fn later_ordered_apply_yields_the_row_to_its_predecessor() {
-    let (db, t) = seeded_db();
+    let (db, t, metrics) = seeded_db();
     let started = Instant::now();
 
     let later = {
@@ -80,7 +85,7 @@ fn later_ordered_apply_yields_the_row_to_its_predecessor() {
         "drain-tail schedule took {:?}",
         started.elapsed()
     );
-    assert_eq!(db.stats().deadlocks, 0);
+    assert_eq!(metrics.counter(CounterId::Deadlocks), 0);
     assert_eq!(db.version(), Version(3));
     // The announce order won: the row carries the later apply's image.
     let row = db.read_latest(t, 1).unwrap();
@@ -94,7 +99,7 @@ fn later_ordered_apply_yields_the_row_to_its_predecessor() {
 /// a single presumed-deadlock abort.
 #[test]
 fn reversed_apply_chain_drains_without_deadlock_beats() {
-    let (db, t) = seeded_db();
+    let (db, t, metrics) = seeded_db();
     let started = Instant::now();
 
     let mut handles = Vec::new();
@@ -120,7 +125,7 @@ fn reversed_apply_chain_drains_without_deadlock_beats() {
         "reversed chain took {:?}",
         started.elapsed()
     );
-    assert_eq!(db.stats().deadlocks, 0);
+    assert_eq!(metrics.counter(CounterId::Deadlocks), 0);
     assert_eq!(db.version(), Version(4));
     let row = db.read_latest(t, 1).unwrap();
     assert_eq!(row.get("x"), Some(&Value::Int(30)));
@@ -132,7 +137,7 @@ fn reversed_apply_chain_drains_without_deadlock_beats() {
 /// would livelock the chain.
 #[test]
 fn earlier_ordered_holder_is_waited_out_not_wounded() {
-    let (db, t) = seeded_db();
+    let (db, t, metrics) = seeded_db();
 
     // Order 1 starts first and holds the row briefly (it announces
     // immediately: announce_counter is 0, its turn).  Order 2 must wait,
@@ -141,7 +146,7 @@ fn earlier_ordered_holder_is_waited_out_not_wounded() {
     assert_eq!(r1.unwrap(), Version(2));
     let r2 = db.apply_writeset_ordered(&update(t, 1, 20), Version(3), 2);
     assert_eq!(r2.unwrap(), Version(3));
-    assert_eq!(db.stats().deadlocks, 0);
+    assert_eq!(metrics.counter(CounterId::Deadlocks), 0);
     let row = db.read_latest(t, 1).unwrap();
     assert_eq!(row.get("x"), Some(&Value::Int(20)));
 }

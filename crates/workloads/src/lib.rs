@@ -67,7 +67,6 @@ pub fn run_tpcw_cluster(quick: bool) -> String {
             for &replicas in replica_counts {
                 let mut config = ClusterConfig::small(system);
                 config.replicas = replicas;
-                config.clients_per_replica = 3;
                 let cluster = Arc::new(Cluster::new(config).expect("valid configuration"));
                 let workload = make_workload();
                 workload.setup(&cluster);
@@ -114,9 +113,7 @@ pub fn run_timeline(quick: bool) -> String {
     } else {
         Duration::from_millis(500)
     };
-    let mut config = ClusterConfig::small(SystemKind::TashkentApi);
-    config.replicas = 2;
-    config.clients_per_replica = 3;
+    let config = ClusterConfig::small(SystemKind::TashkentApi);
     let cluster = Arc::new(Cluster::new(config).expect("valid configuration"));
     let workload: Arc<dyn Workload> = Arc::new(TpcB {
         branches: 4,

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use tashkent::{Cluster, ClusterConfig, SystemKind, Value};
+use tashkent::{Cluster, ClusterConfig, CounterId, SystemKind, Value};
 
 fn main() {
     // A 3-replica Tashkent-MW cluster: durability lives in the certifier's
@@ -72,14 +72,12 @@ fn main() {
         tx.commit().unwrap();
     }
 
-    let stats = cluster.stats();
+    let snapshot = cluster.metrics_snapshot();
+    let log = cluster.certifier().stats();
     println!(
-        "cluster committed {} update transactions, certifier logged {} writesets ({} per fsync)",
-        stats.update_commits,
-        stats.certifier.as_ref().map_or(0, |c| c.log.entries),
-        stats
-            .certifier
-            .as_ref()
-            .map_or(0.0, |c| c.log.leader_group_commit.mean_group_size()),
+        "cluster committed {} transactions, certifier logged {} writesets ({} per fsync)",
+        snapshot.counter(CounterId::TxCommitted),
+        snapshot.counter(CounterId::DurableAppends),
+        log.leader_group_commit.mean_group_size(),
     );
 }

@@ -2,7 +2,7 @@
 //! in-process cluster and compares throughput, abort behaviour and fsync
 //! counts — a functional miniature of the paper's Section 9.3 comparison.
 //! A second sweep re-runs Tashkent-API with the certifier partitioned into
-//! 1 / 2 / 4 shards (PR 4): every update still funnels through
+//! 1 / 2 / 4 shards: every update still funnels through
 //! certification, so end-to-end TPC-B throughput is the system-level check
 //! that sharding costs nothing on an unpartitionable workload.
 //!
@@ -102,16 +102,11 @@ fn main() {
     );
     let mut breakdowns = Vec::new();
     for system in SystemKind::ALL {
-        let mut config = ClusterConfig::small(system);
-        config.replicas = 2;
-        config.clients_per_replica = 4;
-        let (cluster, report, samples) = run_tpcb(config);
+        let (cluster, report, samples) = run_tpcb(ClusterConfig::small(system));
 
-        let replica_fsyncs = cluster.replica(0).database().stats().wal.fsyncs;
-        let certifier_group = cluster
-            .stats()
-            .certifier
-            .map_or(0.0, |c| c.log.leader_group_commit.mean_group_size());
+        let replica_fsyncs = cluster.replica(0).database().log_device().stats().fsyncs;
+        let log = cluster.certifier().stats();
+        let certifier_group = log.leader_group_commit.mean_group_size();
         println!(
             "{}{replica_fsyncs:>16}{certifier_group:>20.1}",
             report.table_row(system.label()),
@@ -142,11 +137,9 @@ fn main() {
     );
     for shards in [1usize, 2, 4] {
         let mut config = ClusterConfig::small(SystemKind::TashkentApi);
-        config.replicas = 2;
-        config.clients_per_replica = 4;
         config.certifier_shards = shards;
         let (cluster, report, samples) = run_tpcb(config);
-        let stats = cluster.certifier().stats();
+        let snapshot = cluster.metrics_snapshot();
         // Commits per second of *measurement window*: `DriverReport::elapsed`
         // also counts the shutdown join of in-flight transactions (long for
         // Tashkent-API pipelines, and equally so with one shard), which
@@ -157,8 +150,8 @@ fn main() {
         println!(
             "{}{window_tput:>14.0}{:>14}{:>18}",
             report.table_row(&label),
-            stats.commits,
-            stats.multi_shard_commits,
+            snapshot.counter(CounterId::CertifyCommits),
+            snapshot.counter(CounterId::MultiShardCommits),
         );
         print_timeline(&label, &samples);
     }
@@ -167,7 +160,7 @@ fn main() {
         "TPC-B transactions span four tables, so most writesets certify on\n\
          several shards (the ordered two-phase path); end-to-end throughput\n\
          staying level shows cross-shard commit ordering is off the critical\n\
-         path.  The sharded_certification micro-bench shows the partitionable\n\
-         (AllUpdates) case where per-shard intersection scales."
+         path.  The benchmark's certifier.certify_1shard_us and\n\
+         certify_4shard_us drills time one certification at each count."
     );
 }

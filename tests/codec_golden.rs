@@ -8,7 +8,9 @@
 
 mod codec_formats;
 
-use codec_formats::{decode, encode, samples};
+use codec_formats::{decode, encode, samples, Decoded};
+use tashkent_common::metrics::COUNTER_COUNT;
+use tashkent_common::CounterId;
 
 #[test]
 fn every_format_and_message_variant_has_a_sample() {
@@ -48,5 +50,21 @@ fn every_sample_re_encodes_byte_for_byte() {
             .unwrap_or_else(|e| panic!("{name}: {e}"))
             .unwrap_or_else(|| panic!("{name}: no complete frame"));
         assert_eq!(encode(&decoded), bytes, "{name} re-encodes differently");
+    }
+}
+
+/// Counters are only ever appended, so a snapshot (bare or inside a bundle)
+/// written before the newest ones existed reads them as zero.
+#[test]
+fn snapshots_from_older_writers_read_newer_counters_as_zero() {
+    for (name, bytes) in samples() {
+        let snapshot = match decode(&name, &bytes).unwrap() {
+            Some(Decoded::Snapshot(snapshot)) => snapshot,
+            Some(Decoded::Bundle(bundle)) => bundle.snapshot,
+            _ => continue,
+        };
+        assert!(snapshot.counters.len() < COUNTER_COUNT, "{name}");
+        assert_eq!(snapshot.counter(CounterId::Deadlocks), 0, "{name}");
+        assert_eq!(snapshot.counter(CounterId::MultiShardCommits), 0, "{name}");
     }
 }

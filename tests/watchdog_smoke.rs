@@ -21,9 +21,7 @@ use tashkent_workloads::{run_driver, AllUpdates, DriverConfig, Workload};
 /// fsync heartbeat cannot appear at all.
 #[test]
 fn watchdog_stays_silent_under_healthy_load() {
-    let mut config = ClusterConfig::small(SystemKind::TashkentMw);
-    config.replicas = 2;
-    config.clients_per_replica = 2;
+    let config = ClusterConfig::small(SystemKind::TashkentMw);
     let cluster = Arc::new(Cluster::new(config).expect("valid configuration"));
     let workload: Arc<dyn Workload> = Arc::new(AllUpdates::default());
     workload.setup(&cluster);
