@@ -32,7 +32,7 @@ pub struct Slot<O> {
 }
 
 impl<O> Slot<O> {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Slot {
             outcome: Mutex::new(None),
             ready: Condvar::new(),
@@ -45,7 +45,8 @@ impl<O> Slot<O> {
         self.ready.notify_all();
     }
 
-    fn wait(&self) -> O {
+    /// Blocks until the outcome is delivered, and takes it.
+    pub(crate) fn wait(&self) -> O {
         let mut guard = self.outcome.lock();
         loop {
             if let Some(outcome) = guard.take() {

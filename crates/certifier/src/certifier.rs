@@ -31,18 +31,18 @@
 //! shard is a real one, and every real one is found on the shared item's
 //! shard.
 //!
-//! # Certification paths
+//! # Certification
 //!
-//! * **Direct ordered two-phase certify**: acquire every owning shard's log
-//!   in ascending shard-id order, decide under the sequencer, append,
-//!   release.  The global acquisition order makes concurrent multi-shard
-//!   certifications deadlock-free.  Multi-shard writesets always take it;
-//!   so does everything when batching is off or forced aborts are on.
-//! * **Per-shard two-phase epoch**: single-shard writesets drain through the
-//!   shard's [`EpochQueue`] and are certified a batch at a time under one
-//!   shard-log lock, one sequencer acquisition and one grouped majority
-//!   fsync, with decisions identical to the direct path taken one request
-//!   at a time in arrival order.
+//! One procedure decides every request: a two-phase *epoch* over the
+//! request's owning shards.  Phase 1 locks every owning shard's log in
+//! ascending shard-id order (the global acquisition order that keeps
+//! concurrent certifications deadlock-free) and decides each request in
+//! arrival order; phase 2 takes the sequencer once, assigns versions and
+//! appends, and one grouped majority fsync on the home shard makes the
+//! epoch durable.  With batching on, single-shard requests wait in their
+//! shard's [`EpochQueue`] so one leader decides many at a time; everything
+//! else is decided on the caller's thread as an epoch of one.  Decisions
+//! are those of the requests taken one at a time in arrival order.
 //!
 //! # Version streams
 //!
@@ -50,8 +50,8 @@
 //! transaction holds its shard locks and the sequencer lock, so a reader
 //! that samples `system_version` *first* and the per-shard streams
 //! *afterwards* observes every commit at or below the sampled version —
-//! [`merge_shard_streams`] exploits this to reassemble a gap-free global
-//! stream from per-shard streams.
+//! the stream merge exploits this to reassemble a gap-free global stream
+//! from per-shard streams.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -134,12 +134,10 @@ pub struct CertifierConfig {
     /// Cluster metrics registry this certifier reports into.  Standalone
     /// certifiers default to a disabled (no-op) registry.
     pub metrics: Arc<MetricsRegistry>,
-    /// Whether single-shard requests drain through per-shard epochs with a
-    /// footprint pre-screen (the default) or take the direct path one at a
-    /// time.  Decisions are identical either way.  The direct path stays
-    /// because it is the reference the equivalence suites compare epochs
-    /// against, and because multi-shard and forced-abort requests always
-    /// take it.
+    /// Whether single-shard requests wait in their shard's epoch queue, so
+    /// one leader decides many at a time (the default), or are each decided
+    /// on the caller's thread as an epoch of one.  The decision procedure
+    /// and the decisions are the same either way.
     pub batch: bool,
 }
 
@@ -284,25 +282,18 @@ struct Shard {
     checkpoints: CheckpointStore,
 }
 
-/// The global sequencer: version counter and forced-abort randomness.
-struct Sequencer {
-    version: Version,
-    rng: StdRng,
-}
-
 /// The certifier component shared by every replica proxy in a cluster.
 pub struct Certifier {
     map: ShardMap,
     shards: Vec<Shard>,
-    sequencer: Mutex<Sequencer>,
+    /// The global sequencer: the cluster-wide commit-version counter.
+    sequencer: Mutex<Version>,
     forced_abort_rate: f64,
+    /// Forced-abort randomness, drawn once per request that survives every
+    /// conflict check.
+    rng: Mutex<StdRng>,
     metrics: Arc<MetricsRegistry>,
-    /// One epoch queue per shard when batched certification is enabled and
-    /// no forced aborts are configured.  The epoch checks each request
-    /// against *tentatively* accepted neighbours before any version is
-    /// assigned, which is only final when no later draw can kill one of
-    /// them; with forced aborts every request takes the direct path, which
-    /// draws once per surviving request under the sequencer.
+    /// One epoch queue per shard when batched certification is enabled.
     batchers: Option<Vec<EpochQueue<CertificationRequest, Result<Decided>>>>,
     /// Cache of [`Certifier::truncation_floor`], refreshed whenever a
     /// truncation moves a shard floor.  Certification reads this instead of
@@ -346,13 +337,12 @@ impl Certifier {
                     checkpoints: CheckpointStore::new(),
                 })
                 .collect(),
-            sequencer: Mutex::new(Sequencer {
-                version: Version::ZERO,
-                rng: StdRng::seed_from_u64(base.seed),
-            }),
+            sequencer: Mutex::new(Version::ZERO),
             forced_abort_rate,
+            rng: Mutex::new(StdRng::seed_from_u64(base.seed)),
             metrics: base.metrics,
-            batchers: (base.batch && forced_abort_rate <= 0.0)
+            batchers: base
+                .batch
                 .then(|| (0..shards).map(|_| EpochQueue::new()).collect()),
             floor_cache: AtomicU64::new(0),
         }
@@ -373,7 +363,7 @@ impl Certifier {
     /// The global system version (number of committed update transactions).
     #[must_use]
     pub fn system_version(&self) -> Version {
-        self.sequencer.lock().version
+        *self.sequencer.lock()
     }
 
     /// `true` if every shard's replicated group has a majority up.
@@ -550,182 +540,66 @@ impl Certifier {
         let _inflight = self.metrics.gauge_guard(GaugeId::CertifierInflight);
         self.metrics.incr(CounterId::CertifyRequests);
 
-        // Single-shard writesets ride the shard's epoch queue when batching
-        // is enabled.  Multi-shard writesets keep the direct path below
-        // (they must hold several shard locks at once, which an epoch leader
-        // — holding exactly one — cannot interleave with).
-        if let (Some(batchers), &[shard]) = (&self.batchers, owning.as_slice()) {
-            let decided = batchers[shard.index()]
-                .submit(request.clone(), |epoch| self.process_shard_epoch(shard, epoch))?;
-            // The remote-stream gather runs on the submitting thread, bounded
-            // by the decision-time version — identical to the direct path's
-            // bound.
-            return Ok(CertificationResponse {
-                remote_writesets: self
-                    .remote_writesets_between(request.replica_version, decided.remote_bound()),
-                decision: decided.decision,
-                commit_version: decided.commit_version,
-                system_version: decided.system_version,
-            });
-        }
-
-        // Phase 1 (acquire): lock every owning shard in ascending shard-id
-        // order — `ShardMap::shards_of` returns them sorted, the global
-        // acquisition order that keeps concurrent certifications
-        // deadlock-free.
-        let mut guards: Vec<MutexGuard<'_, CertifierLog>> = owning
-            .iter()
-            .map(|s| self.shards[s.index()].log.lock())
-            .collect();
-
-        // A snapshot below an owning shard's truncation floor can no longer
-        // be certified there — part of the suffix it must be checked against
-        // is gone.  Checked under the shard guards (truncation takes the
-        // same locks), and answered with a conservative, retryable abort.
-        let floor = guards.iter().map(|log| log.floor()).max().unwrap_or_default();
-        let floored = request.start_version < floor;
-
-        // Intersection test against every owning shard's log suffix.  The
-        // oldest conflicting version across shards matches a single log's
-        // forward scan.
-        let conflict = guards
-            .iter()
-            .filter_map(|log| log.conflict_after(&request.writeset, request.start_version))
-            .min();
-
-        // Prepare the (probable) commit's log entry — writeset clone and
-        // footprint hashing — *before* the global sequencer lock, so the
-        // cluster-wide serialization point stays as short as version
-        // assignment plus per-shard Vec pushes.  Wasted only on forced
-        // aborts, which are an experiment knob.
-        let commit_material = (conflict.is_none() && !floored).then(|| {
-            let writeset = Arc::new(request.writeset.clone());
-            let footprint = Arc::new(writeset.footprint());
-            (writeset, footprint)
-        });
-
-        // Decide under the sequencer lock (never acquire a shard lock while
-        // holding it — the sequencer is the innermost lock).
-        let mut sequencer = self.sequencer.lock();
-        let decision = if floored {
-            Some(CertificationDecision::below_floor(request.start_version, floor))
-        } else if let Some(conflict_version) = conflict {
-            Some(CertificationDecision::conflict(conflict_version))
-        } else if self.forced_abort_rate > 0.0
-            && sequencer.rng.gen::<f64>() < self.forced_abort_rate
-        {
-            Some(CertificationDecision::Abort {
-                reason: "forced abort (experiment)".into(),
-                forced: true,
-            })
-        } else {
-            None
-        };
-        if let Some(decision) = decision {
-            let system_version = sequencer.version;
-            drop(sequencer);
-            drop(guards);
-            self.note_abort(owning[0]);
-            return Ok(CertificationResponse {
-                decision,
-                commit_version: None,
-                remote_writesets: self
-                    .remote_writesets_between(request.replica_version, system_version),
-                system_version,
-            });
-        }
-
-        // Commit: assign the next global version and append the full
-        // writeset to every owning shard's log.  The version advance and the
-        // appends happen inside one sequencer critical section while the
-        // shard guards are held — the invariant the stream merge relies on.
-        let commit_version = sequencer.version.next();
-        sequencer.version = commit_version;
-        let (writeset, footprint) = commit_material.expect("commit implies no conflict");
-        for log in &mut guards {
-            log.append_at_with_footprint(
-                commit_version,
-                Arc::clone(&writeset),
-                Arc::clone(&footprint),
-                request.start_version,
-            );
-        }
-        drop(sequencer);
-        drop(guards);
-
-        // Make the decision durable before announcing it — on the writeset's
-        // *home shard* (its lowest owning shard id) only.  One majority fsync
-        // per commit; what sharding adds is that different home shards
-        // group-commit on independent disks.  Every commit is durable in
-        // exactly one shard group's majority, so the union of the shard
-        // groups' durable logs is the full certified history.
-        let home = owning[0];
-        let durable_started = self.metrics.is_enabled().then(Instant::now);
-        self.shards[home.index()]
-            .replicated
-            .append(commit_version, &request.writeset)?;
-        if let Some(started) = durable_started {
-            self.metrics.record_stage(Stage::Durable, started.elapsed());
-        }
-        self.note_commit(home, commit_version);
-        if owning.len() > 1 {
-            self.metrics.incr(CounterId::MultiShardCommits);
-        }
-
+        // Single-shard requests wait in their shard's epoch queue when
+        // batching is on; everything else is decided here as an epoch of
+        // one.  The same decision function runs either way.
+        let decided = match (&self.batchers, owning.as_slice()) {
+            (Some(batchers), &[shard]) => batchers[shard.index()]
+                .submit(request.clone(), |epoch| self.certify_epoch(&[shard], epoch)),
+            _ => {
+                let slot = Arc::new(Slot::new());
+                self.certify_epoch(&owning, vec![(request.clone(), Arc::clone(&slot))]);
+                slot.wait()
+            }
+        }?;
+        // The remote-stream gather runs on the submitting thread, bounded by
+        // the decision-time version.  The bound must not be re-sampled: a
+        // commit landing after ours would enter the stream while our own
+        // version is excluded, and a proxy applying that stream would
+        // advance past its own commit without ever applying it.
         Ok(CertificationResponse {
-            decision: CertificationDecision::Commit,
-            commit_version: Some(commit_version),
-            // Bounded at the version *below* the transaction's own commit.
-            // The bound must NOT be re-sampled here: a commit that lands
-            // after ours would enter the stream while our own version is
-            // excluded, and a proxy applying that stream would advance past
-            // its own commit without ever applying it (the certifier never
-            // resends versions at or below a replica's reported version).
             remote_writesets: self
-                .remote_writesets_between(request.replica_version, commit_version.prev()),
-            system_version: commit_version,
+                .remote_writesets_between(request.replica_version, decided.remote_bound()),
+            decision: decided.decision,
+            commit_version: decided.commit_version,
+            system_version: decided.system_version,
         })
     }
 
-    /// Certifies one drained epoch of single-shard requests owned by
-    /// `shard`, in arrival order — the per-shard epoch leader's body:
+    /// Decides one epoch of requests owned by `owning` (ascending shard
+    /// ids), in arrival order, and fills every request's slot:
     ///
-    /// * **Phase 1** (shard lock only): per request, in arrival order,
-    ///   decide a verdict — conservative floor abort, conflict against the
-    ///   shard log (pre-screened), conflict against an *earlier accepted
-    ///   epoch entry*, or clean.  Without forced aborts a clean verdict is
-    ///   final, so the intra-epoch check against tentatively accepted
-    ///   entries is sound — and complete, because an accepted entry's commit
-    ///   version always exceeds any well-formed snapshot (snapshots never
-    ///   run ahead of the system version the sequencer has published).
+    /// * **Phase 1** (every owning shard log, locked in ascending shard-id
+    ///   order): per request, decide a verdict — conservative abort below
+    ///   the highest owning floor, conflict against the owning logs
+    ///   (pre-screened; the oldest conflict across shards), conflict
+    ///   against an *earlier accepted epoch entry*, the forced-abort draw,
+    ///   or accepted.  The draw comes last, so an accepted entry is final
+    ///   and the check against accepted entries is sound — and complete,
+    ///   because an accepted entry's commit version always exceeds any
+    ///   well-formed snapshot (snapshots never run ahead of the system
+    ///   version the sequencer has published).
     /// * **Phase 2** (sequencer, taken **once**): walk the verdicts in
-    ///   arrival order, assigning dense versions to the clean entries and
-    ///   appending them to the shard log inside the single critical section
-    ///   — preserving the stream-merge invariant — while aborts capture the
-    ///   system version at their position.
+    ///   arrival order, assigning dense versions to the accepted entries and
+    ///   appending them to every owning log inside the single critical
+    ///   section — preserving the stream-merge invariant — while aborts
+    ///   capture the system version at their position.  One grouped
+    ///   majority append on the home shard (`owning[0]`) then makes the
+    ///   commits durable before any commit slot fills.
     ///
-    /// The decisions are exactly those of the direct path applied to the
-    /// epoch one request at a time: phase 1 sees the same conflicts (log
-    /// conflicts are older than every epoch commit, so "first conflict"
-    /// agrees), and phase 2 assigns the same versions.  The epoch's wins are
-    /// one shard-lock and one sequencer acquisition, a footprint pre-screen
-    /// that lets provably conflict-free writesets skip the suffix scan, and
-    /// one grouped majority fsync on the shard's durable log.
-    fn process_shard_epoch(
-        &self,
-        shard: ShardId,
-        epoch: Vec<(CertificationRequest, DecisionSlot)>,
-    ) {
+    /// The decisions are exactly those of the requests taken one at a time
+    /// in arrival order: log conflicts are older than every epoch commit, so
+    /// "oldest conflict" agrees, and phase 2 assigns the same versions.
+    fn certify_epoch(&self, owning: &[ShardId], epoch: Vec<(CertificationRequest, DecisionSlot)>) {
         enum Verdict {
-            /// Abort whose reason is fully known in phase 1 (below-floor or
-            /// shard-log conflict).
+            /// Abort whose reason is fully known in phase 1.
             Abort(CertificationDecision),
             /// Conflicts with the accepted epoch entry at this index; the
             /// reason needs that entry's commit version, assigned in
             /// phase 2.
             EpochConflict(usize),
             /// Accepted: commits as `accepted[index]`.
-            Clean(usize),
+            Accepted(usize),
         }
 
         let epoch_len = epoch.len() as u64;
@@ -733,39 +607,39 @@ impl Certifier {
         let mut accepted: Vec<Material> = Vec::with_capacity(epoch.len());
         let mut staged: Vec<(Verdict, DecisionSlot)> = Vec::with_capacity(epoch.len());
 
-        let mut log = self.shards[shard.index()].log.lock();
+        let mut logs: Vec<MutexGuard<'_, CertifierLog>> = owning
+            .iter()
+            .map(|s| self.shards[s.index()].log.lock())
+            .collect();
+        // Floors only move under the shard guards held here.
+        let floor = logs.iter().map(|log| log.floor()).max().unwrap_or_default();
         for (request, slot) in epoch {
-            let verdict = if request.start_version < log.floor() {
-                Verdict::Abort(CertificationDecision::below_floor(
-                    request.start_version,
-                    log.floor(),
-                ))
+            let verdict = if request.start_version < floor {
+                Verdict::Abort(CertificationDecision::below_floor(request.start_version, floor))
+            } else if let Some(conflict_version) = self.log_conflict(&logs, &request) {
+                Verdict::Abort(CertificationDecision::conflict(conflict_version))
+            } else if let Some(index) = accepted.iter().position(|(_, footprint, _)| {
+                request.writeset.conflicts_with_footprint(footprint)
+            }) {
+                Verdict::EpochConflict(index)
+            } else if self.forced_abort_rate > 0.0
+                && self.rng.lock().gen::<f64>() < self.forced_abort_rate
+            {
+                Verdict::Abort(CertificationDecision::Abort {
+                    reason: "forced abort (experiment)".into(),
+                    forced: true,
+                })
             } else {
-                let log_conflict = if log.prescreen_clear(&request.writeset, request.start_version)
-                {
-                    self.metrics.incr(CounterId::PrescreenHits);
-                    None
-                } else {
-                    self.metrics.incr(CounterId::PrescreenMisses);
-                    log.conflict_after(&request.writeset, request.start_version)
-                };
-                if let Some(conflict_version) = log_conflict {
-                    Verdict::Abort(CertificationDecision::conflict(conflict_version))
-                } else if let Some(index) = accepted.iter().position(|(_, footprint, _)| {
-                    request.writeset.conflicts_with_footprint(footprint)
-                }) {
-                    Verdict::EpochConflict(index)
-                } else {
-                    let writeset = Arc::new(request.writeset);
-                    let footprint = Arc::new(writeset.footprint());
-                    accepted.push((writeset, footprint, request.start_version));
-                    Verdict::Clean(accepted.len() - 1)
-                }
+                let writeset = Arc::new(request.writeset);
+                let footprint = Arc::new(writeset.footprint());
+                accepted.push((writeset, footprint, request.start_version));
+                Verdict::Accepted(accepted.len() - 1)
             };
             staged.push((verdict, slot));
         }
 
-        // Phase 2: one sequencer critical section for the whole epoch.
+        // Phase 2: one sequencer critical section for the whole epoch (the
+        // sequencer is the innermost lock: no shard lock is taken under it).
         // `commit_versions[j]` is always assigned before any
         // `EpochConflict(j)` reads it, because `accepted[j]` precedes the
         // conflicting request in arrival order.
@@ -776,40 +650,41 @@ impl Certifier {
         let mut sequencer = self.sequencer.lock();
         for (verdict, slot) in staged {
             match verdict {
-                Verdict::Clean(index) => {
-                    let commit_version = sequencer.version.next();
-                    sequencer.version = commit_version;
+                Verdict::Accepted(index) => {
+                    let commit_version = sequencer.next();
+                    *sequencer = commit_version;
                     let (writeset, footprint, start_version) = &accepted[index];
-                    log.append_at_with_footprint(
-                        commit_version,
-                        Arc::clone(writeset),
-                        Arc::clone(footprint),
-                        *start_version,
-                    );
+                    for log in &mut logs {
+                        log.append_at_with_footprint(
+                            commit_version,
+                            Arc::clone(writeset),
+                            Arc::clone(footprint),
+                            *start_version,
+                        );
+                    }
                     commit_versions.push(commit_version);
                     commits.push((commit_version, Arc::clone(writeset), slot));
                 }
-                Verdict::Abort(decision) => {
-                    aborts.push((decision, sequencer.version, slot));
-                }
+                Verdict::Abort(decision) => aborts.push((decision, *sequencer, slot)),
                 Verdict::EpochConflict(index) => {
                     let decision = CertificationDecision::conflict(commit_versions[index]);
-                    aborts.push((decision, sequencer.version, slot));
+                    aborts.push((decision, *sequencer, slot));
                 }
             }
         }
         drop(sequencer);
-        drop(log);
+        drop(logs);
 
+        let home = owning[0];
         self.metrics.add(CounterId::CertifyBatchSize, epoch_len);
         self.metrics.emit(
             Event::new(Component::Certifier, EventKind::CertifyBatch)
                 .version(epoch_len)
-                .shard(shard.index()),
+                .shard(home.index()),
         );
 
         for (decision, system_version, slot) in aborts {
-            self.note_abort(shard);
+            self.note_abort(home);
             slot.fill(Ok(Decided {
                 decision,
                 commit_version: None,
@@ -821,20 +696,25 @@ impl Certifier {
             return;
         }
         // Commit slots are filled only after the grouped durable append: the
-        // decision is never announced before it is durable.
+        // decision is never announced before it is durable.  Every commit
+        // is durable in exactly its home shard group's majority, so the
+        // union of the shard groups' durable logs is the full history.
         let group: Vec<(Version, Arc<WriteSet>)> = commits
             .iter()
             .map(|(version, writeset, _)| (*version, Arc::clone(writeset)))
             .collect();
         let durable_started = self.metrics.is_enabled().then(Instant::now);
-        let appended = self.shards[shard.index()].replicated.append_group(&group);
+        let appended = self.shards[home.index()].replicated.append_group(&group);
         if let (Ok(()), Some(started)) = (&appended, durable_started) {
             self.metrics.record_stage(Stage::Durable, started.elapsed());
         }
         for (commit_version, _, slot) in commits {
             match &appended {
                 Ok(()) => {
-                    self.note_commit(shard, commit_version);
+                    self.note_commit(home, commit_version);
+                    if owning.len() > 1 {
+                        self.metrics.incr(CounterId::MultiShardCommits);
+                    }
                     slot.fill(Ok(Decided {
                         decision: CertificationDecision::Commit,
                         commit_version: Some(commit_version),
@@ -849,6 +729,30 @@ impl Certifier {
         }
     }
 
+    /// The oldest conflict of `request` across the owning `logs`, behind the
+    /// footprint pre-screen.  One verdict is counted per request: a hit
+    /// means clear on every owning log, and only the logs that are not
+    /// clear are scanned.
+    fn log_conflict(
+        &self,
+        logs: &[MutexGuard<'_, CertifierLog>],
+        request: &CertificationRequest,
+    ) -> Option<Version> {
+        let (writeset, start_version) = (&request.writeset, request.start_version);
+        let mut unclear = logs
+            .iter()
+            .filter(|log| !log.prescreen_clear(writeset, start_version))
+            .peekable();
+        if unclear.peek().is_none() {
+            self.metrics.incr(CounterId::PrescreenHits);
+            return None;
+        }
+        self.metrics.incr(CounterId::PrescreenMisses);
+        unclear
+            .filter_map(|log| log.conflict_after(writeset, start_version))
+            .min()
+    }
+
     /// Seals a durable checkpoint of every shard's certified log.  Each
     /// shard's image holds its truncation floor plus its entries above it,
     /// and is stamped with the global system version sampled *before* the
@@ -856,7 +760,7 @@ impl Certifier {
     /// image but never claimed, so the stamp is always a safe lower bound.
     /// Returns the stamped version.
     pub fn seal_checkpoint(&self) -> Version {
-        let version = self.sequencer.lock().version;
+        let version = *self.sequencer.lock();
         for shard in &self.shards {
             let payload = {
                 let log = shard.log.lock();
@@ -943,13 +847,10 @@ impl Certifier {
     /// Per-shard version streams after `since` (exclusive): the fan-out half
     /// of update propagation.  Pair with [`merge_shard_streams`] bounded by
     /// a [`Certifier::system_version`] sampled **before** this call.
-    #[must_use]
-    pub fn shard_streams_after(&self, since: Version) -> Vec<ShardStream> {
+    pub(crate) fn shard_streams_after(&self, since: Version) -> Vec<ShardStream> {
         self.shards
             .iter()
-            .enumerate()
-            .map(|(index, shard)| ShardStream {
-                shard: ShardId(index as u32),
+            .map(|shard| ShardStream {
                 entries: stream_between(&mut shard.log.lock(), since, Version(u64::MAX)),
             })
             .collect()
@@ -964,7 +865,7 @@ impl Certifier {
         // Sample the bound BEFORE the streams: every commit at or below it
         // has finished its shard appends (they happened inside the sequencer
         // critical section that advanced the version).
-        let up_to = self.sequencer.lock().version;
+        let up_to = *self.sequencer.lock();
         self.remote_writesets_between(since, up_to)
     }
 

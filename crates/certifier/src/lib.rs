@@ -34,12 +34,11 @@
 //! * [`certifier`] — the [`certifier::Certifier`] used by proxies: its
 //!   request / response types and the one certification engine, N shards
 //!   (one by default) behind a global commit-version sequencer, each with
-//!   its own log, replicated durable log and checkpoints.  Certification
-//!   has two paths: the direct ordered two-phase certify and the per-shard
-//!   two-phase epoch.
-//! * [`sharded`] — [`sharded::ShardedCertifierConfig`] and the fan-in
-//!   ([`sharded::merge_shard_streams`]) that reassembles per-shard version
-//!   streams into the one totally-ordered stream replicas apply.
+//!   its own log, replicated durable log and checkpoints.  One two-phase
+//!   epoch over a request's owning shards decides every certification.
+//! * [`sharded`] — [`sharded::ShardedCertifierConfig`] and the fan-in that
+//!   reassembles per-shard version streams into the one totally-ordered
+//!   stream replicas apply.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,4 +56,4 @@ pub use certifier::{
 };
 pub use log::CertifierLog;
 pub use paxos::{CertifierNodeId, ReplicatedLog, ReplicatedLogStats};
-pub use sharded::{merge_shard_streams, ShardStream, ShardedCertifier, ShardedCertifierConfig};
+pub use sharded::{ShardedCertifier, ShardedCertifierConfig};

@@ -1,12 +1,12 @@
-//! Sharding configuration and the proxy-side fan-in of per-shard streams.
+//! Sharding configuration and the fan-in of per-shard streams.
 //!
 //! A [`Certifier`] built from a [`ShardedCertifierConfig`] partitions
 //! certification across N shards (see the [`certifier`](crate::certifier)
 //! module docs for the protocol); each shard produces its own slice of the
-//! global version stream ([`ShardStream`]), and [`merge_shard_streams`]
-//! reassembles the gap-free totally-ordered stream replicas apply.
+//! global version stream, and a merge by commit version reassembles the
+//! gap-free totally-ordered stream replicas apply.
 
-use tashkent_common::{ShardId, Version};
+use tashkent_common::Version;
 
 use crate::certifier::{Certifier, CertifierConfig, RemoteWriteSet};
 
@@ -47,13 +47,11 @@ pub type ShardedCertifier = Certifier;
 /// One shard's slice of the global version stream, as returned by
 /// [`Certifier::shard_streams_after`].
 #[derive(Debug, Clone)]
-pub struct ShardStream {
-    /// The shard the entries come from.
-    pub shard: ShardId,
+pub(crate) struct ShardStream {
     /// The shard's entries after the requested version, ascending.  A
     /// multi-shard writeset appears in the stream of every owning shard
     /// (with possibly different per-shard `conflict_free_to` bounds).
-    pub entries: Vec<RemoteWriteSet>,
+    pub(crate) entries: Vec<RemoteWriteSet>,
 }
 
 /// Merges per-shard version streams into one gap-free global stream.
@@ -68,7 +66,10 @@ pub struct ShardStream {
 /// This is the *fan-in*: above this merge the proxy's serial and concurrent
 /// apply pipelines see one stream, whatever the shard count.
 #[must_use]
-pub fn merge_shard_streams(streams: &[ShardStream], up_to: Version) -> Vec<RemoteWriteSet> {
+pub(crate) fn merge_shard_streams(
+    streams: &[ShardStream],
+    up_to: Version,
+) -> Vec<RemoteWriteSet> {
     let mut cursors: Vec<std::slice::Iter<'_, RemoteWriteSet>> =
         streams.iter().map(|s| s.entries.iter()).collect();
     let mut heads: Vec<Option<&RemoteWriteSet>> =
@@ -101,9 +102,12 @@ pub fn merge_shard_streams(streams: &[ShardStream], up_to: Version) -> Vec<Remot
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
+    use std::time::Duration;
 
     use tashkent_common::metrics::CounterId;
-    use tashkent_common::{Error, MetricsRegistry, ReplicaId, TableId, Value, WriteItem, WriteSet};
+    use tashkent_common::{
+        Error, MetricsRegistry, ReplicaId, ShardId, TableId, Value, WriteItem, WriteSet,
+    };
 
     use super::*;
     use crate::certifier::{CertificationDecision, CertificationRequest};
@@ -323,7 +327,6 @@ mod tests {
     fn merge_bounds_by_the_sampled_version() {
         let streams = vec![
             ShardStream {
-                shard: ShardId(0),
                 entries: vec![
                     RemoteWriteSet {
                         commit_version: Version(1),
@@ -338,7 +341,6 @@ mod tests {
                 ],
             },
             ShardStream {
-                shard: ShardId(1),
                 entries: vec![
                     RemoteWriteSet {
                         commit_version: Version(2),
@@ -404,6 +406,113 @@ mod tests {
             }
         });
         assert_eq!(certifier.system_version(), Version(800));
+    }
+
+    /// Multi-shard requests decided inline beside queued single-shard
+    /// epochs, with forced aborts drawn in both.  Workers wait on shard
+    /// locks and epoch slots without timeouts, so each reports over a
+    /// channel and the test counts the ones that did not within a deadline.
+    #[test]
+    fn concurrent_multi_shard_certifies_under_forced_aborts_keep_streams_exact() {
+        let metrics = Arc::new(MetricsRegistry::enabled());
+        let certifier = Arc::new(Certifier::new(ShardedCertifierConfig {
+            shards: 4,
+            base: CertifierConfig {
+                forced_abort_rate: 0.15,
+                metrics: Arc::clone(&metrics),
+                ..CertifierConfig::default()
+            },
+        }));
+        let (finished, reports) = std::sync::mpsc::channel();
+        let workers: Vec<_> = (0..4i64)
+            .map(|worker| {
+                let certifier = Arc::clone(&certifier);
+                let finished = finished.clone();
+                std::thread::spawn(move || {
+                    let mut commits = 0u64;
+                    for i in 0..200 {
+                        // Disjoint keys across workers and iterations; every
+                        // third writeset spans several shards.
+                        let first = worker * 1_000_000 + i * 10;
+                        let keys: Vec<i64> = if i % 3 == 0 {
+                            (first..first + 8).collect()
+                        } else {
+                            vec![first]
+                        };
+                        let replica_version = certifier.system_version();
+                        let response = certifier
+                            .certify(&CertificationRequest {
+                                replica: ReplicaId(worker as u32),
+                                start_version: replica_version,
+                                writeset: ws(&keys),
+                                replica_version,
+                            })
+                            .unwrap();
+                        // A commit's stream stops below its own version; an
+                        // abort's at the system version it was decided at.
+                        let bound = match (&response.decision, response.commit_version) {
+                            (CertificationDecision::Commit, Some(own)) => {
+                                commits += 1;
+                                own.prev()
+                            }
+                            (CertificationDecision::Abort { forced, .. }, None) => {
+                                assert!(forced, "disjoint keys abort only by force");
+                                response.system_version
+                            }
+                            other => panic!("inconsistent response {other:?}"),
+                        };
+                        let versions: Vec<u64> = response
+                            .remote_writesets
+                            .iter()
+                            .map(|r| r.commit_version.value())
+                            .collect();
+                        let expected: Vec<u64> =
+                            (replica_version.value() + 1..=bound.value()).collect();
+                        assert_eq!(versions, expected, "worker {worker} iteration {i}");
+                    }
+                    finished.send(commits).expect("the test is still listening");
+                })
+            })
+            .collect();
+        drop(finished);
+        let reported: Vec<u64> = (0..4)
+            .map_while(|_| reports.recv_timeout(Duration::from_secs(60)).ok())
+            .collect();
+        // A worker that failed an assertion surfaces its own panic here; one
+        // still stuck is left running and fails the count below.
+        for worker in workers.into_iter().filter(|w| w.is_finished()) {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        assert_eq!(reported.len(), 4, "workers stuck certifying");
+        let commits: u64 = reported.iter().sum();
+
+        // The final stream is the dense sequence of every commit.
+        assert_eq!(certifier.system_version(), Version(commits));
+        let stream: Vec<u64> = certifier
+            .writesets_after(Version::ZERO)
+            .iter()
+            .map(|r| r.commit_version.value())
+            .collect();
+        assert_eq!(stream, (1..=commits).collect::<Vec<u64>>());
+
+        let requests = metrics.counter(CounterId::CertifyRequests);
+        let aborts = metrics.counter(CounterId::CertifyAborts);
+        assert_eq!(requests, 800);
+        assert_eq!(metrics.counter(CounterId::CertifyCommits), commits);
+        assert_eq!(commits + aborts, requests);
+        assert!(
+            aborts > 0,
+            "a 15 % rate over 800 requests forces some aborts"
+        );
+        let screened =
+            metrics.counter(CounterId::PrescreenHits) + metrics.counter(CounterId::PrescreenMisses);
+        assert!(
+            screened <= requests,
+            "{screened} pre-screen verdicts for {requests} requests"
+        );
+        assert!(metrics.counter(CounterId::MultiShardCommits) > 0);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! The batched certifier's correctness anchors.
 //!
 //! 1. **Decision equivalence**: on any trace of certification requests the
-//!    batched, pre-screened per-shard epochs (`batch: true`, the default)
-//!    must be decision-for-decision identical to the direct path taken one
-//!    request at a time (`batch: false`) — same commit/abort decisions, same
+//!    queued per-shard epochs (`batch: true`, the default) must be
+//!    decision-for-decision identical to epochs of one decided on the
+//!    caller's thread (`batch: false`) — same commit/abort decisions, same
 //!    commit versions, same remote-writeset streams (including
-//!    `conflict_free_to` bounds), same forced-abort pattern (with forced
-//!    aborts on, both sides take the direct path and draw once per surviving
-//!    request).  Checked for the [`Certifier`] at 1, 2 and 4 shards.
+//!    `conflict_free_to` bounds), same forced-abort pattern (both sides
+//!    draw once per request that survives every conflict check).  Checked
+//!    for the [`Certifier`] at 1, 2 and 4 shards.
 //! 2. **Pre-screen soundness**: whenever the footprint index declares a
 //!    writeset clear ([`CertifierLog::prescreen_clear`]), the full suffix
 //!    scan ([`CertifierLog::conflict_after`]) must find nothing — a screened
@@ -77,7 +77,7 @@ fn digest(response: &tashkent_certifier::CertificationResponse) -> ResponseDiges
     )
 }
 
-/// A direct-path (`batch: false`) and a batched certifier over `shards`.
+/// An unqueued (`batch: false`) and a queued certifier over `shards`.
 fn pair(shards: usize, forced_abort_rate: f64) -> (Certifier, Certifier) {
     let config = |batch| ShardedCertifierConfig {
         shards,

@@ -6,10 +6,11 @@
 //! that engine was deleted.  Every shard count × batch mode must reproduce
 //! it line for line — same decisions, abort reasons, commit versions, system
 //! versions and remote-writeset streams, `conflict_free_to` included.  With
-//! more than one shard the ordered two-phase certify must collapse to the
-//! same global outcome; with batching the per-shard epochs must decide as
-//! the serial scan did; with forced aborts the RNG must be drawn once per
-//! surviving request, in the same order.  The file cannot be regenerated.
+//! more than one shard the epochs over several owning shards must collapse
+//! to the same global outcome; with batching the queued per-shard epochs
+//! must decide as the serial scan did; with forced aborts the RNG must be
+//! drawn once per surviving request, in the same order.  The file cannot be
+//! regenerated.
 //!
 //! Beyond the golden seeds, shard counts are compared against each other on
 //! further random traces.

@@ -171,7 +171,7 @@ pub enum CounterId {
     /// or a wait that outlived the lock-wait bound (presumed deadlock).
     Deadlocks,
     /// Certified commits whose writeset spanned more than one certifier
-    /// shard (these take the ordered two-phase path).
+    /// shard (each decided holding every owning shard's log).
     MultiShardCommits,
 }
 

@@ -342,7 +342,7 @@ impl Cluster {
     /// (bounded-memory assertions).
     #[must_use]
     pub fn certifier_log_len(&self) -> usize {
-        self.certifier.log_len()
+        self.certifier.local().log_len()
     }
 
     /// Total bytes across every replica's write-ahead log
@@ -432,7 +432,7 @@ impl Cluster {
 
     /// Crashes one certifier node.
     pub fn crash_certifier_node(&self, node: CertifierNodeId) {
-        self.certifier.crash_node(node);
+        self.certifier.local().crash_node(node);
         self.refresh_nodes_down();
     }
 
@@ -442,7 +442,7 @@ impl Cluster {
     ///
     /// Fails if no up node can donate its log.
     pub fn recover_certifier_node(&self, node: CertifierNodeId) -> Result<()> {
-        let recovered = self.certifier.recover_node(node);
+        let recovered = self.certifier.local().recover_node(node);
         self.refresh_nodes_down();
         recovered
     }
@@ -454,7 +454,7 @@ impl Cluster {
     ///
     /// Panics if `shard` is out of range.
     pub fn crash_certifier_shard_node(&self, shard: ShardId, node: CertifierNodeId) {
-        self.certifier.crash_shard_node(shard, node);
+        self.certifier.local().crash_shard_node(shard, node);
         self.refresh_nodes_down();
     }
 
@@ -472,7 +472,7 @@ impl Cluster {
         shard: ShardId,
         node: CertifierNodeId,
     ) -> Result<()> {
-        let recovered = self.certifier.recover_shard_node(shard, node);
+        let recovered = self.certifier.local().recover_shard_node(shard, node);
         self.refresh_nodes_down();
         recovered
     }
@@ -489,7 +489,7 @@ impl Cluster {
     ///
     fn refresh_nodes_down(&self) {
         let replicas_down = self.replicas.iter().filter(|r| r.is_crashed()).count();
-        let log = self.certifier.stats();
+        let log = self.certifier.local().stats();
         let certifier_down = log.nodes_total.saturating_sub(log.nodes_up);
         self.metrics
             .gauge_set(GaugeId::NodesDown, (replicas_down + certifier_down) as i64);
@@ -696,7 +696,7 @@ mod tests {
             let mut config = ClusterConfig::small(system);
             config.certifier_shards = 4;
             let cluster = Cluster::new(config).unwrap();
-            assert_eq!(cluster.certifier().shard_count(), 4);
+            assert_eq!(cluster.certifier().local().shard_count(), 4);
             let t = cluster.create_table("kv", &["v"]);
             // Mix single- and multi-shard writesets from both replicas.
             for i in 0..6 {

@@ -55,6 +55,7 @@ pub(crate) fn seal_checkpoints(
             sealed += 1;
         }
     }
+    let certifier = certifier.local();
     let version = certifier.seal_checkpoint();
     sealed += certifier.shard_count() as u64;
     metrics.add(CounterId::CheckpointsSealed, sealed);
@@ -76,7 +77,7 @@ pub(crate) fn watermark(certifier: &CertifierHandle, replicas: &[Arc<ReplicaNode
             watermark = watermark.min(replica.version());
         }
     }
-    watermark.min(certifier.checkpoint_version())
+    watermark.min(certifier.local().checkpoint_version())
 }
 
 /// Truncates the certifier shard logs and every live replica's WAL below
@@ -92,7 +93,7 @@ pub(crate) fn trim(
     if watermark.is_zero() {
         return Ok((0, 0));
     }
-    let entries = certifier.truncate_below(watermark)?;
+    let entries = certifier.local().truncate_below(watermark)?;
     let mut wal_records = 0usize;
     for replica in replicas {
         if !replica.is_crashed() {

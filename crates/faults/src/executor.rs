@@ -175,6 +175,7 @@ impl FaultExecutor {
                 if !self
                     .cluster
                     .certifier()
+                    .local()
                     .shard_up_nodes(*shard)
                     .contains(node)
                 {
@@ -208,7 +209,8 @@ impl FaultExecutor {
                         None
                     }
                     FaultTarget::CertifierNode { shard, pick } => {
-                        let certifier = self.cluster.certifier();
+                        let handle = self.cluster.certifier();
+                        let certifier = handle.local();
                         let leader = certifier.shard_leader(shard);
                         let victim = match pick {
                             NodePick::Leader => leader,

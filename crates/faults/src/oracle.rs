@@ -174,6 +174,7 @@ pub fn check_cluster(
 
     // Durable-log invariants only hold when the certifier logs durably.
     if cluster.system() != SystemKind::TashkentApiNoCertDurability {
+        let certifier = certifier.local();
         let mut durable_union: Vec<u64> = Vec::new();
         for s in 0..certifier.shard_count() {
             let shard = ShardId(s as u32);
@@ -354,10 +355,10 @@ pub fn check_metrics_consistency(snapshot: &MetricsSnapshot) -> Vec<Violation> {
             ),
         });
     }
-    // Pre-screen accounting: every pre-screen verdict belongs to exactly
-    // one certification, so hits + misses can never exceed requests (a
-    // writeset that skips the pre-screen — floored, forced-abort path,
-    // batching off — simply counts neither).
+    // Pre-screen accounting: every certification counts at most one
+    // pre-screen verdict, whatever its shard count, so hits + misses can
+    // never exceed requests (a floored request, aborted before the
+    // pre-screen, counts neither).
     let hits = snapshot.counter(CounterId::PrescreenHits);
     let misses = snapshot.counter(CounterId::PrescreenMisses);
     if hits + misses > requests {

@@ -119,7 +119,7 @@ fn conversation_impl(net: Arc<LoopbackNet>) {
     assert_eq!(client.as_ref().writesets_after(Version(0)).len(), 2);
     assert!(client.state_transfer().unwrap().is_none());
     // State transfer over the wire: the sealed image arrives intact.
-    assert_eq!(handle.seal_checkpoint(), Version(2));
+    assert_eq!(handle.local().seal_checkpoint(), Version(2));
     let payload = client.state_transfer().unwrap().expect("a sealed image");
     let (floor, entries) = decode_checkpoint_payload(&payload).unwrap();
     assert_eq!(floor, Version::ZERO);
@@ -273,7 +273,7 @@ fn cluster_net_wires_replicas_and_links() {
         .unwrap();
     assert!(response.decision.is_commit());
     assert_eq!(handle1.system_version(), Version(1));
-    assert_eq!(handle0.stats().leader_group_commit.records, 1);
+    assert_eq!(handle0.local().stats().leader_group_commit.records, 1);
 
     // Partition replica 1 only: replica 0 keeps certifying.
     assert!(net.sever_certifier_link(1));

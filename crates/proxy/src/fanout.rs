@@ -2,29 +2,30 @@
 //!
 //! [`CertifierHandle`] is the proxy's uniform view of "the certifier": the
 //! in-process [`Certifier`], or one reached across a wire through a
-//! [`CertifierService`].  Either way the commit pipelines see one gap-free,
-//! totally-ordered stream of remote writesets — with several certification
-//! shards, [`Certifier::writesets_after`] fans out to every shard's version
-//! stream and fans in by global commit version
-//! ([`tashkent_certifier::merge_shard_streams`]) — so `apply_remotes_serial`
-//! and `commit_concurrent` are oblivious to sharding and transport.
+//! [`CertifierService`].  It carries only the data plane — the five
+//! operations a proxy performs per transaction or during catch-up; the
+//! control plane (fault injection, checkpointing, log inspection) is the
+//! in-process certifier's own API, reached through
+//! [`CertifierHandle::local`].  Either way the commit pipelines see one
+//! gap-free, totally-ordered stream of remote writesets — with several
+//! certification shards, [`Certifier::writesets_after`] fans out to every
+//! shard's version stream and fans in by global commit version — so
+//! `apply_remotes_serial` and `commit_concurrent` are oblivious to sharding
+//! and transport.
 
 use std::sync::Arc;
 
-use tashkent_certifier::{
-    CertificationRequest, CertificationResponse, Certifier, CertifierNodeId, RemoteWriteSet,
-    ReplicatedLogStats,
-};
-use tashkent_common::{Result, ShardId, Version, WriteSet};
+use tashkent_certifier::{CertificationRequest, CertificationResponse, Certifier, RemoteWriteSet};
+use tashkent_common::{Result, Version};
 
 /// The certification *data plane* as seen from across a wire.
 ///
 /// These are exactly the operations a replica's proxy performs per
 /// transaction (or during recovery catch-up) — the ones that must travel
 /// when the certifier is a remote process.  `tashkent-net` implements this
-/// trait with a framed wire protocol; everything else on
-/// [`CertifierHandle`] is control plane (fault injection, checkpointing,
-/// log inspection) and stays on the colocated in-process handle.
+/// trait with a framed wire protocol; the control plane (fault injection,
+/// checkpointing, log inspection) stays on the colocated in-process
+/// certifier, [`CertifierHandle::local`].
 pub trait CertifierService: Send + Sync {
     /// Certifies an update transaction.
     ///
@@ -59,9 +60,10 @@ pub enum CertifierHandle {
     Local(Arc<Certifier>),
     /// A certifier reached over a wire: the data plane goes through a
     /// [`CertifierService`] (network round-trips), while the control plane
-    /// — fault injection, checkpoint/truncation, log inspection — delegates
-    /// to the colocated in-process handle the service fronts.  This keeps
-    /// the fault executor, the trimmer and the oracle transport-agnostic.
+    /// — fault injection, checkpoint/truncation, log inspection — runs on
+    /// the colocated in-process certifier the service fronts, reached
+    /// through [`CertifierHandle::local`].  This keeps the fault executor,
+    /// the trimmer and the oracle transport-agnostic.
     Remote {
         /// The wire-facing data plane.
         service: Arc<dyn CertifierService>,
@@ -151,140 +153,11 @@ impl CertifierHandle {
             CertifierHandle::Remote { service, .. } => service.truncation_floor(),
         }
     }
-
-    /// Crashes one certifier node (that node in every shard's group — the
-    /// physical-machine fault model).
-    pub fn crash_node(&self, node: CertifierNodeId) {
-        self.local().crash_node(node);
-    }
-
-    /// Recovers one certifier node via state transfer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`tashkent_common::Error::Unavailable`] if no up node can
-    /// donate the log.
-    pub fn recover_node(&self, node: CertifierNodeId) -> Result<()> {
-        self.local().recover_node(node)
-    }
-
-    /// Durable-log statistics summed across shards.
-    #[must_use]
-    pub fn stats(&self) -> ReplicatedLogStats {
-        self.local().stats()
-    }
-
-    /// Number of certification shards.
-    ///
-    /// Together with the `shard_*` methods below this gives fault injectors
-    /// one uniform, shard-addressed view of the certification service.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.local().shard_count()
-    }
-
-    /// Total number of nodes in each shard's replicated group.
-    #[must_use]
-    pub fn nodes_per_shard(&self) -> usize {
-        self.local().nodes_per_shard()
-    }
-
-    /// The current leader of one shard's replicated group.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    #[must_use]
-    pub fn shard_leader(&self, shard: ShardId) -> CertifierNodeId {
-        self.local().shard_leader(shard)
-    }
-
-    /// The up nodes of one shard's replicated group, in node-id order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    #[must_use]
-    pub fn shard_up_nodes(&self, shard: ShardId) -> Vec<CertifierNodeId> {
-        self.local().shard_up_nodes(shard)
-    }
-
-    /// Crashes one node of one shard's replicated group.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn crash_shard_node(&self, shard: ShardId, node: CertifierNodeId) {
-        self.local().crash_shard_node(shard, node);
-    }
-
-    /// Recovers one node of one shard's replicated group via state transfer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`tashkent_common::Error::Unavailable`] if the shard has no
-    /// up node to donate its log.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn recover_shard_node(&self, shard: ShardId, node: CertifierNodeId) -> Result<()> {
-        self.local().recover_shard_node(shard, node)
-    }
-
-    /// Reads the durable log of one node of one shard's group (the
-    /// fault-schedule oracle compares these record-for-record).
-    ///
-    /// # Errors
-    ///
-    /// Propagates decode errors and unknown-node errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn shard_durable_entries(
-        &self,
-        shard: ShardId,
-        node: CertifierNodeId,
-    ) -> Result<Vec<(Version, WriteSet)>> {
-        self.local().shard_durable_entries(shard, node)
-    }
-
-    /// Seals a durable checkpoint of every shard's certified log.  Returns
-    /// the version the checkpoint covers up to.
-    pub fn seal_checkpoint(&self) -> Version {
-        self.local().seal_checkpoint()
-    }
-
-    /// Drops certified-log entries at or below `watermark` from the
-    /// in-memory and durable logs, clamped to the newest sealed checkpoint.
-    /// Returns the number of in-memory entries discarded.
-    ///
-    /// # Errors
-    ///
-    /// Propagates durable-log rewrite failures.
-    pub fn truncate_below(&self, watermark: Version) -> Result<usize> {
-        self.local().truncate_below(watermark)
-    }
-
-    /// The version the newest sealed checkpoint covers up to (minimum across
-    /// shards; [`Version::ZERO`] before the first seal).
-    #[must_use]
-    pub fn checkpoint_version(&self) -> Version {
-        self.local().checkpoint_version()
-    }
-
-    /// Total number of entries held in the in-memory certified logs
-    /// (bounded-memory assertions).
-    #[must_use]
-    pub fn log_len(&self) -> usize {
-        self.local().log_len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use tashkent_certifier::{CertifierConfig, ShardedCertifierConfig};
+    use tashkent_certifier::{CertifierConfig, CertifierNodeId, ShardedCertifierConfig};
     use tashkent_common::{ReplicaId, TableId, Value, WriteItem, WriteSet};
 
     use super::*;
@@ -328,8 +201,8 @@ mod tests {
             assert_eq!(handle.system_version(), Version(10));
             assert!(handle.is_available());
         }
-        assert_eq!(single.shard_count(), 1);
-        assert_eq!(sharded.shard_count(), 4);
+        assert_eq!(single.local().shard_count(), 1);
+        assert_eq!(sharded.local().shard_count(), 4);
     }
 
     /// A [`CertifierService`] that forwards to an in-process certifier while
@@ -383,13 +256,13 @@ mod tests {
         assert!(data_calls >= 5, "expected >=5 wire calls, saw {data_calls}");
 
         // Control plane: none of these may touch the wire.
-        assert_eq!(handle.stats().leader_group_commit.records, 1);
-        assert_eq!(handle.shard_count(), 1);
-        assert_eq!(handle.log_len(), 1);
-        assert_eq!(handle.checkpoint_version(), Version::ZERO);
+        assert_eq!(handle.local().stats().leader_group_commit.records, 1);
+        assert_eq!(handle.local().shard_count(), 1);
+        assert_eq!(handle.local().log_len(), 1);
+        assert_eq!(handle.local().checkpoint_version(), Version::ZERO);
         assert!(Arc::ptr_eq(handle.local(), &certifier));
-        handle.crash_node(CertifierNodeId(1));
-        handle.recover_node(CertifierNodeId(1)).unwrap();
+        handle.local().crash_node(CertifierNodeId(1));
+        handle.local().recover_node(CertifierNodeId(1)).unwrap();
         assert_eq!(
             service.calls.load(std::sync::atomic::Ordering::Relaxed),
             data_calls,
@@ -403,10 +276,10 @@ mod tests {
         let handle: CertifierHandle =
             Arc::new(Certifier::new(ShardedCertifierConfig::with_shards(2))).into();
         commit(&handle, &[1]);
-        handle.crash_node(CertifierNodeId(0));
-        handle.crash_node(CertifierNodeId(1));
+        handle.local().crash_node(CertifierNodeId(0));
+        handle.local().crash_node(CertifierNodeId(1));
         assert!(!handle.is_available());
-        handle.recover_node(CertifierNodeId(0)).unwrap();
+        handle.local().recover_node(CertifierNodeId(0)).unwrap();
         assert!(handle.is_available());
         commit(&handle, &[2]);
     }

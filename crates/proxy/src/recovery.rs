@@ -280,8 +280,8 @@ mod tests {
     fn catch_up_refuses_to_cross_the_truncation_floor() {
         let certifier = certifier_with_entries(8);
         // Seal a checkpoint and trim the certified log up to version 5.
-        certifier.seal_checkpoint();
-        certifier.truncate_below(Version(5)).unwrap();
+        certifier.local().seal_checkpoint();
+        certifier.local().truncate_below(Version(5)).unwrap();
         assert_eq!(certifier.truncation_floor(), Version(5));
         // A replica already past the floor catches up normally.
         let db = Database::new(EngineConfig::default());
@@ -317,8 +317,8 @@ mod tests {
                 .unwrap();
         }
         let fresh = db.dump().to_bytes();
-        certifier.seal_checkpoint();
-        certifier.truncate_below(Version(5)).unwrap();
+        certifier.local().seal_checkpoint();
+        certifier.local().truncate_below(Version(5)).unwrap();
         // The newest slot holds a dump *below* the floor; recovery must fall
         // back to the older slot's fresher image rather than fail on the
         // missing log suffix.

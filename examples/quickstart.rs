@@ -73,7 +73,7 @@ fn main() {
     }
 
     let snapshot = cluster.metrics_snapshot();
-    let log = cluster.certifier().stats();
+    let log = cluster.certifier().local().stats();
     println!(
         "cluster committed {} transactions, certifier logged {} writesets ({} per fsync)",
         snapshot.counter(CounterId::TxCommitted),

@@ -105,7 +105,7 @@ fn main() {
         let (cluster, report, samples) = run_tpcb(ClusterConfig::small(system));
 
         let replica_fsyncs = cluster.replica(0).database().log_device().stats().fsyncs;
-        let log = cluster.certifier().stats();
+        let log = cluster.certifier().local().stats();
         let certifier_group = log.leader_group_commit.mean_group_size();
         println!(
             "{}{replica_fsyncs:>16}{certifier_group:>20.1}",
@@ -158,9 +158,9 @@ fn main() {
     println!();
     println!(
         "TPC-B transactions span four tables, so most writesets certify on\n\
-         several shards (the ordered two-phase path); end-to-end throughput\n\
-         staying level shows cross-shard commit ordering is off the critical\n\
-         path.  The benchmark's certifier.certify_1shard_us and\n\
+         several shards (all owning shard logs locked in order); end-to-end\n\
+         throughput staying level shows cross-shard commit ordering is off the\n\
+         critical path.  The benchmark's certifier.certify_1shard_us and\n\
          certify_4shard_us drills time one certification at each count."
     );
 }
