@@ -290,18 +290,6 @@ impl Cluster {
             .expect("table was just created")
     }
 
-    /// Seals every replica's current state as its recovery baseline.
-    /// Workload loaders call this after bulk-loading the initial database so
-    /// that crash recovery — which replays the WAL, the dumps and the
-    /// certifier log, none of which the bulk load went through — starts from
-    /// the loaded state instead of an empty one.
-    ///
-    /// Equivalent to [`Cluster::checkpoint`]; kept as the historical name of
-    /// the test hook this subsystem grew out of.
-    pub fn seal_baseline(&self) {
-        let _ = self.checkpoint();
-    }
-
     /// Seals a durable checkpoint on every live replica and every certifier
     /// shard: a versioned, checksummed image behind an atomic manifest flip.
     /// Crashed replicas are skipped.  Returns the version stamped on the
@@ -734,9 +722,9 @@ mod tests {
                 tx.commit().unwrap();
             }
             cluster.sync_all().unwrap();
-            // Tashkent-MW relies on dumps for recovery.
-            cluster.replica(1).take_dump();
-            // More commits after the dump.
+            // Tashkent-MW recovers from a sealed checkpoint.
+            cluster.replica(1).seal_checkpoint();
+            // More commits after the checkpoint.
             for i in 10..15 {
                 let tx = cluster.session(0).begin();
                 tx.insert(t, i, vec![("v".into(), Value::Int(i))]).unwrap();

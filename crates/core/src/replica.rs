@@ -16,7 +16,7 @@ use tashkent_storage::disk::DiskConfig;
 use tashkent_storage::{Database, DatabaseDump, EngineConfig};
 
 /// A database replica, its proxy, and the recovery material the middleware
-/// keeps for it (dump files for Tashkent-MW).
+/// keeps for it (sealed checkpoint images).
 pub struct ReplicaNode {
     id: ReplicaId,
     system: SystemKind,
@@ -25,8 +25,6 @@ pub struct ReplicaNode {
     db: Mutex<Database>,
     proxy: Mutex<Proxy>,
     certifier: CertifierHandle,
-    /// Stored dump images, most recent last (Tashkent-MW recovery).
-    dumps: Mutex<Vec<Vec<u8>>>,
     /// Sealed, versioned checkpoint images of the replica's state behind an
     /// atomic manifest flip.  The newest intact image is the recovery
     /// baseline WAL redo replays on top of — and the version it covers
@@ -83,7 +81,6 @@ impl ReplicaNode {
             db: Mutex::new(db),
             proxy: Mutex::new(proxy),
             certifier,
-            dumps: Mutex::new(Vec::new()),
             checkpoints: CheckpointStore::new(),
             proxy_config,
         }
@@ -126,22 +123,6 @@ impl ReplicaNode {
         self.database().version()
     }
 
-    /// Takes a dump of the replica and stores it as recovery material
-    /// (Tashkent-MW takes these periodically, Section 7.1).  Returns the dump
-    /// size in bytes.
-    pub fn take_dump(&self) -> usize {
-        let bytes = self.database().dump().to_bytes();
-        let len = bytes.len();
-        let mut dumps = self.dumps.lock();
-        dumps.push(bytes);
-        // Keep the two most recent dumps, as the paper's middleware does.
-        let excess = dumps.len().saturating_sub(2);
-        if excess > 0 {
-            dumps.drain(0..excess);
-        }
-        len
-    }
-
     /// Seals the replica's current state as a durable checkpoint: a
     /// versioned, checksummed image behind an atomic manifest flip.
     /// Returns the version the image covers.
@@ -155,8 +136,8 @@ impl ReplicaNode {
     /// bulk-loaded row that was never subsequently updated (found by the
     /// fault-schedule harness: a recovered TPC-B replica came back missing
     /// a quarter of its accounts).  Recovery restores the newest intact
-    /// image first and replays the WAL (or the dumps and the certifier log)
-    /// on top.  Second, the covered version authorizes log truncation: the
+    /// image first and replays the WAL (Tashkent-MW: the certifier log) on
+    /// top.  Second, the covered version authorizes log truncation: the
     /// cluster's watermark never exceeds any replica's newest checkpoint,
     /// so a recovering replica's baseline always meets the trimmed logs.
     pub fn seal_checkpoint(&self) -> Version {
@@ -164,12 +145,6 @@ impl ReplicaNode {
         let version = dump.version();
         self.checkpoints.seal(version, &dump.to_bytes());
         version
-    }
-
-    /// Backwards-compatible alias for [`ReplicaNode::seal_checkpoint`] (the
-    /// original test hook this subsystem grew out of).
-    pub fn seal_baseline(&self) {
-        let _ = self.seal_checkpoint();
     }
 
     /// The version covered by the replica's newest sealed checkpoint
@@ -220,14 +195,13 @@ impl ReplicaNode {
     }
 
     /// Recovers the replica after a crash, following the procedure of its
-    /// system: WAL redo plus catch-up for Base / Tashkent-API, dump restore
-    /// plus catch-up for Tashkent-MW.  Returns the number of writesets
+    /// system: WAL redo plus catch-up for Base / Tashkent-API, checkpoint
+    /// restore plus catch-up for Tashkent-MW.  Returns the number of writesets
     /// re-applied during catch-up.
     ///
     /// # Errors
     ///
-    /// Fails if no recovery material is available (e.g. a Tashkent-MW replica
-    /// that never took a dump and whose WAL is useless), or if the certifier
+    /// Fails if the recovery material cannot be decoded, or if the certifier
     /// is unavailable.
     pub fn recover(&self) -> Result<usize> {
         let schema_owned = self.schema.lock().clone();
@@ -237,12 +211,10 @@ impl ReplicaNode {
             .collect();
         let old_db = self.database();
         let (new_db, applied) = if self.system == SystemKind::TashkentMw {
-            // The sealed checkpoints are the oldest recovery images: used
-            // only when every rolling dump is corrupt or none was ever
-            // taken.  Torn or corrupt images were already filtered out by
-            // the checkpoint store's manifest scan.
-            let mut dumps = self.checkpoints.intact_payloads_oldest_first();
-            dumps.extend(self.dumps.lock().iter().cloned());
+            // The sealed checkpoints are the recovery images.  Torn or
+            // corrupt ones were already filtered out by the checkpoint
+            // store's manifest scan.
+            let dumps = self.checkpoints.intact_payloads_oldest_first();
             if dumps.is_empty() {
                 // Without any recovery image the replica restarts empty and
                 // replays the whole certifier log.

@@ -47,7 +47,7 @@ fn build(system: SystemKind, shards: usize) -> (Cluster, TableId) {
     config.certifier_shards = shards;
     let cluster = Cluster::new(config).unwrap();
     let table = cluster.create_table("kv", &["v"]);
-    cluster.seal_baseline();
+    cluster.checkpoint();
     (cluster, table)
 }
 

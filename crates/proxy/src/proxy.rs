@@ -1,4 +1,10 @@
 //! The proxy itself: transaction interception and the three commit pipelines.
+//!
+//! Tashkent-API has one ordering rule (Section 8.3): every install on its
+//! replica — a pipeline item, a merged backlog, a refresh, a resync — takes a
+//! dense order index under the proxy's state lock, in global version order,
+//! and the engine announces commits in index order.  Base and Tashkent-MW
+//! install serially under the apply lock and never hand out an index.
 
 use std::sync::Arc;
 use std::thread;
@@ -61,26 +67,100 @@ pub struct CommitOutcome {
     pub read_only: bool,
 }
 
+/// A Tashkent-API commit carrying more remote writesets than this installs
+/// them as one merged group at one order index instead of one apply thread
+/// per writeset.
+const CONCURRENT_WINDOW: usize = 64;
+
 struct ProxyState {
     /// Every version at or below this has been scheduled for application or
     /// local commit at this replica; it is what the proxy reports to the
     /// certifier as `replica_version`.
     scheduled_through: Version,
-    /// Dense order indices handed to the ordered-commit API.
+    /// Dense order indices handed to the ordered-commit API (Tashkent-API
+    /// only; stays zero on Base and Tashkent-MW).
     order_counter: u64,
-    /// A serial grouped install is mid-flight: it passed the
-    /// no-outstanding-order-indices check and is now applying its batch.
-    /// The concurrent pipeline's scheduling step waits this flag out
-    /// instead of handing out a new order index, so no commit can announce
-    /// a version above the batch while the batch is still being installed —
-    /// closing the snapshot window where a transaction could begin with an
-    /// announced version whose content it cannot yet see (and a
-    /// certification label that hides the batch's conflicts: lost updates).
-    grouped_install_active: bool,
     /// Local copy of seen writesets for local certification.
     seen: SeenWriteSets,
     /// Last successful contact with the certifier.
     last_contact: Instant,
+}
+
+impl ProxyState {
+    /// Schedules the suffix of `remotes` (ascending, as the certifier sends
+    /// them) above `scheduled_through`: records it for local certification
+    /// and advances `scheduled_through` to its last version.  Returns it.
+    fn schedule<'a>(&mut self, remotes: &'a [RemoteWriteSet]) -> &'a [RemoteWriteSet] {
+        let base = self.scheduled_through;
+        let pending = &remotes[remotes.partition_point(|r| r.commit_version <= base)..];
+        for remote in pending {
+            self.seen.record(remote.commit_version, &remote.writeset);
+        }
+        if let Some(last) = pending.last() {
+            self.scheduled_through = last.commit_version;
+        }
+        pending
+    }
+
+    /// Hands out the next dense order index.
+    fn next_order_index(&mut self) -> u64 {
+        self.order_counter += 1;
+        self.order_counter
+    }
+}
+
+/// One scheduled install: a run of consecutive certified writesets applied
+/// as one replica transaction at the last one's version.  A merged run
+/// applies later writes last, so it needs no barrier inside itself.
+struct Install {
+    writeset: Arc<WriteSet>,
+    version: Version,
+    count: usize,
+    /// The announce position on a Tashkent-API replica; `None` on Base and
+    /// Tashkent-MW, whose caller holds the apply lock instead.
+    order_index: Option<u64>,
+}
+
+impl Install {
+    fn new(group: &[RemoteWriteSet], order_index: Option<u64>) -> Self {
+        let writeset = match group {
+            [one] => Arc::clone(&one.writeset),
+            _ => Arc::new(WriteSet::merged(group.iter().map(|r| &*r.writeset))),
+        };
+        Install {
+            writeset,
+            version: group
+                .last()
+                .expect("an install carries a writeset")
+                .commit_version,
+            count: group.len(),
+            order_index,
+        }
+    }
+
+    /// Runs the install against the engine.  On success it counts every
+    /// writeset it carries in `RemoteInstalls` and records one
+    /// `Stage::Install` sample.
+    fn run(&self, shared: &ProxyShared) -> Result<Version> {
+        let (db, metrics) = (&shared.db, &shared.config.metrics);
+        let started = metrics.is_enabled().then(Instant::now);
+        let result = match self.order_index {
+            Some(index) => db.apply_writeset_ordered(&self.writeset, self.version, index),
+            None => db.apply_writeset(&self.writeset, self.version),
+        };
+        if result.is_ok() {
+            if let Some(started) = started {
+                metrics.record_stage(Stage::Install, started.elapsed());
+            }
+            metrics.add(CounterId::RemoteInstalls, self.count as u64);
+            metrics.emit(
+                Event::new(Component::Replica, EventKind::InstallRemote)
+                    .version(self.version.0)
+                    .node(shared.config.replica.value() as usize),
+            );
+        }
+        result
+    }
 }
 
 struct ProxyShared {
@@ -88,8 +168,9 @@ struct ProxyShared {
     db: Database,
     certifier: CertifierHandle,
     state: Mutex<ProxyState>,
-    /// Serialises the apply-remote-writesets / commit phase ([C4]/[C5]) for
-    /// the serial pipelines (Base and Tashkent-MW) and the staleness refresh.
+    /// Serialises every resync, and for Base and Tashkent-MW also the
+    /// apply-remote-writesets / commit phase ([C4]/[C5]) and the refresh.
+    /// No Tashkent-API install holds it while it waits for its announce turn.
     apply_lock: Mutex<()>,
 }
 
@@ -130,7 +211,6 @@ impl Proxy {
                 state: Mutex::new(ProxyState {
                     scheduled_through,
                     order_counter: 0,
-                    grouped_install_active: false,
                     seen: SeenWriteSets::new(),
                     last_contact: Instant::now(),
                 }),
@@ -201,44 +281,42 @@ impl Proxy {
     }
 
     /// Applies any remote writesets the replica has not seen yet (bounded
-    /// staleness, Section 6.2).  Returns the number of writesets applied.
+    /// staleness, Section 6.2) as one group.  Returns the number of
+    /// writesets applied.
+    ///
+    /// On Tashkent-API the group takes the next order index and waits for
+    /// its announce turn.  Behind an index that never announces (a crashed
+    /// or wounded commit) it waits out the engine's `ordered_commit_timeout`,
+    /// resyncs, and returns the timeout.
     ///
     /// # Errors
     ///
-    /// Fails if the certifier majority is unavailable or the database
-    /// crashed.
+    /// Fails if the certifier majority is unavailable, the database crashed,
+    /// or the group timed out waiting for its announce turn.
     pub fn refresh(&self) -> Result<usize> {
-        // Racy fast path: while ordered commits are outstanding the serial
-        // install below would decline anyway, so skip the O(backlog) fetch
-        // and clone.  The authoritative check runs under the state lock in
-        // `apply_remotes_serial`; this one can only skip work, never apply.
-        if self.shared.db.announce_counter() < self.shared.state.lock().order_counter {
-            return Ok(0);
-        }
-        let since = self.replica_version();
-        let remotes = self.shared.certifier.writesets_after(since);
-        if remotes.is_empty() {
-            self.shared.state.lock().last_contact = Instant::now();
-            return Ok(0);
-        }
-        let _guard = self.shared.apply_lock.lock();
-        match self.apply_remotes_serial(&remotes, false) {
-            Ok(Some(count)) => {
+        let remotes = self
+            .shared
+            .certifier
+            .writesets_after(self.replica_version());
+        // Tashkent-API takes no apply lock while the group waits for its
+        // announce turn: a failing pipeline ahead of it must stay free to
+        // resync, or the apply lock and the announce chain would wait on
+        // each other until the timeout broke the cycle.
+        let guard = (!self.shared.config.system.ordered_commit_api())
+            .then(|| self.shared.apply_lock.lock());
+        match self.install_group(&remotes, false) {
+            Ok(count) => {
                 self.shared.state.lock().last_contact = Instant::now();
                 Ok(count)
             }
-            // Declined: ordered commits are in flight and the fetched
-            // writesets were dropped.  Leave `last_contact` untouched so the
-            // staleness clock keeps ticking and the next `maybe_refresh`
-            // retries promptly instead of waiting out a full staleness bound
-            // while believing the replica is fresh.
-            Ok(None) => Ok(0),
             Err(e) => {
                 // The failed install already advanced the scheduling state
                 // past writesets that never reached the engine; resync before
                 // surfacing the error, or the certifier (which only resends
                 // versions above the reported `replica_version`) would never
-                // deliver them again.
+                // deliver them again.  Base and Tashkent-MW keep the apply
+                // lock from the failed install through the resync.
+                let _guard = guard.unwrap_or_else(|| self.shared.apply_lock.lock());
                 self.resync_locked()?;
                 Err(e)
             }
@@ -265,9 +343,9 @@ impl Proxy {
     }
 
     /// Soft recovery (Section 8.1): aborts nothing that is still running, but
-    /// fast-forwards the ordered-commit bookkeeping and re-applies, serially,
-    /// every writeset the replica is missing.  Used after an error in the
-    /// concurrent Tashkent-API pipeline.
+    /// declares every handed-out order index consumed and re-applies, as one
+    /// group, every writeset the replica is missing.  Used after an error in
+    /// any pipeline.
     ///
     /// # Errors
     ///
@@ -285,34 +363,21 @@ impl Proxy {
             Event::new(Component::Replica, EventKind::Resync)
                 .node(self.shared.config.replica.value() as usize),
         );
-        {
-            let mut state = self.shared.state.lock();
-            // Declare all handed-out order indices consumed so that future
-            // ordered commits do not wait on indices burned by failures.
-            self.shared.db.force_announce_counter(state.order_counter);
-            // Scheduling restarts from what the database actually holds.
-            state.scheduled_through = self.shared.db.version();
-        }
-        let since = self.shared.db.version();
-        let remotes = self.shared.certifier.writesets_after(since);
-        // Force-fill: a pipeline that grabs a fresh order index between the
-        // reset above and this install must not turn recovery into a no-op,
-        // so the install burns such indices instead of declining; their
-        // owners abort and recover through this same resync path.
-        Ok(self.apply_remotes_serial(&remotes, true)?.unwrap_or(0))
+        let remotes = self
+            .shared
+            .certifier
+            .writesets_after(self.shared.db.version());
+        self.install_group(&remotes, true)
     }
 
     /// Test hook: hands out one order index without ever announcing it —
-    /// the state a crashed or wounded ordered commit leaves behind.  Serial
-    /// grouped installs must *decline* while such an index is outstanding
-    /// (`refresh` returns without side effects) and `resync` must burn it
-    /// and force the install through.  Hidden because nothing but the
-    /// recovery-edge tests should ever create this state on purpose.
+    /// the state a crashed or wounded ordered commit leaves behind.  A
+    /// refresh queued behind it times out and resyncs; `resync` burns it.
+    /// Hidden because nothing but the recovery-edge tests should ever
+    /// create this state on purpose.
     #[doc(hidden)]
     pub fn debug_burn_order_index(&self) -> u64 {
-        let mut state = self.shared.state.lock();
-        state.order_counter += 1;
-        state.order_counter
+        self.shared.state.lock().next_order_index()
     }
 
     // ----- internals -----
@@ -338,96 +403,43 @@ impl Proxy {
         }
     }
 
-    /// Serially applies a list of remote writesets (grouped into a single
-    /// replica transaction), updating the scheduling state.  Used by Base,
-    /// Tashkent-MW, refresh and resync.
+    /// Installs the not-yet-scheduled suffix of `remotes` as one group — the
+    /// install of refresh, resync and Base / Tashkent-MW's [C4].  Returns
+    /// the number of writesets installed.
     ///
-    /// Returns `Ok(None)` — with no side effects — when the install was
-    /// declined because ordered commits are outstanding (never happens with
-    /// `force_fill`), otherwise `Ok(Some(n))` with the number of writesets
-    /// applied.
-    fn apply_remotes_serial(
-        &self,
-        remotes: &[RemoteWriteSet],
-        force_fill: bool,
-    ) -> Result<Option<usize>> {
-        // Filter to versions not yet scheduled and record them.
-        let (to_apply, target_version) = {
+    /// The one per-system difference is the engine call: on Tashkent-API
+    /// the group takes the next order index in the same state-lock section
+    /// that schedules it and is announced in turn; on Base and Tashkent-MW
+    /// the caller holds the apply lock and the group commits directly.
+    ///
+    /// `restart` (resync) first declares every handed-out order index
+    /// consumed — their owners fail and resync in turn — and restarts
+    /// scheduling from what the database actually holds, all in that same
+    /// section, so the group's own index is the next to announce and waits
+    /// on nothing.
+    fn install_group(&self, remotes: &[RemoteWriteSet], restart: bool) -> Result<usize> {
+        let ordered = self.shared.config.system.ordered_commit_api();
+        let install = {
             let mut state = self.shared.state.lock();
-            // With the ordered-commit API, a serial grouped install is only
-            // safe while no handed-out order index is outstanding: an
-            // in-flight ordered commit holds a version below anything this
-            // batch would install, and letting it announce afterwards would
-            // put row versions out of order.  Decline and let the caller
-            // retry once the pipelines have drained — except on the resync
-            // path (`force_fill`), which must make progress: there the
-            // outstanding indices are burned, and their owners abort and
-            // recover through that same resync.  (The counters are checked
-            // under the same state lock that schedules pipelines, so no new
-            // index can be handed out concurrently; for Base and Tashkent-MW
-            // both counters stay zero and this never declines.)
-            if self.shared.db.announce_counter() < state.order_counter {
-                if force_fill {
+            if restart {
+                if ordered {
                     self.shared.db.force_announce_counter(state.order_counter);
-                } else {
-                    return Ok(None);
                 }
+                state.scheduled_through = self.shared.db.version();
             }
-            let base = state.scheduled_through;
-            let to_apply: Vec<&RemoteWriteSet> = remotes
-                .iter()
-                .filter(|r| r.commit_version > base)
-                .collect();
-            let target = to_apply
-                .last()
-                .map_or(base, |r| r.commit_version);
-            for remote in &to_apply {
-                state.seen.record(remote.commit_version, &remote.writeset);
+            let group = state.schedule(remotes);
+            if group.is_empty() {
+                return Ok(0);
             }
-            state.scheduled_through = target;
-            // Gate the concurrent pipeline while the batch is applied: the
-            // counter check above only holds at this instant, and a commit
-            // scheduled after the state lock drops could announce a version
-            // above `target` mid-install — a transaction beginning then
-            // would read a snapshot *labelled* past the batch but missing
-            // its content, and certify with the batch's conflicts hidden
-            // (lost updates; this was an open ROADMAP item the fault
-            // harness reproduced under plain TPC-B load).  The gate blocks
-            // only the hand-out of new order indices; unlike the reverted
-            // order-index reservation it never makes the install wait *in*
-            // the announce chain, so the lock-vs-announce livelock cannot
-            // form — conflicting local transactions that already hold row
-            // locks are wounded by the install, exactly as on the serial
-            // path.
-            if !to_apply.is_empty() {
-                state.grouped_install_active = true;
-            }
-            (
-                to_apply.iter().map(|r| (*r).clone()).collect::<Vec<_>>(),
-                target,
-            )
+            Install::new(group, ordered.then(|| state.next_order_index()))
         };
-        if to_apply.is_empty() {
-            return Ok(Some(0));
-        }
-        let metrics = &self.shared.config.metrics;
-        metrics.gauge_set(GaugeId::RemoteApplyBacklog, to_apply.len() as i64);
-        let merged = WriteSet::merged(to_apply.iter().map(|r| &*r.writeset));
-        self.wound_conflicting_locals(&merged, None);
-        let install_started = metrics.is_enabled().then(Instant::now);
-        let applied = self.shared.db.apply_writeset(&merged, target_version);
-        if let (Some(started), Ok(_)) = (install_started, &applied) {
-            metrics.record_stage(Stage::Install, started.elapsed());
-        }
-        self.shared.state.lock().grouped_install_active = false;
-        applied?;
-        metrics.add(CounterId::RemoteInstalls, to_apply.len() as u64);
-        metrics.emit(
-            Event::new(Component::Replica, EventKind::InstallRemote)
-                .version(target_version.0)
-                .node(self.shared.config.replica.value() as usize),
-        );
-        Ok(Some(to_apply.len()))
+        self.shared
+            .config
+            .metrics
+            .gauge_set(GaugeId::RemoteApplyBacklog, install.count as i64);
+        self.wound_conflicting_locals(&install.writeset, None);
+        install.run(&self.shared)?;
+        Ok(install.count)
     }
 
     /// The serial commit pipeline used by Base and Tashkent-MW
@@ -448,23 +460,13 @@ impl Proxy {
             tx.abort();
         }
         // [C4] apply the grouped remote writesets in their own transaction.
-        match self.apply_remotes_serial(remotes, false) {
-            Ok(Some(_)) => {}
-            // Serial-pipeline systems never hand out order indices (only
-            // `commit_concurrent` and ordered grouped installs increment
-            // `order_counter`), so a decline cannot happen here.  Failing
-            // loudly beats silently skipping the batch: [C5] below advances
-            // `scheduled_through`, after which the certifier would never
-            // resend these writesets.
-            Ok(None) => unreachable!("serial grouped install declined on a serial-pipeline system"),
-            Err(_) => {
-                // The failed install advanced the scheduling state past
-                // writesets that never reached the engine; resync re-applies
-                // them — and, if this transaction was certified, its own
-                // logged writeset too, in which case the already-applied
-                // check below routes around the local commit.
-                self.resync_locked()?;
-            }
+        if self.install_group(remotes, false).is_err() {
+            // The failed install advanced the scheduling state past
+            // writesets that never reached the engine; resync re-applies
+            // them — and, if this transaction was certified, its own logged
+            // writeset too, in which case the already-applied check below
+            // routes around the local commit.
+            self.resync_locked()?;
         }
         // [C5] finalise the local commit.
         if !decision_commit {
@@ -548,119 +550,36 @@ impl Proxy {
         if !decision_commit {
             tx.abort();
         }
-        // A replica that has fallen far behind must not stream its whole
-        // backlog through the thread-per-writeset concurrent pipeline: every
-        // artificial-conflict barrier costs a join, any stalled predecessor
-        // cascades down the announce order, and a failure restarts the whole
-        // (still-growing) batch.  Catch up with the serial grouped path first
-        // and keep the concurrent pipeline for the small steady-state tail.
-        // This is deliberately NOT `resync()`: nothing failed, so the order
-        // counters must not be force-advanced (that would abort every
-        // in-flight ordered commit of other clients) and the scheduling
-        // state must only move forward.  `apply_remotes_serial` declines
-        // (with no side effects) while ordered commits are outstanding — a
-        // grouped install that jumped over their versions would either
-        // misorder row chains or strand their writesets.
-        const CONCURRENT_WINDOW: usize = 64;
-        let mut remotes = remotes;
-        let mut defer_local_commit = false;
-        if remotes.len() > CONCURRENT_WINDOW {
-            let catch_up = {
-                let _guard = self.shared.apply_lock.lock();
-                self.apply_remotes_serial(remotes, false)
-            };
-            match catch_up {
-                Ok(Some(_)) => {}
-                Ok(None) => {
-                    // Declined: ordered commits are in flight.  Schedule only
-                    // a bounded prefix through the pipeline this round —
-                    // streaming the whole backlog serialises on artificial
-                    // conflict barriers, and under load the backlog grows
-                    // faster than the barrier-bound pipeline drains it.  The
-                    // local commit is deferred to the remote path: its
-                    // writeset is already in the certifier log, so a later
-                    // fetch delivers it *after* the tail it must not jump
-                    // over.  (Scheduling it now would advance
-                    // `scheduled_through` past the unscheduled tail, which
-                    // the certifier — resending only versions above the
-                    // reported `replica_version` — would then never deliver.)
-                    remotes = &remotes[..CONCURRENT_WINDOW];
-                    defer_local_commit = decision_commit;
-                }
-                Err(_) => {
-                    // The failed install advanced the scheduling state past
-                    // writesets that never reached the engine; recover
-                    // exactly like the pipeline-failure path below.  The
-                    // local transaction aborts, but if it was certified its
-                    // writeset is already in the certifier log, so the
-                    // resync re-applies its effects through the remote path
-                    // — report it committed.
-                    tx.abort();
-                    self.resync()?;
-                    return self.finish_update_commit(tx, decision_commit, commit_version);
-                }
-            }
-        }
-        // Schedule: assign dense order indices in global version order to
-        // every not-yet-scheduled remote writeset plus (if certified) the
-        // local commit.
-        struct ScheduledRemote {
-            remote: RemoteWriteSet,
-            order_index: u64,
-            needs_barrier: bool,
-        }
-        let (scheduled, own_slot) = loop {
+        // Schedule under the state lock: dense order indices in global
+        // version order, one per not-yet-scheduled remote writeset — or one
+        // for the whole backlog, merged, when it is wider than the window —
+        // then one for the local commit if it was certified.  The merged
+        // group rides the same spawn/join loop as any other remote.
+        let (base, scheduled, own_slot) = {
             let mut state = self.shared.state.lock();
-            // A serial grouped install is mid-flight: wait it out rather
-            // than hand out an order index whose announce could expose a
-            // snapshot above the batch before the batch is readable (see
-            // `apply_remotes_serial`).  Holding no proxy locks here, and the
-            // install wounds any conflicting row-lock holder, so the wait is
-            // bounded by one grouped application.
-            if state.grouped_install_active {
-                drop(state);
-                thread::sleep(Duration::from_micros(10));
-                continue;
-            }
             let base = state.scheduled_through;
-            let mut scheduled = Vec::new();
-            for remote in remotes {
-                if remote.commit_version <= base {
-                    continue;
-                }
-                state.order_counter += 1;
-                // An artificial conflict exists when the remote writeset is
-                // NOT conflict-free back to the replica's scheduled version:
-                // it must wait for the conflicting version to commit first.
-                let needs_barrier = remote.conflict_free_to > base;
-                state.seen.record(remote.commit_version, &remote.writeset);
-                state.scheduled_through = remote.commit_version;
-                scheduled.push(ScheduledRemote {
-                    remote: remote.clone(),
-                    order_index: state.order_counter,
-                    needs_barrier,
-                });
-            }
-            let own_slot = if decision_commit && !defer_local_commit {
-                let version = commit_version.expect("commit decision carries a version");
-                if version <= state.scheduled_through {
-                    // Already covered by the remote path (another client of
-                    // this replica scheduled it).
-                    None
-                } else {
-                    state.order_counter += 1;
+            let pending = state.schedule(remotes);
+            let width = if pending.len() > CONCURRENT_WINDOW {
+                pending.len()
+            } else {
+                1
+            };
+            let scheduled: Vec<_> = pending
+                .chunks(width)
+                .map(|group| (group, state.next_order_index()))
+                .collect();
+            // A version at or below `scheduled_through` already reached the
+            // remote path (another client of this replica scheduled it).
+            let own_slot = commit_version
+                .filter(|&version| decision_commit && version > state.scheduled_through)
+                .map(|version| {
                     state.seen.record(version, writeset);
                     state.scheduled_through = version;
-                    Some((state.order_counter, version))
-                }
-            } else {
-                None
-            };
-            break (scheduled, own_slot);
+                    (state.next_order_index(), version)
+                });
+            (base, scheduled, own_slot)
         };
 
-        // Submit remote writesets concurrently, inserting a barrier before
-        // any writeset with an artificial conflict.
         // An apply thread's failure, if it had one.
         let failure = |handle: thread::JoinHandle<Result<Version>>| match handle.join() {
             Ok(result) => result.err(),
@@ -669,66 +588,46 @@ impl Proxy {
         let metrics = &self.shared.config.metrics;
         let mut handles: Vec<thread::JoinHandle<Result<Version>>> = Vec::new();
         let mut failures: Vec<Error> = Vec::new();
-        for item in scheduled {
-            if item.needs_barrier && !handles.is_empty() {
+        // Submit remote writesets concurrently, inserting a barrier before
+        // any writeset with an artificial conflict: one NOT conflict-free
+        // back to the replica's scheduled version must wait for the
+        // conflicting version to commit first.
+        for (group, order_index) in scheduled {
+            if group[0].conflict_free_to > base && !handles.is_empty() {
                 metrics.incr(CounterId::ArtificialConflictBarriers);
                 failures.extend(handles.drain(..).filter_map(failure));
-            } else if handles.len() >= CONCURRENT_WINDOW {
-                // Bound the live apply threads even when the serial catch-up
-                // declined and the whole backlog streams through this
-                // pipeline: without a cap a rejoining replica could spawn
-                // one OS thread per backlog entry.  Join only the oldest —
-                // under ordered announces it finishes first — so the window
-                // stays full instead of draining to empty every 64 items.
-                failures.extend(failure(handles.remove(0)));
             }
-            self.wound_conflicting_locals(&item.remote.writeset, Some(tx));
-            let db = self.shared.db.clone();
-            let remote = item.remote;
-            let order_index = item.order_index;
-            let metrics = Arc::clone(metrics);
-            let node = self.shared.config.replica.value() as usize;
-            handles.push(thread::spawn(move || {
-                let install_started = metrics.is_enabled().then(Instant::now);
-                let result =
-                    db.apply_writeset_ordered(&remote.writeset, remote.commit_version, order_index);
-                if let (Some(started), Ok(_)) = (install_started, &result) {
-                    metrics.record_stage(Stage::Install, started.elapsed());
-                    metrics.incr(CounterId::RemoteInstalls);
-                    metrics.emit(
-                        Event::new(Component::Replica, EventKind::InstallRemote)
-                            .version(remote.commit_version.0)
-                            .node(node),
-                    );
-                }
-                result
-            }));
+            let install = Install::new(group, Some(order_index));
+            self.wound_conflicting_locals(&install.writeset, Some(tx));
+            let shared = Arc::clone(&self.shared);
+            handles.push(thread::spawn(move || install.run(&shared)));
         }
 
         // Submit the local commit (or abort) concurrently with the remotes.
-        let outcome = if !decision_commit {
-            None
-        } else if let Some((order_index, version)) = own_slot {
-            match tx.commit_ordered(order_index, version) {
+        let outcome = match own_slot {
+            Some((order_index, version)) => match tx.commit_ordered(order_index, version) {
                 Ok(v) => Some(v),
                 Err(e) => {
                     failures.push(e);
                     None
                 }
+            },
+            None => {
+                // Aborted, or its effects already reached the replica through
+                // the remote path.
+                if decision_commit {
+                    tx.abort();
+                }
+                commit_version
             }
-        } else {
-            // Effects already applied through the remote path, or (in a
-            // bounded catch-up round) deferred to a later remote fetch.
-            tx.abort();
-            commit_version
         };
 
         failures.extend(handles.into_iter().filter_map(failure));
 
         if !failures.is_empty() {
-            // Soft recovery: bring the replica back in sync serially.  The
-            // local commit's effects are then applied via the resync if they
-            // were certified, so the epilogue still reports success.
+            // Soft recovery: bring the replica back in sync.  The local
+            // commit's effects are then applied via the resync if they were
+            // certified, so the epilogue still reports success.
             self.resync()?;
             return self.finish_update_commit(tx, decision_commit, commit_version);
         }

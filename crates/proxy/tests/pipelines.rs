@@ -2,7 +2,8 @@
 //! certifier: two replicas exchange updates, conflicts are detected, and the
 //! replicas converge to the same state in the same global order.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use tashkent_certifier::{Certifier, CertifierConfig, CertifierNodeId};
 use tashkent_common::{
@@ -28,10 +29,24 @@ impl Rig {
     }
 
     fn replica(&self, system: SystemKind, id: u32) -> Proxy {
-        let db = Database::new(EngineConfig::with_sync_mode(match system {
-            SystemKind::TashkentMw => tashkent_common::SyncMode::Off,
-            _ => tashkent_common::SyncMode::Durable,
-        }));
+        self.replica_timing_out(system, id, EngineConfig::default().ordered_commit_timeout)
+    }
+
+    /// A replica whose ordered commits give up on their announce turn after
+    /// `ordered_commit_timeout`.
+    fn replica_timing_out(
+        &self,
+        system: SystemKind,
+        id: u32,
+        ordered_commit_timeout: Duration,
+    ) -> Proxy {
+        let db = Database::new(EngineConfig {
+            ordered_commit_timeout,
+            ..EngineConfig::with_sync_mode(match system {
+                SystemKind::TashkentMw => tashkent_common::SyncMode::Off,
+                _ => tashkent_common::SyncMode::Durable,
+            })
+        });
         db.create_table("accounts", &["balance"]);
         let config = ProxyConfig {
             metrics: Arc::clone(&self.metrics),
@@ -42,6 +57,14 @@ impl Rig {
 
     fn counter(&self, counter: CounterId) -> u64 {
         self.metrics.counter(counter)
+    }
+
+    fn resyncs(&self) -> usize {
+        self.metrics
+            .component_events(Component::Replica)
+            .iter()
+            .filter(|e| e.kind == EventKind::Resync)
+            .count()
     }
 }
 
@@ -293,39 +316,54 @@ fn certifier_outage_surfaces_as_unavailable() {
     tx.commit().unwrap();
 }
 
-/// A declined serial grouped install is a typed `Ok(None)` with **no side
-/// effects**: `refresh` on a replica with an outstanding order index must
-/// leave every piece of proxy and engine state untouched (PR 1's fix,
-/// previously pinned only by stress runs).
+/// A refresh on Tashkent-API is an ordered install: it takes one order
+/// index for the whole group and announces it like any commit.
 #[test]
-fn declined_grouped_install_has_no_side_effects() {
+fn api_refresh_takes_an_order_index() {
     let rig = Rig::new();
     let a = rig.replica(SystemKind::TashkentApi, 0);
     let b = rig.replica(SystemKind::TashkentApi, 1);
-
-    // Replica A commits a backlog replica B has not seen.
     for key in 1..=5 {
         deposit(&a, key, 10 * key).unwrap();
     }
-    // Simulate an in-flight ordered commit on B that will never announce
-    // (the state a crash or wound leaves behind).
-    b.debug_burn_order_index();
-
-    let version_before = b.replica_version();
-    let db_version_before = b.database().version();
-    let installs_before = rig.counter(CounterId::RemoteInstalls);
-    // The install must decline: ordered commits are (apparently)
-    // outstanding, and a grouped install jumping over them would misorder
-    // row chains.
-    assert_eq!(b.refresh().unwrap(), 0);
-    assert_eq!(b.replica_version(), version_before, "no scheduling advance");
-    assert_eq!(b.database().version(), db_version_before, "no engine writes");
-    assert_eq!(rig.counter(CounterId::RemoteInstalls), installs_before);
+    assert_eq!(b.refresh().unwrap(), 5);
+    assert_eq!(b.database().announce_counter(), 1);
+    assert_eq!(b.database().version(), Version(5));
+    for key in 1..=5 {
+        assert_eq!(balance(&b, key), balance(&a, key), "key {key}");
+    }
 }
 
-/// `resync` force-fills outstanding order indices inside the install's
-/// critical section: recovery makes progress even when an index was burned
-/// by a failed pipeline, and the replica is fully usable afterwards.
+/// A refresh queued behind an index that never announces (the state a
+/// crashed or wounded ordered commit leaves behind) waits out the
+/// ordered-commit timeout, then resyncs: the caller sees the timeout, and
+/// the replica is current anyway.
+#[test]
+fn refresh_behind_a_burned_order_index_times_out_and_resyncs() {
+    let rig = Rig::new();
+    let a = rig.replica(SystemKind::TashkentApi, 0);
+    let b = rig.replica_timing_out(SystemKind::TashkentApi, 1, Duration::from_millis(50));
+    for key in 1..=5 {
+        deposit(&a, key, 10 * key).unwrap();
+    }
+    b.debug_burn_order_index();
+
+    let result = b.refresh();
+    assert!(
+        matches!(result, Err(Error::OrderedCommitTimeout { .. })),
+        "{result:?}"
+    );
+    assert_eq!(b.replica_version(), rig.certifier.system_version());
+    assert_eq!(b.database().version(), rig.certifier.system_version());
+    for key in 1..=5 {
+        assert_eq!(balance(&b, key), 10 * key, "key {key}");
+    }
+    assert_eq!(rig.resyncs(), 1);
+}
+
+/// `resync` burns outstanding order indices in the same state-lock section
+/// that takes its own: recovery makes progress even when an index was
+/// burned by a failed pipeline, and the replica is fully usable afterwards.
 #[test]
 fn resync_force_fills_burned_order_indices() {
     let rig = Rig::new();
@@ -336,7 +374,6 @@ fn resync_force_fills_burned_order_indices() {
         deposit(&a, key, 10 * key).unwrap();
     }
     b.debug_burn_order_index();
-    assert_eq!(b.refresh().unwrap(), 0, "declined while the index is outstanding");
 
     // Soft recovery burns the stale index and applies the whole backlog.
     let applied = b.resync().unwrap();
@@ -346,9 +383,7 @@ fn resync_force_fills_burned_order_indices() {
     for key in 1..=5 {
         assert_eq!(balance(&b, key), 10 * key, "key {key}");
     }
-    let log = rig.metrics.component_events(Component::Replica);
-    let resyncs = log.iter().filter(|e| e.kind == EventKind::Resync).count();
-    assert_eq!(resyncs, 1);
+    assert_eq!(rig.resyncs(), 1);
 
     // The ordered-commit bookkeeping is consistent again: both replicas
     // keep committing and converging.
@@ -362,23 +397,56 @@ fn resync_force_fills_burned_order_indices() {
     assert_eq!(balance(&b, 7), 70);
 }
 
-/// While an index is outstanding the decline path must also hold for the
-/// staleness-driven `maybe_refresh`, and `last_contact` must keep ticking
-/// so the next refresh retries promptly instead of believing the replica
-/// is fresh.
+/// A backlog wider than the concurrent window installs as one merged group
+/// at one order index while other clients of the same replica keep
+/// committing: every commit succeeds, later writes in the backlog win, and
+/// the replica converges.
 #[test]
-fn declined_refresh_keeps_the_staleness_clock_running() {
+fn api_backlog_group_installs_beside_concurrent_clients() {
+    const CLIENTS: i64 = 3;
+    const COMMITS: i64 = 20;
     let rig = Rig::new();
     let a = rig.replica(SystemKind::TashkentApi, 0);
     let b = rig.replica(SystemKind::TashkentApi, 1);
+    // 200 commits over 10 keys: the backlog rewrites each key 20 times.
+    for i in 0..200 {
+        deposit(&a, i % 10, 1).unwrap();
+    }
 
-    deposit(&a, 1, 100).unwrap();
-    b.debug_burn_order_index();
-    assert_eq!(b.refresh().unwrap(), 0);
-    // A second refresh still declines (the decline did not update
-    // last_contact, so the replica still knows it is stale), and resync
-    // still recovers.
-    assert_eq!(b.refresh().unwrap(), 0);
-    assert_eq!(b.resync().unwrap(), 1);
-    assert_eq!(balance(&b, 1), 100);
+    let (done, results) = mpsc::channel();
+    let clients: Vec<_> = (1..=CLIENTS)
+        .map(|client| {
+            let b = b.clone();
+            let done = done.clone();
+            std::thread::spawn(move || {
+                for i in 0..COMMITS {
+                    done.send(deposit(&b, client * 1000 + i, 1)).unwrap();
+                }
+            })
+        })
+        .collect();
+    for _ in 0..CLIENTS * COMMITS {
+        let outcome = results
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a client of replica B hung");
+        outcome.expect("every commit on replica B succeeds");
+    }
+    for client in clients {
+        client.join().unwrap();
+    }
+    // One index per client commit and per remote it carried, but one for
+    // the whole 200-writeset backlog.
+    assert!(b.database().announce_counter() < 200);
+
+    b.refresh().unwrap();
+    assert_eq!(b.database().version(), rig.certifier.system_version());
+    assert_eq!(b.replica_version(), Version(200 + (CLIENTS * COMMITS) as u64));
+    for key in 0..10 {
+        assert_eq!(balance(&b, key), 20, "key {key}");
+    }
+    for client in 1..=CLIENTS {
+        for i in 0..COMMITS {
+            assert_eq!(balance(&b, client * 1000 + i), 1, "client {client} key {i}");
+        }
+    }
 }

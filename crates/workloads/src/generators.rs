@@ -186,7 +186,7 @@ impl Workload for TpcB {
         }
         // The bulk load bypasses the WAL; seal it as the recovery baseline
         // so crashed replicas come back with their initial rows.
-        cluster.seal_baseline();
+        cluster.checkpoint();
     }
 
     fn run_one(
@@ -314,7 +314,7 @@ impl Workload for TpcW {
             db.bulk_load(customers, customer_rows, tashkent::Version::ZERO);
         }
         // As for TPC-B: the bulk-loaded catalogue must survive recovery.
-        cluster.seal_baseline();
+        cluster.checkpoint();
     }
 
     fn run_one(

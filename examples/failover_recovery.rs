@@ -29,11 +29,11 @@ fn main() {
         cluster.sync_all().unwrap();
 
         // Tashkent-MW keeps durability in the middleware, so the middleware
-        // periodically dumps each replica (Section 7.1).
-        let dump_bytes = cluster.replica(1).take_dump();
-        println!("  took replica dump: {dump_bytes} bytes at version {}", cluster.replica(1).version());
+        // periodically checkpoints each replica (Section 7.1).
+        let sealed = cluster.replica(1).seal_checkpoint();
+        println!("  sealed replica checkpoint at version {sealed}");
 
-        // More commits after the dump, then crash replica 1.
+        // More commits after the checkpoint, then crash replica 1.
         for key in 10..15 {
             commit_key(&cluster, table, 0, key);
         }
@@ -50,7 +50,7 @@ fn main() {
             cluster.system_version()
         );
 
-        // Recover the replica: WAL redo (Base / Tashkent-API) or dump restore
+        // Recover the replica: WAL redo (Base / Tashkent-API) or checkpoint restore
         // (Tashkent-MW), then catch-up from the certifier log.
         let applied = cluster.replica(1).recover().unwrap();
         println!(

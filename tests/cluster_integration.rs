@@ -267,7 +267,7 @@ fn replica_recovery_during_load_loses_nothing() {
         tx.commit().unwrap();
         if key == 10 {
             cluster.sync_all().unwrap();
-            cluster.replica(1).take_dump();
+            cluster.replica(1).seal_checkpoint();
         }
     }
     cluster.replica(1).crash();

@@ -47,7 +47,7 @@ fn build(system: SystemKind, transport: TransportKind) -> (Arc<Cluster>, TableId
         tx.commit().unwrap();
     }
     cluster.sync_all().unwrap();
-    cluster.seal_baseline();
+    cluster.checkpoint();
     (cluster, table)
 }
 
