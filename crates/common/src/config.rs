@@ -224,10 +224,6 @@ pub struct ClusterConfig {
     /// If a replica hears nothing from the certifier for this long, its proxy
     /// proactively fetches remote writesets (bounded staleness, Section 6.2).
     pub staleness_bound: Duration,
-    /// Enable local certification at the proxy (Section 6.2 optimisation).
-    pub local_certification: bool,
-    /// Enable eager pre-certification / deadlock avoidance (Section 8.2).
-    pub eager_precertification: bool,
     /// How proxies reach the certifier (appended last so configurations
     /// serialised before networking existed keep their field order).
     pub transport: TransportKind,
@@ -244,8 +240,6 @@ impl ClusterConfig {
             certifier_shards: 1,
             forced_abort_rate: 0.0,
             staleness_bound: Duration::from_millis(50),
-            local_certification: true,
-            eager_precertification: true,
             transport: TransportKind::InProcess,
         }
     }

@@ -917,8 +917,11 @@ mod tests {
             tx.commit().unwrap();
         }
         cluster.sync_all().unwrap();
+        // A cycle advances the floor before it counts itself: wait for both.
         let deadline = Instant::now() + Duration::from_secs(10);
-        while cluster.truncation_floor() < Version(10) && Instant::now() < deadline {
+        while (cluster.truncation_floor() < Version(10) || trimmer.cycles() == 0)
+            && Instant::now() < deadline
+        {
             std::thread::sleep(Duration::from_millis(2));
         }
         assert!(trimmer.cycles() > 0);

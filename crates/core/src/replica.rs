@@ -65,12 +65,9 @@ impl ReplicaNode {
         };
         let db = Database::new(engine_config.clone());
         let proxy_config = ProxyConfig {
-            system: config.system,
-            replica: id,
-            local_certification: config.local_certification,
-            eager_precertification: config.eager_precertification,
             staleness_bound: config.staleness_bound,
             metrics,
+            ..ProxyConfig::new(config.system, id)
         };
         let proxy = Proxy::new(proxy_config.clone(), db.clone(), certifier.clone());
         ReplicaNode {

@@ -5,6 +5,7 @@
 //! dense order index under the proxy's state lock, in global version order,
 //! and the engine announces commits in index order.  Base and Tashkent-MW
 //! install serially under the apply lock and never hand out an index.
+//! On all three, an install's row lock aborts any local holder (Section 8.2).
 
 use std::sync::Arc;
 use std::thread;
@@ -31,7 +32,8 @@ pub struct ProxyConfig {
     pub replica: ReplicaId,
     /// Enable local certification (Section 6.2).
     pub local_certification: bool,
-    /// Enable eager pre-certification / deadlock avoidance (Section 8.2).
+    /// Read by nothing: Section 8.2 is always on, in the engine's row lock.
+    /// Kept so configurations built as struct literals still compile.
     pub eager_precertification: bool,
     /// If the proxy hears nothing from the certifier for this long, it
     /// proactively fetches remote writesets (bounded staleness, Section 6.2).
@@ -382,27 +384,6 @@ impl Proxy {
 
     // ----- internals -----
 
-    /// Wound active local transactions whose partial writesets conflict with
-    /// an incoming remote writeset (eager pre-certification, Section 8.2).
-    fn wound_conflicting_locals(&self, remote: &WriteSet, committing: Option<&TxHandle>) {
-        if !self.shared.config.eager_precertification {
-            return;
-        }
-        let committing_id = committing.map(TxHandle::id);
-        for (tx_id, partial) in self.shared.db.active_update_writesets() {
-            if Some(tx_id) == committing_id {
-                continue;
-            }
-            if partial.conflicts_with(remote) {
-                // Abort the conflicting local transaction outright: it holds
-                // write locks the certified remote writeset needs, and it is
-                // doomed to fail certification anyway because the remote
-                // writeset committed after its snapshot.
-                self.shared.db.abort_transaction(tx_id);
-            }
-        }
-    }
-
     /// Installs the not-yet-scheduled suffix of `remotes` as one group — the
     /// install of refresh, resync and Base / Tashkent-MW's [C4].  Returns
     /// the number of writesets installed.
@@ -437,7 +418,6 @@ impl Proxy {
             .config
             .metrics
             .gauge_set(GaugeId::RemoteApplyBacklog, install.count as i64);
-        self.wound_conflicting_locals(&install.writeset, None);
         install.run(&self.shared)?;
         Ok(install.count)
     }
@@ -492,12 +472,12 @@ impl Proxy {
             // them twice.
             tx.abort();
         } else if let Err(e) = tx.commit_at(version) {
-            // The local transaction may have been aborted under us by eager
-            // pre-certification (a certified remote writeset needed one of
-            // its locks).  Its certified effects are recovered by a resync;
-            // the client sees a retryable conflict.  `commit_serial` already
-            // holds the apply lock, so use the lock-free body — calling
-            // `resync()` here would re-lock `apply_lock` and self-deadlock.
+            // An install's row lock may have aborted the local transaction
+            // under us (Section 8.2).  Its certified effects are recovered by
+            // a resync; the client sees a retryable conflict.  `commit_serial`
+            // already holds the apply lock, so use the lock-free body —
+            // calling `resync()` here would re-lock `apply_lock` and
+            // self-deadlock.
             self.resync_locked()?;
             return Err(match e {
                 Error::InvalidTransactionState { tx, .. } => Error::WriteConflict {
@@ -598,7 +578,6 @@ impl Proxy {
                 failures.extend(handles.drain(..).filter_map(failure));
             }
             let install = Install::new(group, Some(order_index));
-            self.wound_conflicting_locals(&install.writeset, Some(tx));
             let shared = Arc::clone(&self.shared);
             handles.push(thread::spawn(move || install.run(&shared)));
         }

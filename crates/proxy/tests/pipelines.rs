@@ -277,27 +277,30 @@ fn tashkent_api_serialises_artificial_conflicts() {
     assert!(rig.counter(CounterId::ArtificialConflictBarriers) >= 1);
 }
 
+/// Section 8.2 on every system: a remote install that reaches a row a local
+/// transaction holds aborts the holder instead of deadlocking against it (on
+/// Tashkent-API the refresh does so from inside an ordered install).
 #[test]
-fn eager_precertification_wounds_conflicting_local_transactions() {
-    let rig = Rig::new();
-    let a = rig.replica(SystemKind::TashkentMw, 0);
-    let b = rig.replica(SystemKind::TashkentMw, 1);
-    let ta = a.database().table_id("accounts").unwrap();
+fn remote_install_wounds_a_conflicting_local_holder() {
+    for system in SystemKind::ALL {
+        let rig = Rig::new();
+        let a = rig.replica(system, 0);
+        let b = rig.replica(system, 1);
+        let ta = a.database().table_id("accounts").unwrap();
 
-    // A local transaction on A holds the write lock on key 9 but has not yet
-    // tried to commit.
-    let txa = a.begin();
-    txa.insert(ta, 9, vec![("balance".into(), Value::Int(1))])
-        .unwrap();
-    // B commits a transaction on the same key; when A refreshes, the remote
-    // writeset must not deadlock against the local holder: the local
-    // transaction gets wounded instead.
-    deposit(&b, 9, 42).unwrap();
-    a.refresh().unwrap();
-    assert_eq!(balance(&a, 9), 42);
-    // The wounded transaction cannot commit.
-    let result = txa.commit();
-    assert!(result.is_err());
+        // A local transaction on A holds the write lock on key 9 but has not
+        // yet tried to commit.
+        let txa = a.begin();
+        txa.insert(ta, 9, vec![("balance".into(), Value::Int(1))])
+            .unwrap();
+        // B commits a transaction on the same key; A's refresh installs it
+        // and wounds the local holder.
+        deposit(&b, 9, 42).unwrap();
+        a.refresh().unwrap();
+        assert_eq!(balance(&a, 9), 42, "system {system}");
+        // The wounded transaction cannot commit.
+        assert!(txa.commit().is_err(), "system {system}");
+    }
 }
 
 #[test]

@@ -380,35 +380,10 @@ impl Database {
             .map_or(0, |t| t.scan_at(version).count())
     }
 
-    /// Writesets of all currently active update transactions (their partial
-    /// writesets), used by eager pre-certification at the proxy.
-    #[must_use]
-    pub fn active_update_writesets(&self) -> Vec<(TxId, WriteSet)> {
-        self.shared
-            .txns
-            .lock()
-            .values()
-            .filter(|t| t.is_active() && !t.writeset.is_empty())
-            .map(|t| (t.id, t.writeset.clone()))
-            .collect()
-    }
-
-    /// Wounds an active transaction: its next lock wait or commit fails so
-    /// the middleware can abort it in favour of a remote writeset
-    /// (eager pre-certification, Section 8.2).
-    pub fn wound(&self, tx: TxId) {
-        self.shared.locks.wound(tx);
-    }
-
-    /// Aborts a transaction by id, releasing its locks.
-    ///
-    /// This is the mechanism behind the proxy's eager pre-certification
-    /// (Section 8.2): the middleware owns the client connection and can issue
-    /// the abort on the client's behalf, so that a certified remote writeset
-    /// blocked on the transaction's write locks can proceed.  Subsequent
-    /// operations on the aborted transaction fail with
-    /// [`Error::InvalidTransactionState`].
-    pub fn abort_transaction(&self, tx: TxId) {
+    /// Aborts a transaction by id, releasing its locks: the wound of
+    /// `lock_row`'s remote-priority rule.  Later operations on the aborted
+    /// transaction fail with [`Error::InvalidTransactionState`].
+    fn abort_transaction(&self, tx: TxId) {
         self.shared.locks.wound(tx);
         self.abort_tx(tx);
     }
@@ -719,14 +694,16 @@ impl Database {
     }
 
     fn lock_row(&self, id: TxId, table: TableId, key: &RowKey) -> Result<()> {
-        // Remote-writeset applications take priority over ordinary local
-        // transactions (Section 8.2: "mark remote writesets with high
+        // Section 8.2's remote-priority rule, implemented here only and the
+        // same on all three systems: a remote-writeset install takes
+        // priority over local transactions ("mark remote writesets with high
         // priority, aborting any conflicting local transaction").  The
-        // remote writeset is already certified and must eventually commit,
-        // whereas a conflicting local transaction is doomed to fail
-        // certification anyway; aborting it immediately also prevents
-        // deadlocks between the replication middleware's apply phase and
-        // client transactions.
+        // install is certified and must commit; a local holder of one of its
+        // rows is doomed to fail certification anyway.  Every local write
+        // takes its row lock first, so the local transactions whose partial
+        // writesets intersect the install are exactly the holders it meets
+        // here, and each is aborted at the row.  Aborting at once also keeps
+        // the apply phase out of deadlocks with client transactions.
         let (is_remote_apply, my_order) = self
             .with_tx(id, |tx| Ok((tx.remote_apply, tx.remote_order)))
             .unwrap_or((false, None));
@@ -1698,23 +1675,19 @@ mod tests {
         let tx = db.begin();
         tx.insert(t, 1, vec![("balance".into(), Value::Int(1))])
             .unwrap();
-        db.wound(tx.id());
-        assert!(matches!(tx.commit(), Err(Error::WriteConflict { .. })));
-        assert!(db.read_latest(t, 1).is_none());
-    }
-
-    #[test]
-    fn active_writesets_expose_partial_writes() {
-        let (db, t) = test_db();
-        let tx = db.begin();
-        tx.insert(t, 1, vec![("balance".into(), Value::Int(1))])
-            .unwrap();
-        let active = db.active_update_writesets();
-        assert_eq!(active.len(), 1);
-        assert_eq!(active[0].0, tx.id());
-        assert_eq!(active[0].1.len(), 1);
-        tx.abort();
-        assert!(db.active_update_writesets().is_empty());
+        // A certified remote writeset on the same row wounds the local holder
+        // at the row lock and installs.
+        let ws = WriteSet::from_items(vec![tashkent_common::WriteItem::insert(
+            t,
+            1,
+            vec![("balance".into(), Value::Int(2))],
+        )]);
+        db.apply_writeset(&ws, Version(1)).unwrap();
+        assert!(matches!(
+            tx.commit(),
+            Err(Error::InvalidTransactionState { .. })
+        ));
+        assert_eq!(balance(&db, t, 1), 2);
     }
 
     #[test]

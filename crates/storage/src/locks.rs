@@ -15,9 +15,9 @@
 //! by following the wait-for chain whenever a transaction is about to block
 //! and aborts the requester that would close the cycle.
 //!
-//! The proxy's *eager pre-certification* optimisation avoids most of these
-//! deadlocks by aborting the conflicting local transaction before the remote
-//! writeset ever blocks; it uses [`LockManager::wound`] to do so.
+//! The engine's remote-priority rule (Section 8.2) avoids most of these
+//! deadlocks: a remote writeset that meets a local holder wounds it with
+//! [`LockManager::wound`] instead of blocking.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::{Duration, Instant};
@@ -277,8 +277,8 @@ impl LockManager {
     }
 
     /// Marks `tx` as wounded: its next (or current) lock wait fails with a
-    /// write-write conflict so that the middleware can abort it and let a
-    /// remote writeset proceed (eager pre-certification, Section 8.2).
+    /// write-write conflict, so that a remote writeset can proceed past it
+    /// (Section 8.2).
     pub fn wound(&self, tx: TxId) {
         let mut state = self.state.lock();
         state.wounded.insert(tx);

@@ -2,9 +2,7 @@
 //!
 //! The engine captures a transaction's writeset as the transaction executes
 //! (the equivalent of the INSERT/UPDATE/DELETE triggers the paper installs in
-//! PostgreSQL), so that the proxy can extract it at commit time — and can
-//! even look at the *partial* writeset of a still-running transaction, which
-//! is what eager pre-certification needs.
+//! PostgreSQL), so that the proxy can extract it at commit time.
 
 use std::collections::HashMap;
 
