@@ -40,9 +40,11 @@
 //! arrival order; phase 2 takes the sequencer once, assigns versions and
 //! appends, and one grouped majority fsync on the home shard makes the
 //! epoch durable.  With batching on, single-shard requests wait in their
-//! shard's [`EpochQueue`] so one leader decides many at a time; everything
-//! else is decided on the caller's thread as an epoch of one.  Decisions
-//! are those of the requests taken one at a time in arrival order.
+//! shard's [`EpochQueue`]: one leader decides every request queued by the
+//! time its epoch starts, then hands leadership to the first request that
+//! queued during that epoch; everything else is decided on the caller's
+//! thread as an epoch of one.  Decisions are those of the requests taken
+//! one at a time in arrival order.
 //!
 //! # Version streams
 //!

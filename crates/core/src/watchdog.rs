@@ -182,7 +182,10 @@ fn detect_convoy(samples: &[FlightSample], config: &WatchdogConfig) -> Option<Ve
 /// The drain-stall signature: the last `stall_window` sample deltas all
 /// committed zero transactions while the window as a whole still recorded
 /// at least `stall_min_fsyncs` WAL fsyncs — the periodic-fsync heartbeat
-/// that separates a wedged commit path from an idle cluster.
+/// that separates a wedged commit path from an idle cluster.  On a
+/// Tashkent-API replica that heartbeat comes only from local commits and
+/// checkpoints: remote installs append their WAL records without a flush,
+/// so a replica that only installs adds no fsyncs of its own.
 ///
 /// The detector stands down while fault injection touches the cluster, and
 /// through a grace horizon after the heal: commits stopping during (or in

@@ -3,7 +3,10 @@
 //! * **Base / Tashkent-API** replicas recover like a standalone database: the
 //!   engine redoes its durable WAL, then the proxy fetches from the certifier
 //!   every writeset the replica is still missing and applies them in global
-//!   order ([`recover_base_or_api_replica`] + [`catch_up`]).
+//!   order ([`recover_base_or_api_replica`] + [`catch_up`]).  The WAL is
+//!   trusted only up to its dense frontier; a Tashkent-API replica's remote
+//!   installs are not flushed on their own, so the writesets whose records
+//!   the crash took come back from the certifier the same way.
 //! * **Tashkent-MW** replicas run with synchronous WAL writes disabled, so
 //!   after a crash the WAL is useless (and data pages could be corrupt on a
 //!   real engine).  The middleware instead restarts the replica from the most
@@ -73,10 +76,13 @@ pub fn catch_up(db: &Database, certifier: &CertifierHandle) -> Result<usize> {
 /// durable record.  Beyond the frontier a version gap is ambiguous: it is
 /// either a grouped install (one record covering a whole batch, harmless)
 /// or a record lost to the crash (group commit fsyncs records out of
-/// version order, so a lost record can sit *below* durable ones).  The
-/// certifier log still holds every certified writeset, so everything past
-/// the frontier is re-fetched from there in global order instead of being
-/// guessed from the log.
+/// version order, so a lost record can sit *below* durable ones).  A
+/// Tashkent-API remote install is one more source of such gaps: it appends
+/// its record without a flush and rides the next local commit's flush or
+/// checkpoint, so a crash before that flush loses a record the replica had
+/// already announced.  The certifier log still holds every certified
+/// writeset, so everything past the frontier is re-fetched from there in
+/// global order instead of being guessed from the log.
 ///
 /// Returns the recovered database and the number of writesets re-applied
 /// during catch-up.
@@ -237,6 +243,88 @@ mod tests {
         assert_eq!(applied, 1);
         assert_eq!(recovered.version(), Version(3));
         let _ = t;
+    }
+
+    /// The versions of the commit records a crash left in the WAL.
+    fn durable_commit_versions(db: &Database) -> Vec<Version> {
+        WalRecord::decode_all(&db.log_device().durable_contents())
+            .unwrap()
+            .iter()
+            .filter_map(|record| match record {
+                WalRecord::Commit { version, .. } => Some(*version),
+                WalRecord::Checkpoint { .. } => None,
+            })
+            .collect()
+    }
+
+    fn recover_api(db: &Database, certifier: &CertifierHandle) -> (Database, usize) {
+        recover_base_or_api_replica(
+            EngineConfig::default(),
+            db.log_device(),
+            &[("t", vec!["x"])],
+            None,
+            certifier,
+        )
+        .unwrap()
+    }
+
+    /// A replica that installed every certified writeset in order and
+    /// never crashed.
+    fn never_crashed(certifier: &CertifierHandle) -> Database {
+        let db = Database::new(EngineConfig::default());
+        db.create_table("t", &["x"]);
+        for (order, remote) in certifier.writesets_after(Version::ZERO).iter().enumerate() {
+            db.apply_writeset_ordered(&remote.writeset, remote.commit_version, order as u64 + 1)
+                .unwrap();
+        }
+        db
+    }
+
+    #[test]
+    fn an_api_remote_install_lost_before_any_flush_is_refetched() {
+        let certifier = certifier_with_entries(3);
+        let remotes = certifier.writesets_after(Version::ZERO);
+        // The replica installs and announces the first two writesets, then
+        // crashes before any local commit or checkpoint flushes the WAL.
+        let db = Database::new(EngineConfig::default());
+        db.create_table("t", &["x"]);
+        for (order, remote) in remotes.iter().take(2).enumerate() {
+            db.apply_writeset_ordered(&remote.writeset, remote.commit_version, order as u64 + 1)
+                .unwrap();
+        }
+        assert_eq!(db.version(), Version(2), "both installs announced");
+        db.crash();
+        assert!(
+            durable_commit_versions(&db).is_empty(),
+            "a remote install appends its record without a flush"
+        );
+        let (recovered, applied) = recover_api(&db, &certifier);
+        assert_eq!(applied, 3, "the lost installs come back from the certifier");
+        assert_eq!(recovered.dump(), never_crashed(&certifier).dump());
+    }
+
+    #[test]
+    fn a_local_flush_covers_the_remote_records_appended_before_it() {
+        let certifier = certifier_with_entries(2);
+        let remotes = certifier.writesets_after(Version::ZERO);
+        let db = Database::new(EngineConfig::default());
+        db.create_table("t", &["x"]);
+        db.apply_writeset_ordered(&remotes[0].writeset, remotes[0].commit_version, 1)
+            .unwrap();
+        // The replica's own transaction, certified as the second writeset,
+        // commits through the ordered API and flushes.
+        let local = db.begin();
+        local.apply_items(&remotes[1].writeset).unwrap();
+        local.commit_ordered(2, remotes[1].commit_version).unwrap();
+        db.crash();
+        assert_eq!(
+            durable_commit_versions(&db),
+            vec![Version(1), Version(2)],
+            "the local flush made the earlier remote record durable too"
+        );
+        let (recovered, applied) = recover_api(&db, &certifier);
+        assert_eq!(applied, 0, "WAL redo alone restores both commits");
+        assert_eq!(recovered.dump(), never_crashed(&certifier).dump());
     }
 
     #[test]

@@ -524,8 +524,13 @@ impl Database {
     }
 
     /// Applies a remote writeset with the ordered-commit API (Tashkent-API):
-    /// the commit record may be grouped with others and the commit is
-    /// announced at dense position `order_index`.
+    /// the commit is announced at dense position `order_index`, and its
+    /// commit record is appended without waiting for a flush.  The writeset
+    /// is already durable in the certifier log; the next local ordered
+    /// commit's flush (or a checkpoint) covers the record, and a crash
+    /// before then leaves a gap that replica recovery re-fetches from the
+    /// certifier.  ([`Database::apply_writeset`], the serial Base path,
+    /// still flushes.)
     ///
     /// # Errors
     ///
@@ -1032,10 +1037,14 @@ impl Database {
         let Some((writeset, buffer, _)) = self.prepare_commit(id)? else {
             return Ok(self.version());
         };
-        // Durability first: the commit record may be flushed in any order
-        // relative to other transactions (grouped into one fsync when
-        // submissions are concurrent).
-        self.log_commit(version, &writeset, None);
+        // Durability first: a local commit's record may be flushed in any
+        // order relative to other transactions (grouped into one fsync when
+        // submissions are concurrent).  A remote install only appends: its
+        // writeset is already durable in the certifier log, the next local
+        // flush or checkpoint covers the record, and recovery re-fetches
+        // whatever a crash took from above the WAL's dense frontier.
+        let remote = self.with_tx(id, |tx| Ok(tx.remote_apply)).unwrap_or(false);
+        self.log_commit(version, &writeset, remote.then_some(false));
         // Announce strictly in the prescribed order ("semaphore").
         let announce_started = self
             .shared

@@ -39,6 +39,7 @@ pub struct Transaction {
     pub writeset: WriteSet,
     /// `true` if this transaction is the application of a remote writeset
     /// (used for diagnostics and to skip writeset re-capture downstream).
+    /// An *ordered* remote apply appends its commit record without a flush.
     pub remote_apply: bool,
     /// For an *ordered* remote apply, its announce-order index.  Row-lock
     /// arbitration between two remote applies compares these: the

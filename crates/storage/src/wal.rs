@@ -11,6 +11,10 @@
 //!   scheduled wait for that one and do not issue their own.  This is the
 //!   standard optimisation the paper's Section 3 describes for standalone
 //!   databases, and the mechanism Tashkent-API re-enables for replicas.
+//!   A Tashkent-API remote install does not request a flush at all: its
+//!   writeset is already durable in the certifier log, so it appends its
+//!   record and rides the next local commit's flush or checkpoint — one
+//!   flush per local commit covers the remote writesets before it.
 //! * `NoSyncOnCommit` — the record is appended but the commit returns
 //!   immediately; a later flush (checkpoint or another durable commit) will
 //!   make it durable.  Physical integrity is preserved, durability is not.

@@ -115,8 +115,9 @@ fn main() {
     }
     println!();
     println!(
-        "Tashkent-MW performs no replica fsyncs at all; Tashkent-API groups its\n\
-         commit records; Base pays one fsync per remote group and per local commit."
+        "Tashkent-MW performs no replica fsyncs at all; Tashkent-API flushes once per\n\
+         local commit, its remote installs riding that flush; Base pays one fsync per\n\
+         remote group and per local commit."
     );
     for (label, snapshot, samples) in &breakdowns {
         println!();
