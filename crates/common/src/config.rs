@@ -16,10 +16,8 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// Which of the three replication designs a cluster runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SystemKind {
     /// Ordering in middleware, durability in the database, serial commits.
     Base,
@@ -98,7 +96,7 @@ impl std::fmt::Display for SystemKind {
 /// WAL synchronisation mode of a database replica.
 ///
 /// Mirrors the options Section 7.1 describes for off-the-shelf engines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SyncMode {
     /// Every commit record is flushed with a synchronous write (fsync).
     /// This is the standalone-database default and what Base and
@@ -134,7 +132,7 @@ impl SyncMode {
 /// The replication logic is transport-agnostic: the proxies and the
 /// certifier exchange the same messages whether they share an address
 /// space or a network.  This knob selects the plumbing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TransportKind {
     /// Direct in-process calls (the historical default): proxies invoke the
     /// certifier through shared memory with no serialisation.
@@ -186,7 +184,7 @@ impl std::fmt::Display for TransportKind {
 /// channel with database page reads and dirty-page writebacks
 /// ("shared IO").  Putting the database in ramdisk dedicates the channel to
 /// logging ("dedicated IO").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IoChannelMode {
     /// One disk shared between WAL logging, page reads and page writebacks.
     Shared,
@@ -206,7 +204,7 @@ impl IoChannelMode {
 }
 
 /// Configuration of a whole replicated deployment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// Which replication design to run.
     pub system: SystemKind,

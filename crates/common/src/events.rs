@@ -34,15 +34,13 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 use crate::metrics::{CommitPathTrace, Stage};
 
 /// Number of event-emitting components.
 pub const COMPONENT_COUNT: usize = 5;
 
 /// The component that emitted an event — which ring it lands in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Component {
     /// The per-replica transparent proxy (transaction lifecycle).
     Proxy,
@@ -104,7 +102,7 @@ pub const EVENT_KIND_COUNT: usize = 16;
 /// What happened.  Kinds are deliberately commit-path-shaped: a grep for
 /// one transaction id across the merged timeline reconstructs its journey
 /// through every component.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// A proxy began a transaction.
     TxBegin,
@@ -220,7 +218,7 @@ impl EventKind {
 /// `at_micros` is microseconds since the owning registry started — one
 /// clock for the whole cluster (every component shares the cluster's
 /// registry), which is what makes the merged timeline causally ordered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
     /// Microseconds since the registry started (stamped by
     /// `MetricsRegistry::emit`; zero until then).

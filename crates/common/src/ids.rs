@@ -7,17 +7,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A database snapshot version.
 ///
 /// Version `0` is the initial, empty state of the database.  Every committed
 /// update transaction creates the next version.  The certifier owns the
 /// global `system_version`; each replica tracks the prefix it has applied in
 /// its `replica_version`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Version(pub u64);
 
 impl Version {
@@ -76,9 +72,7 @@ impl From<Version> for u64 {
 }
 
 /// Identifier of a database replica (and of its attached proxy).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ReplicaId(pub u32);
 
 impl ReplicaId {
@@ -96,9 +90,7 @@ impl fmt::Display for ReplicaId {
 }
 
 /// Identifier of a client connection (one closed-loop workload driver).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ClientId(pub u64);
 
 impl fmt::Display for ClientId {
@@ -112,9 +104,7 @@ impl fmt::Display for ClientId {
 /// Transaction ids are a local implementation detail of the storage engine;
 /// the replication protocol only ever refers to transactions by the version
 /// they commit at (their `tx_commit_version`).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TxId(pub u64);
 
 impl TxId {

@@ -25,8 +25,7 @@
 //! A [`MetricsSnapshot`] is a self-contained copy of the registry that can
 //! be serialised with [`MetricsSnapshot::to_bytes`] / decoded with
 //! [`MetricsSnapshot::from_bytes`] (a length-prefixed binary layout on the
-//! shared [`crate::codec`] reader and writer — the vendored serde stand-in
-//! provides derives only).  The flight recorder in the `tashkent`
+//! shared [`crate::codec`] reader and writer).  The flight recorder in the `tashkent`
 //! crate samples snapshots on an interval into a ring buffer so post-hoc
 //! analysis can see a sub-second timeline of a run.
 
@@ -34,8 +33,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-use serde::{Deserialize, Serialize};
 
 use crate::codec::{Reader, Writer};
 use crate::events::{
@@ -48,7 +45,7 @@ use crate::{Error, Result};
 pub const STAGE_COUNT: usize = 6;
 
 /// One lifecycle stage of an update transaction's commit path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Snapshot acquisition at the proxy (`begin`).
     Begin,
@@ -106,7 +103,7 @@ impl Stage {
 pub const COUNTER_COUNT: usize = 25;
 
 /// A monotonic event counter of the registry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CounterId {
     /// Transactions begun at any proxy.
     TxBegun,
@@ -275,7 +272,7 @@ pub const GAUGE_COUNT: usize = 6;
 
 /// A queue-depth gauge of the registry.  Every gauge also tracks its
 /// high-water mark since registry creation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GaugeId {
     /// Certification requests currently inside `certify` (the certifier's
     /// inbox depth in a message-passing deployment).
@@ -424,7 +421,7 @@ pub const TRACE_CAPACITY: usize = 256;
 /// Offsets are non-decreasing in stage order by construction (a skipped
 /// stage inherits its predecessor's offset), which
 /// [`CommitPathTrace::is_monotonic`] asserts.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CommitPathTrace {
     /// Transaction identifier (engine `TxId`).
     pub tx: u64,
@@ -742,7 +739,7 @@ impl Drop for GaugeGuard<'_> {
 }
 
 /// A self-contained copy of a [`MetricsRegistry`] at one instant.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MetricsSnapshot {
     /// Time since the registry was created.
     pub elapsed: Duration,

@@ -14,14 +14,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::writeset::{RowKey, TableId, WriteSet};
 
 /// Identifier of one certifier shard.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ShardId(pub u32);
 
 impl ShardId {
@@ -45,7 +41,7 @@ impl fmt::Display for ShardId {
 pub const MAX_SHARDS: usize = 1024;
 
 /// The deterministic key→shard map shared by every cluster component.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardMap {
     shard_count: u32,
 }

@@ -7,14 +7,12 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// A latency histogram with microsecond resolution.
 ///
 /// Samples are kept in logarithmically sized buckets so that memory use is
 /// bounded no matter how long an experiment runs, while percentile error
 /// stays below ~3 %.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LatencyHistogram {
     /// Bucket counts.  Bucket `i` covers `[lower_bound(i), lower_bound(i+1))`.
     buckets: Vec<u64>,
@@ -190,7 +188,7 @@ impl LatencyHistogram {
 /// The headline explanation for Tashkent-MW's win is that "the certifier …
 /// is able to group an average of 29 writesets per fsync" (Section 9.2);
 /// this type produces that number.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct GroupCommitStats {
     /// Number of synchronous flush operations performed.
     pub fsyncs: u64,
@@ -228,7 +226,7 @@ impl GroupCommitStats {
 }
 
 /// Result of one measured run: committed/aborted counts, duration, latency.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RunStats {
     /// Transactions that committed.
     pub committed: u64,
@@ -239,13 +237,10 @@ pub struct RunStats {
     /// Wall-clock (or virtual) duration of the measured interval.
     pub elapsed: Duration,
     /// Response-time distribution of committed transactions.
-    #[serde(skip)]
     pub latency: LatencyHistogram,
     /// Response-time distribution of committed read-only transactions.
-    #[serde(skip)]
     pub read_only_latency: LatencyHistogram,
     /// Response-time distribution of committed update transactions.
-    #[serde(skip)]
     pub update_latency: LatencyHistogram,
     /// Group-commit behaviour of the replica WAL (database durability).
     pub replica_group_commit: GroupCommitStats,
@@ -309,7 +304,7 @@ impl RunStats {
 
 /// One data point of a figure: x value (replica count), plus the measured
 /// throughput and response time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SeriesPoint {
     /// Number of replicas (the x axis of every figure in the paper).
     pub replicas: usize,
@@ -320,7 +315,7 @@ pub struct SeriesPoint {
 }
 
 /// A named series (one curve of a figure).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Series {
     /// Curve label (e.g. `tashMW`).
     pub label: String,

@@ -19,8 +19,6 @@
 use std::collections::HashSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::Version;
 use crate::value::Value;
 
@@ -29,9 +27,7 @@ use crate::value::Value;
 /// Tables are registered in a schema catalogue at database creation time and
 /// referred to by their dense index afterwards, which keeps writesets compact
 /// and intersection tests cheap.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TableId(pub u32);
 
 impl TableId {
@@ -54,7 +50,7 @@ impl fmt::Display for TableId {
 /// that can be flattened into an integer plus a discriminator, so a compact
 /// enum suffices and avoids heap allocation on the hot certification path for
 /// the common case.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RowKey {
     /// Single integer key (`accounts.aid`, `items.i_id`, ...).
     Int(i64),
@@ -105,7 +101,7 @@ impl From<&str> for RowKey {
 }
 
 /// The kind of modification captured for one row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WriteOp {
     /// A newly inserted row: the full row image.
     Insert {
@@ -154,7 +150,7 @@ impl WriteOp {
 }
 
 /// One row-level entry of a writeset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WriteItem {
     /// Table the row belongs to.
     pub table: TableId,
@@ -207,7 +203,7 @@ impl WriteItem {
 /// The order of items is the order in which the transaction performed the
 /// writes; re-applying the items in order on another replica recreates the
 /// transaction's effect.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct WriteSet {
     items: Vec<WriteItem>,
 }
@@ -338,7 +334,7 @@ impl fmt::Display for WriteSet {
 ///
 /// This is the unit stored in the certifier log and shipped to replicas as a
 /// *remote writeset*.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VersionedWriteSet {
     /// Global version created by this transaction's commit.
     pub commit_version: Version,

@@ -180,7 +180,7 @@ proptest! {
 /// A minimal recursive-descent JSON parser: enough of RFC 8259 to fully
 /// validate the Chrome-trace export (objects, arrays, strings with
 /// escapes, integers/floats, booleans, null) without pulling in a real
-/// JSON dependency (the vendored serde is a derive-only stub).
+/// JSON dependency.
 mod json {
     use std::collections::HashMap;
 

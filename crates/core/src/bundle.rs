@@ -64,8 +64,7 @@ impl DiagnosticBundle {
     }
 
     /// Serialises the bundle on the shared [`tashkent_common::codec`]
-    /// writer (the vendored serde is a no-op stub), nesting the metrics
-    /// snapshot's own encoding.
+    /// writer, nesting the metrics snapshot's own encoding.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let snapshot = self.snapshot.to_bytes();

@@ -401,9 +401,10 @@ impl Cluster {
         self.refresh_nodes_down();
     }
 
-    /// Recovers one crashed replica following its system's procedure (WAL
-    /// redo or dump restore, then certifier catch-up).  Returns the number of
-    /// writesets re-applied during catch-up.
+    /// Recovers one crashed replica with the one recovery rule of
+    /// [`ReplicaNode::recover`] (best checkpoint, WAL redo to its dense
+    /// frontier, resync from the certifier).  Returns the number of
+    /// writesets re-fetched from the certifier.
     ///
     /// # Errors
     ///

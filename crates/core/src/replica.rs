@@ -5,31 +5,28 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 use tashkent_common::{
-    ClusterConfig, Component, Event, EventKind, MetricsRegistry, ReplicaId, Result, SyncMode,
-    SystemKind, Version,
+    ClusterConfig, Component, Event, EventKind, MetricsRegistry, ReplicaId, Result, Version,
 };
-use tashkent_proxy::{
-    recover_base_or_api_replica, recover_mw_replica, CertifierHandle, Proxy, ProxyConfig,
-};
+use tashkent_proxy::{recover_replica, CertifierHandle, Proxy, ProxyConfig};
 use tashkent_storage::checkpoint::CheckpointStore;
 use tashkent_storage::disk::DiskConfig;
-use tashkent_storage::{Database, DatabaseDump, EngineConfig};
+use tashkent_storage::{Database, EngineConfig};
 
 /// A database replica, its proxy, and the recovery material the middleware
 /// keeps for it (sealed checkpoint images).
 pub struct ReplicaNode {
     id: ReplicaId,
-    system: SystemKind,
     engine_config: EngineConfig,
     schema: Mutex<Vec<(String, Vec<String>)>>,
-    db: Mutex<Database>,
+    /// The proxy, and through it the database it fronts: recovery swaps
+    /// both at once.
     proxy: Mutex<Proxy>,
     certifier: CertifierHandle,
     /// Sealed, versioned checkpoint images of the replica's state behind an
-    /// atomic manifest flip.  The newest intact image is the recovery
-    /// baseline WAL redo replays on top of — and the version it covers
-    /// bounds how far the cluster's WAL truncation watermark may advance
-    /// for this replica (see [`ReplicaNode::seal_checkpoint`]).
+    /// atomic manifest flip.  The intact image covering the highest version
+    /// is the recovery baseline WAL redo replays on top of; the newest
+    /// one's version bounds how far the cluster's WAL truncation watermark
+    /// may advance for this replica (see [`ReplicaNode::seal_checkpoint`]).
     checkpoints: CheckpointStore,
     proxy_config: ProxyConfig,
 }
@@ -38,7 +35,7 @@ impl std::fmt::Debug for ReplicaNode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReplicaNode")
             .field("id", &self.id)
-            .field("system", &self.system)
+            .field("system", &self.proxy_config.system)
             .finish()
     }
 }
@@ -63,19 +60,17 @@ impl ReplicaNode {
             lock_wait_timeout: Duration::from_secs(1),
             metrics: Arc::clone(&metrics),
         };
-        let db = Database::new(engine_config.clone());
         let proxy_config = ProxyConfig {
             staleness_bound: config.staleness_bound,
             metrics,
             ..ProxyConfig::new(config.system, id)
         };
-        let proxy = Proxy::new(proxy_config.clone(), db.clone(), certifier.clone());
+        let db = Database::new(engine_config.clone());
+        let proxy = Proxy::new(proxy_config.clone(), db, certifier.clone());
         ReplicaNode {
             id,
-            system: config.system,
             engine_config,
             schema: Mutex::new(Vec::new()),
-            db: Mutex::new(db),
             proxy: Mutex::new(proxy),
             certifier,
             checkpoints: CheckpointStore::new(),
@@ -98,7 +93,7 @@ impl ReplicaNode {
     /// A handle to the replica's database engine.
     #[must_use]
     pub fn database(&self) -> Database {
-        self.db.lock().clone()
+        self.proxy.lock().database().clone()
     }
 
     /// Registers a table on this replica (idempotent) and remembers the
@@ -132,9 +127,10 @@ impl ReplicaNode {
     /// has no data pages, so WAL redo alone would silently drop every
     /// bulk-loaded row that was never subsequently updated (found by the
     /// fault-schedule harness: a recovered TPC-B replica came back missing
-    /// a quarter of its accounts).  Recovery restores the newest intact
-    /// image first and replays the WAL (Tashkent-MW: the certifier log) on
-    /// top.  Second, the covered version authorizes log truncation: the
+    /// a quarter of its accounts).  Recovery restores the best intact image
+    /// first, redoes the WAL on top (not under Tashkent-MW's
+    /// `SyncMode::Off`) and resyncs the rest from the certifier log.
+    /// Second, the covered version authorizes log truncation: the
     /// cluster's watermark never exceeds any replica's newest checkpoint,
     /// so a recovering replica's baseline always meets the trimmed logs.
     pub fn seal_checkpoint(&self) -> Version {
@@ -191,78 +187,36 @@ impl ReplicaNode {
         self.database().is_crashed()
     }
 
-    /// Recovers the replica after a crash, following the procedure of its
-    /// system: WAL redo plus catch-up for Base / Tashkent-API, checkpoint
-    /// restore plus catch-up for Tashkent-MW.  Returns the number of writesets
-    /// re-applied during catch-up.
+    /// Recovers the replica after a crash with the one recovery rule of
+    /// [`recover_replica`]: restore the best intact checkpoint, redo the WAL
+    /// to its dense frontier (none under Tashkent-MW's `SyncMode::Off`), and
+    /// resync the rest from the certifier through a fresh proxy.  Returns
+    /// the number of writesets re-fetched from the certifier.
     ///
     /// # Errors
     ///
-    /// Fails if the recovery material cannot be decoded, or if the certifier
-    /// is unavailable.
+    /// Fails if the recovery material cannot be decoded, if the replica
+    /// would recover below the certifier's truncation floor, or if the
+    /// certifier is unavailable.
     pub fn recover(&self) -> Result<usize> {
         let schema_owned = self.schema.lock().clone();
         let schema: Vec<(&str, Vec<&str>)> = schema_owned
             .iter()
             .map(|(n, cols)| (n.as_str(), cols.iter().map(String::as_str).collect()))
             .collect();
-        let old_db = self.database();
-        let (new_db, applied) = if self.system == SystemKind::TashkentMw {
-            // The sealed checkpoints are the recovery images.  Torn or
-            // corrupt ones were already filtered out by the checkpoint
-            // store's manifest scan.
-            let dumps = self.checkpoints.intact_payloads_oldest_first();
-            if dumps.is_empty() {
-                // Without any recovery image the replica restarts empty and
-                // replays the whole certifier log.
-                let db = Database::new(self.engine_config.clone());
-                for (name, columns) in &schema {
-                    db.create_table(name, columns);
-                }
-                let applied = tashkent_proxy::catch_up(&db, &self.certifier)?;
-                (db, applied)
-            } else {
-                recover_mw_replica(self.engine_config.clone(), &dumps, &self.certifier)?
-            }
-        } else {
-            // The newest intact checkpoint is the baseline WAL redo replays
-            // on top of.  Its version is at or above the truncation
-            // watermark (the watermark is clamped to every replica's newest
-            // checkpoint), so redo never needs a truncated record.
-            let baseline = self
-                .checkpoints
-                .latest()
-                .map(|sealed| DatabaseDump::from_bytes(&sealed.payload))
-                .transpose()?;
-            recover_base_or_api_replica(
-                self.engine_config.clone(),
-                old_db.log_device(),
-                &schema,
-                baseline.as_ref(),
-                &self.certifier,
-            )?
-        };
-        // Re-register any table missing from the recovery material.
-        for (name, columns) in &schema {
-            new_db.create_table(name, columns);
-        }
-        let new_proxy = Proxy::new(
+        let (proxy, applied) = recover_replica(
+            self.engine_config.clone(),
             self.proxy_config.clone(),
-            new_db.clone(),
-            self.certifier.clone(),
-        );
-        *self.db.lock() = new_db;
-        *self.proxy.lock() = new_proxy;
+            self.database().log_device(),
+            &schema,
+            &self.checkpoints,
+            &self.certifier,
+        )?;
+        *self.proxy.lock() = proxy;
         self.proxy_config.metrics.emit(
             Event::new(Component::Replica, EventKind::ReplicaRecover)
                 .node(self.id.value() as usize),
         );
         Ok(applied)
-    }
-
-    /// The WAL sync mode the replica runs with.
-    #[must_use]
-    pub fn sync_mode(&self) -> SyncMode {
-        self.database().sync_mode()
     }
 }

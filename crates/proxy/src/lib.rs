@@ -40,5 +40,5 @@ pub mod seen;
 
 pub use fanout::{CertifierHandle, CertifierService};
 pub use proxy::{CommitOutcome, Proxy, ProxyConfig, ProxyTransaction};
-pub use recovery::{catch_up, recover_base_or_api_replica, recover_mw_replica};
+pub use recovery::recover_replica;
 pub use seen::SeenWriteSets;

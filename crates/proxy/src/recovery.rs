@@ -1,103 +1,94 @@
-//! Replica recovery procedures (Sections 7.1, 7.2 and 8.1).
+//! Replica recovery (Sections 7.1, 7.2 and 8.1): one rule for every system.
 //!
-//! * **Base / Tashkent-API** replicas recover like a standalone database: the
-//!   engine redoes its durable WAL, then the proxy fetches from the certifier
-//!   every writeset the replica is still missing and applies them in global
-//!   order ([`recover_base_or_api_replica`] + [`catch_up`]).  The WAL is
-//!   trusted only up to its dense frontier; a Tashkent-API replica's remote
-//!   installs are not flushed on their own, so the writesets whose records
-//!   the crash took come back from the certifier the same way.
-//! * **Tashkent-MW** replicas run with synchronous WAL writes disabled, so
-//!   after a crash the WAL is useless (and data pages could be corrupt on a
-//!   real engine).  The middleware instead restarts the replica from the most
-//!   recent *intact* dump — falling back to the previous dump if the database
-//!   crashed while writing the last one — and then applies the writesets
-//!   committed since the dump's version ([`recover_mw_replica`]).
+//! Base, Tashkent-MW and Tashkent-API all recover the same way — restore a
+//! durable image, then fetch the rest from the certifier log.  They differ
+//! only in how much of the replica's own WAL a crash leaves usable, which
+//! the engine's [`SyncMode`](tashkent_common::SyncMode) already says.
+//! [`recover_replica`] applies the rule:
+//!
+//! 1. **Pick the image**: the intact sealed checkpoint covering the highest
+//!    version ([`CheckpointStore::best`]).  Torn images and manifests are
+//!    skipped, so a crash mid-seal falls back to an older image; with no
+//!    image at all the replica starts from the empty schema.
+//! 2. **Redo the WAL** up to its dense frontier (see `dense_frontier`).
+//!    Tashkent-MW runs with `SyncMode::Off`, whose log preserves nothing
+//!    after a crash, so there the frontier is the image itself.
+//! 3. **Refuse a gap**: the certified logs only reach down to the
+//!    truncation floor, so a database still below it would be handed a
+//!    stream with a silent hole.  Recovery fails loudly instead.
+//! 4. **Resync**: a fresh [`Proxy`] installs everything past the database's
+//!    version through [`Proxy::resync`] — the install path every other
+//!    remote writeset takes, counted in `RemoteInstalls`, and on
+//!    Tashkent-API announced at an order index.  Section 9.6 measures this
+//!    step at roughly 900 writesets per second.
 
 use std::sync::Arc;
 
 use tashkent_common::{Error, Result, Version};
+use tashkent_storage::checkpoint::CheckpointStore;
 use tashkent_storage::disk::LogDevice;
 use tashkent_storage::wal::WalRecord;
 use tashkent_storage::{Database, DatabaseDump, EngineConfig};
 
 use crate::fanout::CertifierHandle;
+use crate::proxy::{Proxy, ProxyConfig};
 
-/// Applies every writeset the certifier has that the database is missing,
-/// in global order, committing each batch at its highest version.
-///
-/// Returns the number of writesets applied.  This is the "Applying writesets"
-/// step shared by all three systems (Section 9.6 measures it at roughly 900
-/// writesets per second).
+/// Recovers a crashed replica by the rule above from its `checkpoints`, the
+/// durable contents of its old log `device` and the certifier log.  The
+/// `schema` is created before the image is loaded.  Returns the proxy that
+/// fronts the recovered database and the number of writesets re-fetched.
 ///
 /// # Errors
 ///
-/// Fails if the certifier majority is unavailable or the database rejects an
-/// application.
-pub fn catch_up(db: &Database, certifier: &CertifierHandle) -> Result<usize> {
-    // The certified logs only reach down to the truncation floor.  A replica
-    // below it would be handed a stream with a silent gap and diverge — fail
-    // loudly instead: the caller must bootstrap from a checkpoint whose
-    // version is at or above the floor (incremental state transfer).
+/// Returns [`Error::Corruption`] if the WAL cannot be decoded or the
+/// recovered database is below the certifier's truncation floor, and
+/// certifier or engine errors from the resync.
+pub fn recover_replica(
+    engine: EngineConfig,
+    proxy: ProxyConfig,
+    device: Arc<dyn LogDevice>,
+    schema: &[(&str, Vec<&str>)],
+    checkpoints: &CheckpointStore,
+    certifier: &CertifierHandle,
+) -> Result<(Proxy, usize)> {
+    let image = checkpoints
+        .best()
+        .map(|sealed| DatabaseDump::from_bytes(&sealed.payload))
+        .transpose()?;
+    let base = image.as_ref().map_or(Version::ZERO, DatabaseDump::version);
+    let frontier = if engine.sync_mode.preserves_integrity() {
+        dense_frontier(device.as_ref(), base)?
+    } else {
+        base
+    };
+    let db =
+        Database::recover_with_baseline(engine, device, schema, image.as_ref(), Some(frontier))?;
     let floor = certifier.truncation_floor();
     if db.version() < floor {
         return Err(Error::Corruption(format!(
-            "replica at version {} is below the certifier truncation floor {floor}; \
-             recover from a checkpoint at or above the floor",
+            "replica recovered to version {} is below the certifier truncation floor {floor}; \
+             it needs a checkpoint at or above the floor",
             db.version()
         )));
     }
-    let missing = certifier.writesets_after(db.version());
-    if missing.is_empty() {
-        return Ok(0);
-    }
-    let count = missing.len();
-    // Batch the writesets: group them into one replica transaction per chunk
-    // to amortise commit overhead, exactly as the recovering proxy does.
-    const BATCH: usize = 64;
-    for chunk in missing.chunks(BATCH) {
-        let merged = tashkent_common::WriteSet::merged(chunk.iter().map(|r| &*r.writeset));
-        let target = chunk.last().expect("chunk is non-empty").commit_version;
-        db.apply_writeset(&merged, target)?;
-    }
-    Ok(count)
+    let proxy = Proxy::new(proxy, db, certifier.clone());
+    let applied = proxy.resync()?;
+    Ok((proxy, applied))
 }
 
-/// Recovers a Base or Tashkent-API replica from its durable WAL and brings it
-/// up to date from the certifier.
+/// The WAL's **dense frontier**: the highest version `f` such that every
+/// version in `(base, f]` has its own durable commit record on `device`.
 ///
-/// `baseline` is the image of state that never went through the WAL (the
-/// bulk-loaded initial database, standing in for a real engine's data
-/// pages); WAL redo replays on top of it.  Pass `None` for a replica whose
-/// entire state went through transactions.
-///
-/// The WAL is only trusted up to its **dense frontier** — the highest
-/// version `f` such that every version in `(baseline, f]` has its own
-/// durable record.  Beyond the frontier a version gap is ambiguous: it is
-/// either a grouped install (one record covering a whole batch, harmless)
-/// or a record lost to the crash (group commit fsyncs records out of
-/// version order, so a lost record can sit *below* durable ones).  A
-/// Tashkent-API remote install is one more source of such gaps: it appends
-/// its record without a flush and rides the next local commit's flush or
-/// checkpoint, so a crash before that flush loses a record the replica had
-/// already announced.  The certifier log still holds every certified
-/// writeset, so everything past the frontier is re-fetched from there in
-/// global order instead of being guessed from the log.
-///
-/// Returns the recovered database and the number of writesets re-applied
-/// during catch-up.
-///
-/// # Errors
-///
-/// Fails on WAL corruption or certifier unavailability.
-pub fn recover_base_or_api_replica(
-    config: EngineConfig,
-    device: Arc<dyn LogDevice>,
-    schema: &[(&str, Vec<&str>)],
-    baseline: Option<&DatabaseDump>,
-    certifier: &CertifierHandle,
-) -> Result<(Database, usize)> {
-    let base = baseline.map_or(Version::ZERO, DatabaseDump::version);
+/// Beyond the frontier a version gap is ambiguous: it is either a grouped
+/// install (one record covering a whole batch, harmless) or a record lost
+/// to the crash (group commit fsyncs records out of version order, so a
+/// lost record can sit *below* durable ones).  A Tashkent-API remote
+/// install is one more source of such gaps: it appends its record without
+/// a flush and rides the next local commit's flush, so a crash before that
+/// flush loses a record the replica had already announced.  The certifier
+/// log still holds every certified writeset, so everything past the
+/// frontier is re-fetched from there instead of being guessed from the log.
+fn dense_frontier(device: &dyn LogDevice, base: Version) -> Result<Version> {
     let mut versions: Vec<Version> = WalRecord::decode_all(&device.durable_contents())?
         .iter()
         .filter_map(|record| match record {
@@ -106,65 +97,15 @@ pub fn recover_base_or_api_replica(
         })
         .collect();
     versions.sort_unstable();
-    versions.dedup();
     let mut frontier = base;
     for version in versions {
-        if version <= frontier {
-            continue;
-        }
         if version == frontier.next() {
             frontier = version;
-        } else {
+        } else if version > frontier {
             break;
         }
     }
-    let db =
-        Database::recover_with_baseline(config, device, schema, baseline, Some(frontier))?;
-    let applied = catch_up(&db, certifier)?;
-    Ok((db, applied))
-}
-
-/// Recovers a Tashkent-MW replica from its dumps and brings it up to date
-/// from the certifier.
-///
-/// `dump_files` are the stored dump images, most recent last.  Corrupt or
-/// truncated dumps (the database may have crashed while writing the last
-/// one) are skipped, falling back to the previous dump.
-///
-/// Returns the recovered database and the number of writesets re-applied.
-///
-/// # Errors
-///
-/// Returns [`Error::Corruption`] if no intact dump exists, or certifier /
-/// engine errors from catch-up.
-pub fn recover_mw_replica(
-    config: EngineConfig,
-    dump_files: &[Vec<u8>],
-    certifier: &CertifierHandle,
-) -> Result<(Database, usize)> {
-    let floor = certifier.truncation_floor();
-    let mut last_error = Error::Corruption("no dump files available".into());
-    for raw in dump_files.iter().rev() {
-        match DatabaseDump::from_bytes(raw) {
-            Ok(dump) => {
-                // A dump below the truncation floor cannot be caught up (the
-                // log suffix it needs is gone) — fall back to an older slot,
-                // which may hold a *newer* sealed checkpoint image.
-                if dump.version() < floor {
-                    last_error = Error::Corruption(format!(
-                        "dump at version {} is below the certifier truncation floor {floor}",
-                        dump.version()
-                    ));
-                    continue;
-                }
-                let db = Database::restore_from_dump(config, &dump);
-                let applied = catch_up(&db, certifier)?;
-                return Ok((db, applied));
-            }
-            Err(e) => last_error = e,
-        }
-    }
-    Err(last_error)
+    Ok(frontier)
 }
 
 #[cfg(test)]
@@ -172,7 +113,12 @@ mod tests {
     use tashkent_certifier::{
         CertificationRequest, Certifier, CertifierConfig, ShardedCertifierConfig,
     };
-    use tashkent_common::{ReplicaId, SyncMode, TableId, Value, Version, WriteItem, WriteSet};
+    use tashkent_common::metrics::CounterId;
+    use tashkent_common::{
+        EventKind, MetricsRegistry, ReplicaId, SyncMode, SystemKind, TableId, Value, WriteItem,
+        WriteSet,
+    };
+    use tashkent_storage::checkpoint::{encode_image, encode_manifest};
 
     use super::*;
 
@@ -205,44 +151,55 @@ mod tests {
         certifier
     }
 
-    #[test]
-    fn catch_up_applies_all_missing_writesets() {
-        let certifier = certifier_with_entries(10);
-        let db = Database::new(EngineConfig::default());
-        db.create_table("t", &["x"]);
-        let applied = catch_up(&db, &certifier).unwrap();
-        assert_eq!(applied, 10);
-        assert_eq!(db.version(), Version(10));
-        // Catch-up is idempotent.
-        assert_eq!(catch_up(&db, &certifier).unwrap(), 0);
-        let t = db.table_id("t").unwrap();
-        assert_eq!(
-            db.read_latest(t, 4).unwrap().get("x"),
-            Some(&Value::Int(400))
-        );
+    /// Seals the certifier's log and trims it below `floor`.
+    fn trim(certifier: &CertifierHandle, floor: u64) {
+        certifier.local().seal_checkpoint();
+        certifier.local().truncate_below(Version(floor)).unwrap();
+        assert_eq!(certifier.truncation_floor(), Version(floor));
     }
 
-    #[test]
-    fn base_replica_recovers_from_wal_then_catches_up() {
-        let certifier = certifier_with_entries(3);
-        // A replica that had applied the first two writesets durably.
-        let db = Database::new(EngineConfig::default());
-        let t = db.create_table("t", &["x"]);
-        db.apply_writeset(&ws(0, 0), Version(1)).unwrap();
-        db.apply_writeset(&ws(1, 100), Version(2)).unwrap();
+    fn engine(system: SystemKind) -> EngineConfig {
+        EngineConfig::with_sync_mode(if system == SystemKind::TashkentMw {
+            SyncMode::Off
+        } else {
+            SyncMode::Durable
+        })
+    }
+
+    /// A live replica of `system` holding table `t`.
+    fn replica(system: SystemKind) -> Database {
+        let db = Database::new(engine(system));
+        db.create_table("t", &["x"]);
+        db
+    }
+
+    /// Installs the certified writesets `(from, to]` the serial way.
+    fn install(db: &Database, certifier: &CertifierHandle, from: u64, to: u64) {
+        for remote in certifier.writesets_after(Version(from)) {
+            if remote.commit_version > Version(to) {
+                break;
+            }
+            db.apply_writeset(&remote.writeset, remote.commit_version)
+                .unwrap();
+        }
+    }
+
+    /// Crashes `db` and recovers it as a `system` replica.
+    fn recover(
+        system: SystemKind,
+        db: &Database,
+        checkpoints: &CheckpointStore,
+        certifier: &CertifierHandle,
+    ) -> Result<(Proxy, usize)> {
         db.crash();
-        let (recovered, applied) = recover_base_or_api_replica(
-            EngineConfig::default(),
+        recover_replica(
+            engine(system),
+            ProxyConfig::new(system, ReplicaId(0)),
             db.log_device(),
             &[("t", vec!["x"])],
-            None,
-            &certifier,
+            checkpoints,
+            certifier,
         )
-        .unwrap();
-        // WAL redo restored versions 1-2; catch-up supplied version 3.
-        assert_eq!(applied, 1);
-        assert_eq!(recovered.version(), Version(3));
-        let _ = t;
     }
 
     /// The versions of the commit records a crash left in the WAL.
@@ -257,22 +214,10 @@ mod tests {
             .collect()
     }
 
-    fn recover_api(db: &Database, certifier: &CertifierHandle) -> (Database, usize) {
-        recover_base_or_api_replica(
-            EngineConfig::default(),
-            db.log_device(),
-            &[("t", vec!["x"])],
-            None,
-            certifier,
-        )
-        .unwrap()
-    }
-
     /// A replica that installed every certified writeset in order and
     /// never crashed.
     fn never_crashed(certifier: &CertifierHandle) -> Database {
-        let db = Database::new(EngineConfig::default());
-        db.create_table("t", &["x"]);
+        let db = replica(SystemKind::TashkentApi);
         for (order, remote) in certifier.writesets_after(Version::ZERO).iter().enumerate() {
             db.apply_writeset_ordered(&remote.writeset, remote.commit_version, order as u64 + 1)
                 .unwrap();
@@ -281,13 +226,43 @@ mod tests {
     }
 
     #[test]
+    fn catch_up_applies_all_missing_writesets() {
+        let certifier = certifier_with_entries(10);
+        let db = replica(SystemKind::Base);
+        let (proxy, applied) =
+            recover(SystemKind::Base, &db, &CheckpointStore::new(), &certifier).unwrap();
+        assert_eq!(applied, 10);
+        let recovered = proxy.database();
+        assert_eq!(proxy.database().version(), Version(10));
+        let t = recovered.table_id("t").unwrap();
+        assert_eq!(
+            recovered.read_latest(t, 4).unwrap().get("x"),
+            Some(&Value::Int(400))
+        );
+        // The recovered proxy is caught up.
+        assert_eq!(proxy.resync().unwrap(), 0);
+    }
+
+    #[test]
+    fn base_replica_recovers_from_wal_then_catches_up() {
+        let certifier = certifier_with_entries(3);
+        // A replica that had applied the first two writesets durably.
+        let db = replica(SystemKind::Base);
+        install(&db, &certifier, 0, 2);
+        let (proxy, applied) =
+            recover(SystemKind::Base, &db, &CheckpointStore::new(), &certifier).unwrap();
+        // WAL redo restored versions 1-2; the resync supplied version 3.
+        assert_eq!(applied, 1);
+        assert_eq!(proxy.database().version(), Version(3));
+    }
+
+    #[test]
     fn an_api_remote_install_lost_before_any_flush_is_refetched() {
         let certifier = certifier_with_entries(3);
         let remotes = certifier.writesets_after(Version::ZERO);
         // The replica installs and announces the first two writesets, then
         // crashes before any local commit or checkpoint flushes the WAL.
-        let db = Database::new(EngineConfig::default());
-        db.create_table("t", &["x"]);
+        let db = replica(SystemKind::TashkentApi);
         for (order, remote) in remotes.iter().take(2).enumerate() {
             db.apply_writeset_ordered(&remote.writeset, remote.commit_version, order as u64 + 1)
                 .unwrap();
@@ -298,17 +273,22 @@ mod tests {
             durable_commit_versions(&db).is_empty(),
             "a remote install appends its record without a flush"
         );
-        let (recovered, applied) = recover_api(&db, &certifier);
+        let (proxy, applied) = recover(
+            SystemKind::TashkentApi,
+            &db,
+            &CheckpointStore::new(),
+            &certifier,
+        )
+        .unwrap();
         assert_eq!(applied, 3, "the lost installs come back from the certifier");
-        assert_eq!(recovered.dump(), never_crashed(&certifier).dump());
+        assert_eq!(proxy.database().dump(), never_crashed(&certifier).dump());
     }
 
     #[test]
     fn a_local_flush_covers_the_remote_records_appended_before_it() {
         let certifier = certifier_with_entries(2);
         let remotes = certifier.writesets_after(Version::ZERO);
-        let db = Database::new(EngineConfig::default());
-        db.create_table("t", &["x"]);
+        let db = replica(SystemKind::TashkentApi);
         db.apply_writeset_ordered(&remotes[0].writeset, remotes[0].commit_version, 1)
             .unwrap();
         // The replica's own transaction, certified as the second writeset,
@@ -322,34 +302,55 @@ mod tests {
             vec![Version(1), Version(2)],
             "the local flush made the earlier remote record durable too"
         );
-        let (recovered, applied) = recover_api(&db, &certifier);
+        let (proxy, applied) = recover(
+            SystemKind::TashkentApi,
+            &db,
+            &CheckpointStore::new(),
+            &certifier,
+        )
+        .unwrap();
         assert_eq!(applied, 0, "WAL redo alone restores both commits");
-        assert_eq!(recovered.dump(), never_crashed(&certifier).dump());
+        assert_eq!(proxy.database().dump(), never_crashed(&certifier).dump());
     }
 
     #[test]
     fn mw_replica_recovers_from_latest_intact_dump() {
         let certifier = certifier_with_entries(6);
-        // Build the replica state as of version 4 and dump it.
-        let db = Database::new(EngineConfig::with_sync_mode(SyncMode::Off));
-        db.create_table("t", &["x"]);
-        let remotes = certifier.writesets_after(Version::ZERO);
-        for remote in remotes.iter().take(4) {
-            db.apply_writeset(&remote.writeset, remote.commit_version)
-                .unwrap();
-        }
-        let good_dump = db.dump().to_bytes();
-        // The most recent dump is torn (crash while dumping).
-        let mut torn_dump = db.dump().to_bytes();
-        torn_dump.truncate(torn_dump.len() / 2);
-        let (recovered, applied) = recover_mw_replica(
-            EngineConfig::with_sync_mode(SyncMode::Off),
-            &[good_dump, torn_dump],
+        // Build the replica state as of version 4 and seal it.
+        let db = replica(SystemKind::TashkentMw);
+        install(&db, &certifier, 0, 4);
+        let checkpoints = CheckpointStore::new();
+        checkpoints.seal(Version(4), &db.dump().to_bytes());
+        // The next seal is torn (crash while writing the image), yet its
+        // manifest flip landed.
+        let image = encode_image(Version(5), &db.dump().to_bytes());
+        let slot = checkpoints.install_raw_slot(image[..image.len() / 2].to_vec());
+        checkpoints.install_raw_manifest(encode_manifest(checkpoints.next_seq(), slot, Version(5)));
+        let (proxy, applied) =
+            recover(SystemKind::TashkentMw, &db, &checkpoints, &certifier).unwrap();
+        assert_eq!(proxy.database().version(), Version(6));
+        assert_eq!(applied, 2);
+    }
+
+    #[test]
+    fn an_mw_replica_redoes_no_wal_record_past_its_image() {
+        let certifier = certifier_with_entries(4);
+        let db = replica(SystemKind::TashkentMw);
+        install(&db, &certifier, 0, 4);
+        // A WAL checkpoint flushed every record, but `SyncMode::Off` voids
+        // the log's integrity: recovery starts from the (empty) image and
+        // takes everything from the certifier.
+        db.checkpoint();
+        assert_eq!(durable_commit_versions(&db).len(), 4);
+        let (proxy, applied) = recover(
+            SystemKind::TashkentMw,
+            &db,
+            &CheckpointStore::new(),
             &certifier,
         )
         .unwrap();
-        assert_eq!(recovered.version(), Version(6));
-        assert_eq!(applied, 2);
+        assert_eq!(applied, 4);
+        assert_eq!(proxy.database().dump(), never_crashed(&certifier).dump());
     }
 
     #[test]
@@ -357,34 +358,43 @@ mod tests {
         let certifier: CertifierHandle =
             Arc::new(Certifier::new(ShardedCertifierConfig::with_shards(4))).into();
         fill(&certifier, 10);
-        let db = Database::new(EngineConfig::default());
-        db.create_table("t", &["x"]);
-        assert_eq!(catch_up(&db, &certifier).unwrap(), 10);
-        assert_eq!(db.version(), Version(10));
-        assert_eq!(catch_up(&db, &certifier).unwrap(), 0);
+        let db = replica(SystemKind::TashkentApi);
+        let (proxy, applied) = recover_replica(
+            engine(SystemKind::TashkentApi),
+            ProxyConfig::new(SystemKind::TashkentApi, ReplicaId(0)),
+            db.log_device(),
+            &[("t", vec!["x"])],
+            &CheckpointStore::new(),
+            &certifier,
+        )
+        .unwrap();
+        assert_eq!(applied, 10);
+        assert_eq!(proxy.database().version(), Version(10));
+        assert_eq!(proxy.resync().unwrap(), 0);
     }
 
     #[test]
     fn catch_up_refuses_to_cross_the_truncation_floor() {
         let certifier = certifier_with_entries(8);
-        // Seal a checkpoint and trim the certified log up to version 5.
-        certifier.local().seal_checkpoint();
-        certifier.local().truncate_below(Version(5)).unwrap();
-        assert_eq!(certifier.truncation_floor(), Version(5));
-        // A replica already past the floor catches up normally.
-        let db = Database::new(EngineConfig::default());
-        db.create_table("t", &["x"]);
-        let remotes = certifier_with_entries(8).writesets_after(Version::ZERO);
-        for remote in remotes.iter().take(5) {
-            db.apply_writeset(&remote.writeset, remote.commit_version).unwrap();
-        }
-        assert_eq!(catch_up(&db, &certifier).unwrap(), 3);
-        assert_eq!(db.version(), Version(8));
-        // A replica below the floor is refused loudly, not fed a gap.
-        let stale = Database::new(EngineConfig::default());
-        stale.create_table("t", &["x"]);
+        trim(&certifier, 5);
+        // A replica whose image is past the floor catches up normally.
+        let db = replica(SystemKind::TashkentMw);
+        install(&db, &certifier_with_entries(8), 0, 5);
+        let checkpoints = CheckpointStore::new();
+        checkpoints.seal(Version(5), &db.dump().to_bytes());
+        let (proxy, applied) =
+            recover(SystemKind::TashkentMw, &db, &checkpoints, &certifier).unwrap();
+        assert_eq!(applied, 3);
+        assert_eq!(proxy.database().version(), Version(8));
+        // A replica whose only image is below the floor is refused loudly,
+        // not fed a gap.
+        let stale = CheckpointStore::new();
+        stale.seal(
+            Version::ZERO,
+            &replica(SystemKind::TashkentMw).dump().to_bytes(),
+        );
         assert!(matches!(
-            catch_up(&stale, &certifier),
+            recover(SystemKind::TashkentMw, &db, &stale, &certifier),
             Err(Error::Corruption(_))
         ));
     }
@@ -392,42 +402,87 @@ mod tests {
     #[test]
     fn mw_recovery_skips_dumps_below_the_truncation_floor() {
         let certifier = certifier_with_entries(8);
-        let db = Database::new(EngineConfig::with_sync_mode(SyncMode::Off));
-        db.create_table("t", &["x"]);
-        let remotes = certifier.writesets_after(Version::ZERO);
-        for remote in remotes.iter().take(2) {
-            db.apply_writeset(&remote.writeset, remote.commit_version)
-                .unwrap();
-        }
+        let db = replica(SystemKind::TashkentMw);
+        install(&db, &certifier, 0, 2);
         let stale = db.dump().to_bytes();
-        for remote in remotes.iter().skip(2).take(3) {
-            db.apply_writeset(&remote.writeset, remote.commit_version)
-                .unwrap();
-        }
-        let fresh = db.dump().to_bytes();
-        certifier.local().seal_checkpoint();
-        certifier.local().truncate_below(Version(5)).unwrap();
-        // The newest slot holds a dump *below* the floor; recovery must fall
-        // back to the older slot's fresher image rather than fail on the
-        // missing log suffix.
-        let (recovered, applied) = recover_mw_replica(
-            EngineConfig::with_sync_mode(SyncMode::Off),
-            &[fresh, stale],
-            &certifier,
-        )
-        .unwrap();
-        assert_eq!(recovered.version(), Version(8));
+        install(&db, &certifier, 2, 5);
+        // Two racing seals: the fresher image's manifest flipped first, so
+        // the newest manifest names an image below the floor.
+        let checkpoints = CheckpointStore::new();
+        checkpoints.seal(Version(5), &db.dump().to_bytes());
+        checkpoints.seal(Version(2), &stale);
+        trim(&certifier, 5);
+        let (proxy, applied) =
+            recover(SystemKind::TashkentMw, &db, &checkpoints, &certifier).unwrap();
+        assert_eq!(proxy.database().version(), Version(8));
         assert_eq!(applied, 3);
     }
 
     #[test]
     fn mw_recovery_fails_without_any_intact_dump() {
-        let certifier = certifier_with_entries(1);
-        let result = recover_mw_replica(
-            EngineConfig::default(),
-            &[vec![1, 2, 3], Vec::new()],
-            &certifier,
-        );
+        let certifier = certifier_with_entries(3);
+        trim(&certifier, 2);
+        let checkpoints = CheckpointStore::new();
+        let slot = checkpoints.install_raw_slot(vec![1, 2, 3]);
+        checkpoints.install_raw_manifest(encode_manifest(0, slot, Version(3)));
+        let db = replica(SystemKind::TashkentMw);
+        let result = recover(SystemKind::TashkentMw, &db, &checkpoints, &certifier);
         assert!(matches!(result, Err(Error::Corruption(_))));
+    }
+
+    #[test]
+    fn racing_seals_recover_a_base_or_api_replica_from_the_higher_image() {
+        for system in [SystemKind::Base, SystemKind::TashkentApi] {
+            let certifier = certifier_with_entries(8);
+            let db = replica(system);
+            install(&db, &certifier, 0, 3);
+            let older = db.dump().to_bytes();
+            install(&db, &certifier, 3, 6);
+            // The higher image's manifest flipped first; the WAL was then
+            // trimmed up to it, and the certifier log below it.
+            let checkpoints = CheckpointStore::new();
+            checkpoints.seal(Version(6), &db.dump().to_bytes());
+            checkpoints.seal(Version(3), &older);
+            db.truncate_wal_below(Version(6)).unwrap();
+            install(&db, &certifier, 6, 7);
+            trim(&certifier, 6);
+            let (proxy, applied) = recover(system, &db, &checkpoints, &certifier)
+                .unwrap_or_else(|e| panic!("{system:?}: {e}"));
+            assert_eq!(applied, 1, "{system:?}: WAL redo restores 7, the resync 8");
+            assert_eq!(
+                proxy.database().dump(),
+                never_crashed(&certifier_with_entries(8)).dump()
+            );
+        }
+    }
+
+    #[test]
+    fn recovery_installs_are_counted_like_every_other_install() {
+        let certifier = certifier_with_entries(5);
+        let db = replica(SystemKind::TashkentApi);
+        install(&db, &certifier, 0, 2);
+        db.crash();
+        let metrics = Arc::new(MetricsRegistry::enabled());
+        let (proxy, applied) = recover_replica(
+            engine(SystemKind::TashkentApi),
+            ProxyConfig {
+                metrics: Arc::clone(&metrics),
+                ..ProxyConfig::new(SystemKind::TashkentApi, ReplicaId(0))
+            },
+            db.log_device(),
+            &[("t", vec!["x"])],
+            &CheckpointStore::new(),
+            &certifier,
+        )
+        .unwrap();
+        assert_eq!(applied, 3);
+        assert_eq!(proxy.database().version(), Version(5));
+        assert_eq!(metrics.counter(CounterId::RemoteInstalls), applied as u64);
+        let resyncs = metrics
+            .events()
+            .iter()
+            .filter(|event| event.kind == EventKind::Resync)
+            .count();
+        assert_eq!(resyncs, 1);
     }
 }

@@ -7,10 +7,8 @@
 //! and the artificial-conflict rate among remote writesets that matters for
 //! Tashkent-API (35 % for TPC-B, Section 9.3).
 
-use serde::{Deserialize, Serialize};
-
 /// Cost profile of one benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
     /// Benchmark name.
     pub name: String,

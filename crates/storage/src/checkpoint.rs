@@ -147,31 +147,26 @@ impl CheckpointStore {
         }
     }
 
+    /// Every intact retained checkpoint, newest manifest first: manifests
+    /// and images that fail validation are skipped.
+    fn intact(inner: &StoreInner) -> impl Iterator<Item = SealedCheckpoint> + '_ {
+        inner.manifests.iter().rev().filter_map(|raw| {
+            let (seq, slot, version) = decode_manifest(raw).ok()?;
+            let (_, image) = inner.slots.iter().find(|(id, _)| *id == slot)?;
+            let (image_version, payload) = decode_image(image).ok()?;
+            (image_version == version).then_some(SealedCheckpoint {
+                seq,
+                version,
+                payload,
+            })
+        })
+    }
+
     /// The newest intact sealed checkpoint, falling back across torn or
     /// corrupt manifests and images.  `None` if no intact checkpoint exists.
     #[must_use]
     pub fn latest(&self) -> Option<SealedCheckpoint> {
-        let inner = self.inner.lock();
-        for raw in inner.manifests.iter().rev() {
-            let Ok((seq, slot, version)) = decode_manifest(raw) else {
-                continue;
-            };
-            let Some((_, image)) = inner.slots.iter().find(|(id, _)| *id == slot) else {
-                continue;
-            };
-            let Ok((image_version, payload)) = decode_image(image) else {
-                continue;
-            };
-            if image_version != version {
-                continue;
-            }
-            return Some(SealedCheckpoint {
-                seq,
-                version,
-                payload,
-            });
-        }
-        None
+        Self::intact(&self.inner.lock()).next()
     }
 
     /// The version of the newest intact sealed checkpoint, or
@@ -182,26 +177,12 @@ impl CheckpointStore {
         self.latest().map_or(Version::ZERO, |cp| cp.version)
     }
 
-    /// Every intact retained checkpoint, oldest first (Tashkent-MW recovery
-    /// walks these newest-first looking for an intact dump).
+    /// The intact checkpoint covering the highest version — the recovery
+    /// image.  Usually the newest one, but two racing seals can flip the
+    /// manifest to a lower version after a higher one.
     #[must_use]
-    pub fn intact_payloads_oldest_first(&self) -> Vec<Vec<u8>> {
-        let inner = self.inner.lock();
-        let mut out = Vec::new();
-        for raw in &inner.manifests {
-            let Ok((_, slot, version)) = decode_manifest(raw) else {
-                continue;
-            };
-            let Some((_, image)) = inner.slots.iter().find(|(id, _)| *id == slot) else {
-                continue;
-            };
-            if let Ok((image_version, payload)) = decode_image(image) {
-                if image_version == version {
-                    out.push(payload);
-                }
-            }
-        }
-        out
+    pub fn best(&self) -> Option<SealedCheckpoint> {
+        Self::intact(&self.inner.lock()).max_by_key(|cp| (cp.version, cp.seq))
     }
 
     /// Test hook: appends a raw (possibly torn or corrupt) manifest write,
@@ -246,9 +227,11 @@ mod tests {
         store.seal(Version(12), b"payload twelve");
         assert_eq!(store.latest_version(), Version(12));
         assert_eq!(store.latest().unwrap().payload, b"payload twelve");
-        let all = store.intact_payloads_oldest_first();
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[0], b"payload seven");
+        // A racing seal flips the manifest back to a lower version: it is
+        // the latest, but the best image is still twelve.
+        store.seal(Version(9), b"payload nine");
+        assert_eq!(store.latest_version(), Version(9));
+        assert_eq!(store.best().unwrap().payload, b"payload twelve");
     }
 
     #[test]
@@ -308,8 +291,8 @@ mod tests {
             store.seal(Version(v), format!("payload {v}").as_bytes());
         }
         assert_eq!(store.latest_version(), Version(10));
-        let all = store.intact_payloads_oldest_first();
-        assert_eq!(all.len(), RETAINED);
-        assert_eq!(all.last().unwrap(), b"payload 10");
+        let inner = store.inner.lock();
+        assert_eq!(inner.slots.len(), RETAINED);
+        assert_eq!(CheckpointStore::intact(&inner).count(), RETAINED);
     }
 }

@@ -207,10 +207,11 @@ impl Database {
     /// fault-schedule harness: a recovered Tashkent-API replica came back
     /// missing interior commits).
     ///
-    /// `redo_bound` stops the redo after the given version; replicas that
-    /// can re-fetch writesets from the certifier pass the highest version
-    /// up to which the log is *provably* complete and fill the rest from
-    /// the certifier (see `recover_base_or_api_replica` in the proxy).
+    /// `redo_bound` stops the redo after the given version.  Replica
+    /// recovery (`recover_replica` in the proxy) passes the WAL's dense
+    /// frontier — the highest version up to which the log is *provably*
+    /// complete, or the baseline itself under `SyncMode::Off` — and the
+    /// proxy's resync fills the rest from the certifier.
     ///
     /// # Errors
     ///
@@ -272,8 +273,10 @@ impl Database {
         Ok(db)
     }
 
-    /// Restores a database from a dump taken with [`Database::dump`]
-    /// (Tashkent-MW replica recovery, Section 7.1 Case 1).
+    /// Restores a database from a dump taken with [`Database::dump`] onto a
+    /// fresh log device.  (Replica recovery loads its checkpoint image
+    /// through [`Database::recover_with_baseline`] instead, on top of the
+    /// old device, so the WAL past the image can be redone.)
     #[must_use]
     pub fn restore_from_dump(config: EngineConfig, dump: &DatabaseDump) -> Self {
         let db = Database::new(config);

@@ -9,11 +9,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use tashkent_common::{RowKey, Value, Version};
 
 /// A row image: an ordered list of named column values.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Row {
     columns: Vec<(String, Value)>,
 }
@@ -93,7 +92,7 @@ impl From<Vec<(String, Value)>> for Row {
 }
 
 /// One committed version of a row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RowVersion {
     /// Global version created by the committing transaction.
     pub created_at: Version,
@@ -102,7 +101,7 @@ pub struct RowVersion {
 }
 
 /// The version chain of a single key, newest last.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct VersionChain {
     versions: Vec<RowVersion>,
 }
@@ -196,7 +195,7 @@ impl VersionChain {
 }
 
 /// All version chains of one table, ordered by key to support scans.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TableData {
     rows: BTreeMap<RowKey, VersionChain>,
 }

@@ -8,11 +8,10 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
 use tashkent_common::TableId;
 
 /// Definition of one replicated table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableSchema {
     /// Dense identifier used inside writesets.
     pub id: TableId,
@@ -23,7 +22,7 @@ pub struct TableSchema {
 }
 
 /// The set of tables known to a database.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Catalog {
     tables: Vec<TableSchema>,
     by_name: HashMap<String, TableId>,

@@ -18,8 +18,9 @@
 //! * `NoSyncOnCommit` — the record is appended but the commit returns
 //!   immediately; a later flush (checkpoint or another durable commit) will
 //!   make it durable.  Physical integrity is preserved, durability is not.
-//! * `Off` — as above, and recovery makes no attempt to use the log at all
-//!   (Tashkent-MW relies on middleware dumps plus the certifier log instead).
+//! * `Off` — as above, and recovery trusts no record of the log: the dense
+//!   frontier it redoes to is the checkpoint image itself (Tashkent-MW
+//!   relies on middleware checkpoints plus the certifier log instead).
 //!
 //! Flushing is split-phase, like the device's: [`WalWriter::begin_sync`]
 //! makes sure a flush covering an LSN is scheduled and returns the instant it
