@@ -859,9 +859,9 @@ impl Certifier {
     }
 
     /// The remote writesets committed after `since`, as one gap-free stream
-    /// in ascending global version order — used by the proxy's
-    /// bounded-staleness refresh (Section 6.2), by replica recovery and by
-    /// the equivalence tests.
+    /// in ascending global version order — the proxy's refresh and resync
+    /// (Section 6.2).  Below the truncation floor it is the retained suffix,
+    /// which the proxy refuses as a gap.
     #[must_use]
     pub fn writesets_after(&self, since: Version) -> Vec<RemoteWriteSet> {
         // Sample the bound BEFORE the streams: every commit at or below it

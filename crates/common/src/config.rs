@@ -11,10 +11,8 @@
 //! | `Tashkent-API` | middleware → database (`COMMIT <seq>`) | database | concurrent, group-committed |
 //!
 //! [`SystemKind`] selects the variant; [`ClusterConfig`] describes a real
-//! deployment (replica count, certifier group and shards, transport and the
-//! proxy's protocol options).  [`IoChannelMode`] is the simulator's.
-
-use std::time::Duration;
+//! deployment (replica count, certifier group and shards, forced aborts and
+//! transport).  [`IoChannelMode`] is the simulator's.
 
 /// Which of the three replication designs a cluster runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -219,9 +217,6 @@ pub struct ClusterConfig {
     /// Fraction of certification requests the certifier aborts at random
     /// *after* performing the full check (Section 9.5's forced abort rates).
     pub forced_abort_rate: f64,
-    /// If a replica hears nothing from the certifier for this long, its proxy
-    /// proactively fetches remote writesets (bounded staleness, Section 6.2).
-    pub staleness_bound: Duration,
     /// How proxies reach the certifier (appended last so configurations
     /// serialised before networking existed keep their field order).
     pub transport: TransportKind,
@@ -237,7 +232,6 @@ impl ClusterConfig {
             certifiers: 3,
             certifier_shards: 1,
             forced_abort_rate: 0.0,
-            staleness_bound: Duration::from_millis(50),
             transport: TransportKind::InProcess,
         }
     }

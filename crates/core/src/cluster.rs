@@ -1,6 +1,7 @@
 //! The replicated cluster: replicas + certifier group + client sessions.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use tashkent_certifier::{Certifier, CertifierConfig, CertifierNodeId, ShardedCertifierConfig};
 use tashkent_common::{
@@ -15,6 +16,9 @@ use tashkent_storage::disk::DiskConfig;
 use crate::bundle::DiagnosticBundle;
 use crate::replica::ReplicaNode;
 use crate::watchdog::{Watchdog, WatchdogConfig};
+
+/// How long [`Cluster::sync_all`] keeps refreshing a replica still behind.
+const SYNC_DEADLINE: Duration = Duration::from_secs(10);
 
 /// A running replicated database cluster.
 ///
@@ -371,17 +375,31 @@ impl Cluster {
         self.certifier.system_version()
     }
 
-    /// Brings every (non-crashed) replica up to date with the certifier
-    /// (each proxy performs a bounded-staleness refresh).
+    /// Brings every live replica up to the in-process certifier's version,
+    /// read without crossing a wire: each proxy refreshes, retrying any
+    /// error (an empty stream may mean the wire failed), until its database
+    /// reaches that version.  Returns the number of writesets installed.
     ///
     /// # Errors
     ///
-    /// Fails if the certifier majority is unavailable.
+    /// [`Error::Unavailable`] naming a replica still behind at `SYNC_DEADLINE`.
     pub fn sync_all(&self) -> Result<usize> {
+        let target = self.certifier.local().system_version();
+        let give_up = Instant::now() + SYNC_DEADLINE;
         let mut applied = 0;
         for replica in &self.replicas {
-            if !replica.is_crashed() {
-                applied += replica.proxy().refresh()?;
+            let mut last = Ok(0);
+            while !replica.is_crashed() && replica.version() < target {
+                if Instant::now() >= give_up {
+                    return Err(Error::Unavailable(format!(
+                        "{} stuck at version {} below the certifier's {target}: {last:?}",
+                        replica.id(),
+                        replica.version()
+                    )));
+                }
+                last = replica.proxy().refresh();
+                applied += last.as_ref().map_or(0, |count| *count);
+                std::thread::sleep(Duration::from_millis(1));
             }
         }
         Ok(applied)

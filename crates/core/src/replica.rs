@@ -61,7 +61,6 @@ impl ReplicaNode {
             metrics: Arc::clone(&metrics),
         };
         let proxy_config = ProxyConfig {
-            staleness_bound: config.staleness_bound,
             metrics,
             ..ProxyConfig::new(config.system, id)
         };

@@ -11,13 +11,14 @@
 //!                  the certifier's newest sealed checkpoint )
 //! ```
 //!
-//! The first term keeps the log suffix every *live* replica still needs for
-//! its bounded-staleness refresh.  The second term is the recovery
-//! guarantee: a crashed replica restarts from its newest checkpoint image,
-//! so the watermark may never pass a checkpoint any replica would have to
-//! recover from — including replicas that are currently down.  The third
-//! term guarantees the certifier itself can rebuild its trimmed prefix
-//! from an image during incremental state transfer.
+//! The first term keeps the log suffix every *live* replica still needs to
+//! catch up (an empty fetch may mean the wire failed; `Cluster::sync_all`
+//! compares versions).  The second term is the recovery guarantee: a
+//! crashed replica restarts from its newest checkpoint image, so the
+//! watermark may never pass a checkpoint any replica would have to recover
+//! from — including replicas that are currently down.  The third term
+//! guarantees the certifier itself can rebuild its trimmed prefix from an
+//! image during incremental state transfer.
 //!
 //! Each layer additionally clamps to its *own* newest checkpoint when it
 //! actually drops records ([`tashkent_certifier::Certifier::truncate_below`]

@@ -18,9 +18,9 @@
 //!
 //! The blocking request API on top implements
 //! [`CertifierService`], so a `CertifierHandle::Remote`
-//! (`tashkent_proxy`) makes the entire proxy stack — certification,
-//! bounded-staleness refresh, recovery catch-up — run over the wire
-//! unchanged.
+//! (`tashkent_proxy`) makes the entire proxy stack run over the wire.  An
+//! empty fetch may mean the wire failed; callers that need completeness
+//! compare versions, as `Cluster::sync_all` does.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -369,8 +369,8 @@ impl CertifierService for RemoteCertifier {
     fn writesets_after(&self, since: Version) -> Vec<RemoteWriteSet> {
         match self.request(Message::FetchWritesets { since }) {
             Ok(Message::WritesetBatch { writesets }) => writesets,
-            // Wire down (or a malformed reply): report no progress; the
-            // proxy's bounded-staleness refresh simply retries later.
+            // Wire down (or a malformed reply): an empty stream.  Callers
+            // that need completeness compare versions, as `sync_all` does.
             Ok(_) | Err(_) => Vec::new(),
         }
     }

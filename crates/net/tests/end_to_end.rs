@@ -7,11 +7,12 @@ use std::time::Duration;
 use tashkent_certifier::certifier::decode_checkpoint_payload;
 use tashkent_certifier::{Certifier, CertifierConfig, CertificationRequest};
 use tashkent_common::{
-    metrics::MetricsRegistry, Component, CounterId, EventKind, GaugeId, ReplicaId, TableId,
-    TransportKind, Value, Version, WriteItem, WriteSet,
+    metrics::MetricsRegistry, Component, CounterId, Error, EventKind, GaugeId, ReplicaId,
+    SystemKind, TableId, TransportKind, Value, Version, WriteItem, WriteSet,
 };
 use tashkent_net::{ClusterNet, LoopbackNet, NetServer, RemoteCertifier, SessionConfig, TcpTransport};
-use tashkent_proxy::{CertifierHandle, CertifierService};
+use tashkent_proxy::{CertifierHandle, CertifierService, Proxy, ProxyConfig};
+use tashkent_storage::{Database, EngineConfig};
 
 fn ws(key: i64) -> WriteSet {
     WriteSet::from_items(vec![WriteItem::update(
@@ -289,4 +290,53 @@ fn cluster_net_wires_replicas_and_links() {
         .iter()
         .any(|e| e.kind == EventKind::LinkFault));
     net.shutdown();
+}
+
+/// A replica below the certifier's truncation floor cannot be caught up by
+/// the retained suffix: over the wire its refresh is refused with a typed
+/// error and installs nothing, on every system.
+#[test]
+fn a_refresh_below_the_truncation_floor_is_refused_over_loopback() {
+    let net = LoopbackNet::shared();
+    let metrics = Arc::new(MetricsRegistry::enabled());
+    let certifier = Arc::new(Certifier::new(CertifierConfig::default()));
+    let colocated = CertifierHandle::Local(Arc::clone(&certifier));
+    let server = NetServer::start(
+        "certifier",
+        colocated.clone(),
+        &net.transport("certifier"),
+        "certifier",
+        Arc::clone(&metrics),
+    )
+    .unwrap();
+    let client = RemoteCertifier::start(
+        SessionConfig::new("replica-0", server.endpoint()),
+        Arc::new(net.transport("replica-0")),
+        Arc::clone(&metrics),
+    );
+    client.wait_connected(Duration::from_secs(2)).unwrap();
+    for key in 1..=6 {
+        commit(client.as_ref(), key);
+    }
+    certifier.seal_checkpoint();
+    certifier.truncate_below(Version(4)).unwrap();
+    assert_eq!(certifier.truncation_floor(), Version(4));
+
+    for system in SystemKind::ALL {
+        let db = Database::new(EngineConfig::default());
+        db.create_table("t", &["v"]);
+        let handle = CertifierHandle::Remote {
+            service: client.clone(),
+            colocated: Box::new(colocated.clone()),
+        };
+        let proxy = Proxy::new(ProxyConfig::new(system, ReplicaId(0)), db, handle);
+        let result = proxy.refresh();
+        assert!(
+            matches!(result, Err(Error::Corruption(_))),
+            "{system}: {result:?}"
+        );
+        assert_eq!(proxy.database().version(), Version::ZERO, "{system}");
+        assert_eq!(proxy.replica_version(), Version::ZERO, "{system}");
+    }
+    client.close();
 }

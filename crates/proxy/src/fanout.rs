@@ -9,9 +9,9 @@
 //! [`CertifierHandle::local`].  Either way the commit pipelines see one
 //! gap-free, totally-ordered stream of remote writesets — with several
 //! certification shards, [`Certifier::writesets_after`] fans out to every
-//! shard's version stream and fans in by global commit version — so
-//! `apply_remotes_serial` and `commit_concurrent` are oblivious to sharding
-//! and transport.
+//! shard's version stream and fans in by global commit version — so the
+//! proxy's serial and concurrent pipelines are oblivious to sharding and
+//! transport.
 
 use std::sync::Arc;
 
@@ -36,8 +36,8 @@ pub trait CertifierService: Send + Sync {
     fn certify(&self, request: &CertificationRequest) -> Result<CertificationResponse>;
 
     /// The remote writesets committed after `since`, in ascending global
-    /// version order.  Returns an empty stream when the wire is down (the
-    /// proxy's bounded-staleness refresh retries later).
+    /// version order.  An empty stream may mean the wire failed; callers
+    /// that need completeness compare versions, as `Cluster::sync_all` does.
     fn writesets_after(&self, since: Version) -> Vec<RemoteWriteSet>;
 
     /// The certifier's global system version (the last observed one when
@@ -116,7 +116,8 @@ impl CertifierHandle {
     }
 
     /// The remote writesets committed after `since`, as one gap-free stream
-    /// in ascending global version order.
+    /// in ascending global version order.  Across a wire an empty stream may
+    /// mean the wire failed (see [`CertifierService::writesets_after`]).
     #[must_use]
     pub fn writesets_after(&self, since: Version) -> Vec<RemoteWriteSet> {
         match self {

@@ -20,10 +20,11 @@
 //!   global order.  Remote writesets that would create an "artificial"
 //!   conflict (Section 5.2.1) are serialised behind the conflicting version.
 //!
-//! The proxy also implements Section 6.2's local certification and
-//! bounded-staleness refresh, and the soft-recovery / replica-recovery
-//! procedures of Sections 7 and 8.  Section 8.2's remote priority over local
-//! transactions lives in the engine's row lock, not here.
+//! The proxy also implements Section 6.2's local certification and refresh
+//! (a stream with a gap is refused; an empty one may mean the wire failed),
+//! and the soft-recovery / replica-recovery procedures of Sections 7 and 8.
+//! Section 8.2's remote priority over local transactions lives in the
+//! engine's row lock, not here.
 //!
 //! All pipelines talk to the certifier through the [`fanout::CertifierHandle`],
 //! which hides whether certification is served by the single certifier of

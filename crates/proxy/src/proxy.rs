@@ -5,7 +5,8 @@
 //! dense order index under the proxy's state lock, in global version order,
 //! and the engine announces commits in index order.  Base and Tashkent-MW
 //! install serially under the apply lock and never hand out an index.
-//! On all three, an install's row lock aborts any local holder (Section 8.2).
+//! On all three, an install's row lock aborts any local holder (Section 8.2),
+//! and no install or local commit ever skips a version.
 
 use std::sync::Arc;
 use std::thread;
@@ -35,8 +36,9 @@ pub struct ProxyConfig {
     /// Read by nothing: Section 8.2 is always on, in the engine's row lock.
     /// Kept so configurations built as struct literals still compile.
     pub eager_precertification: bool,
-    /// If the proxy hears nothing from the certifier for this long, it
-    /// proactively fetches remote writesets (bounded staleness, Section 6.2).
+    /// Read by nothing: no timer refreshes an idle replica; callers that
+    /// need it current refresh it themselves, as `Cluster::sync_all` does.
+    /// Kept so configurations built as struct literals still compile.
     pub staleness_bound: Duration,
     /// Metrics registry the proxy reports into: transaction counters, the
     /// begin / execute / certify stage histograms, remote-apply figures and
@@ -84,24 +86,45 @@ struct ProxyState {
     order_counter: u64,
     /// Local copy of seen writesets for local certification.
     seen: SeenWriteSets,
-    /// Last successful contact with the certifier.
-    last_contact: Instant,
 }
 
 impl ProxyState {
-    /// Schedules the suffix of `remotes` (ascending, as the certifier sends
-    /// them) above `scheduled_through`: records it for local certification
-    /// and advances `scheduled_through` to its last version.  Returns it.
-    fn schedule<'a>(&mut self, remotes: &'a [RemoteWriteSet]) -> &'a [RemoteWriteSet] {
+    /// Schedules the suffix of `remotes` (ascending and dense, as the
+    /// certifier sends them) above `scheduled_through`: records it for local
+    /// certification and advances `scheduled_through` to its last version.
+    /// Returns it, or refuses a suffix that does not start at
+    /// `scheduled_through + 1` with [`Error::Corruption`], scheduling nothing
+    /// (the proxy's one catch-up rule: no install skips a version).
+    fn schedule<'a>(&mut self, remotes: &'a [RemoteWriteSet]) -> Result<&'a [RemoteWriteSet]> {
         let base = self.scheduled_through;
         let pending = &remotes[remotes.partition_point(|r| r.commit_version <= base)..];
+        let Some(last) = pending.last() else {
+            return Ok(pending);
+        };
+        if pending[0].commit_version != base.next() {
+            return Err(Error::Corruption(format!(
+                "remote stream resumes at version {} but the replica is scheduled through {base}",
+                pending[0].commit_version
+            )));
+        }
         for remote in pending {
             self.seen.record(remote.commit_version, &remote.writeset);
         }
-        if let Some(last) = pending.last() {
-            self.scheduled_through = last.commit_version;
+        self.scheduled_through = last.commit_version;
+        Ok(pending)
+    }
+
+    /// Schedules a certified local commit at `version` if it is the next
+    /// dense version.  Otherwise it already reached the remote path, or
+    /// committing it would skip versions and the certifier stream installs
+    /// it later: returns `false`.
+    fn schedule_own(&mut self, version: Version, writeset: &WriteSet) -> bool {
+        if version != self.scheduled_through.next() {
+            return false;
         }
-        pending
+        self.seen.record(version, writeset);
+        self.scheduled_through = version;
+        true
     }
 
     /// Hands out the next dense order index.
@@ -214,7 +237,6 @@ impl Proxy {
                     scheduled_through,
                     order_counter: 0,
                     seen: SeenWriteSets::new(),
-                    last_contact: Instant::now(),
                 }),
                 apply_lock: Mutex::new(()),
             }),
@@ -282,9 +304,10 @@ impl Proxy {
         }
     }
 
-    /// Applies any remote writesets the replica has not seen yet (bounded
-    /// staleness, Section 6.2) as one group.  Returns the number of
-    /// writesets applied.
+    /// Applies any remote writesets the replica has not seen yet (Section
+    /// 6.2) as one group.  Returns the number of writesets applied.  An empty
+    /// stream may mean the wire failed; callers that need completeness
+    /// compare versions, as `Cluster::sync_all` does.
     ///
     /// On Tashkent-API the group takes the next order index and waits for
     /// its announce turn.  Behind an index that never announces (a crashed
@@ -293,8 +316,8 @@ impl Proxy {
     ///
     /// # Errors
     ///
-    /// Fails if the certifier majority is unavailable, the database crashed,
-    /// or the group timed out waiting for its announce turn.
+    /// Fails if the database crashed, the group timed out waiting for its
+    /// announce turn, or the stream has a gap ([`Error::Corruption`]).
     pub fn refresh(&self) -> Result<usize> {
         let remotes = self
             .shared
@@ -306,42 +329,17 @@ impl Proxy {
         // each other until the timeout broke the cycle.
         let guard = (!self.shared.config.system.ordered_commit_api())
             .then(|| self.shared.apply_lock.lock());
-        match self.install_group(&remotes, false) {
-            Ok(count) => {
-                self.shared.state.lock().last_contact = Instant::now();
-                Ok(count)
-            }
-            Err(e) => {
-                // The failed install already advanced the scheduling state
-                // past writesets that never reached the engine; resync before
-                // surfacing the error, or the certifier (which only resends
-                // versions above the reported `replica_version`) would never
-                // deliver them again.  Base and Tashkent-MW keep the apply
-                // lock from the failed install through the resync.
-                let _guard = guard.unwrap_or_else(|| self.shared.apply_lock.lock());
-                self.resync_locked()?;
-                Err(e)
-            }
-        }
-    }
-
-    /// Calls [`Proxy::refresh`] if the staleness bound has elapsed since the
-    /// last certifier contact.  Returns the number of writesets applied, or
-    /// zero if no refresh was due.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Proxy::refresh`].
-    pub fn maybe_refresh(&self) -> Result<usize> {
-        let due = {
-            let state = self.shared.state.lock();
-            state.last_contact.elapsed() >= self.shared.config.staleness_bound
-        };
-        if due {
-            self.refresh()
-        } else {
-            Ok(0)
-        }
+        self.install_group(&remotes, false).or_else(|e| {
+            // A failed install already advanced the scheduling state past
+            // writesets that never reached the engine; resync before
+            // surfacing the error, or the certifier (which only resends
+            // versions above the reported `replica_version`) would never
+            // deliver them again.  Base and Tashkent-MW keep the apply lock
+            // from the failed install through the resync.
+            let _guard = guard.unwrap_or_else(|| self.shared.apply_lock.lock());
+            self.resync_locked()?;
+            Err(e)
+        })
     }
 
     /// Soft recovery (Section 8.1): aborts nothing that is still running, but
@@ -351,7 +349,8 @@ impl Proxy {
     ///
     /// # Errors
     ///
-    /// Fails if the certifier is unavailable or the database crashed.
+    /// Fails if the database crashed or the stream has a gap
+    /// ([`Error::Corruption`]: the database is below the truncation floor).
     pub fn resync(&self) -> Result<usize> {
         let _guard = self.shared.apply_lock.lock();
         self.resync_locked()
@@ -386,7 +385,8 @@ impl Proxy {
 
     /// Installs the not-yet-scheduled suffix of `remotes` as one group — the
     /// install of refresh, resync and Base / Tashkent-MW's [C4].  Returns
-    /// the number of writesets installed.
+    /// the number of writesets installed, or the gap `ProxyState::schedule`
+    /// refuses.
     ///
     /// The one per-system difference is the engine call: on Tashkent-API
     /// the group takes the next order index in the same state-lock section
@@ -408,7 +408,7 @@ impl Proxy {
                 }
                 state.scheduled_through = self.shared.db.version();
             }
-            let group = state.schedule(remotes);
+            let group = state.schedule(remotes)?;
             if group.is_empty() {
                 return Ok(0);
             }
@@ -441,11 +441,11 @@ impl Proxy {
         }
         // [C4] apply the grouped remote writesets in their own transaction.
         if self.install_group(remotes, false).is_err() {
-            // The failed install advanced the scheduling state past
-            // writesets that never reached the engine; resync re-applies
-            // them — and, if this transaction was certified, its own logged
-            // writeset too, in which case the already-applied check below
-            // routes around the local commit.
+            // A refused gap, or a failed install that advanced the
+            // scheduling state past writesets that never reached the engine:
+            // resync re-applies them — and, if this transaction was
+            // certified, its own logged writeset too, in which case the
+            // dense-version check below routes around the local commit.
             self.resync_locked()?;
         }
         // [C5] finalise the local commit.
@@ -453,23 +453,10 @@ impl Proxy {
             return self.finish_update_commit(tx, false, None);
         }
         let version = commit_version.expect("commit decision carries a version");
-        let already_applied = {
-            let mut state = self.shared.state.lock();
-            if version <= state.scheduled_through {
-                // Another client of this replica already scheduled this
-                // version through the remote-writeset path.
-                true
-            } else {
-                state.seen.record(version, writeset);
-                state.scheduled_through = version;
-                false
-            }
-        };
-        if already_applied || version <= self.shared.db.version() {
-            // The effects of this transaction already reached the replica via
-            // the remote-writeset path (possible when another client of the
-            // same replica scheduled it first); committing again would apply
-            // them twice.
+        if !self.shared.state.lock().schedule_own(version, writeset) {
+            // Either the effects already reached the replica through the
+            // remote path, or committing here would skip versions; either
+            // way the certifier stream delivers them, not this commit.
             tx.abort();
         } else if let Err(e) = tx.commit_at(version) {
             // An install's row lock may have aborted the local transaction
@@ -487,10 +474,7 @@ impl Proxy {
                 other => other,
             });
         }
-        Ok(CommitOutcome {
-            commit_version: Some(version),
-            read_only: false,
-        })
+        self.finish_update_commit(tx, true, commit_version)
     }
 
     /// Common epilogue of the commit pipelines: the final outcome of an
@@ -530,15 +514,20 @@ impl Proxy {
         if !decision_commit {
             tx.abort();
         }
+        let mut failures: Vec<Error> = Vec::new();
         // Schedule under the state lock: dense order indices in global
         // version order, one per not-yet-scheduled remote writeset — or one
         // for the whole backlog, merged, when it is wider than the window —
-        // then one for the local commit if it was certified.  The merged
-        // group rides the same spawn/join loop as any other remote.
+        // then one for the local commit if it is the next dense version.
+        // The merged group rides the same spawn/join loop as any other
+        // remote.  A refused gap schedules nothing and soft-recovers below.
         let (base, scheduled, own_slot) = {
             let mut state = self.shared.state.lock();
             let base = state.scheduled_through;
-            let pending = state.schedule(remotes);
+            let pending = state.schedule(remotes).unwrap_or_else(|gap| {
+                failures.push(gap);
+                &[]
+            });
             let width = if pending.len() > CONCURRENT_WINDOW {
                 pending.len()
             } else {
@@ -548,15 +537,9 @@ impl Proxy {
                 .chunks(width)
                 .map(|group| (group, state.next_order_index()))
                 .collect();
-            // A version at or below `scheduled_through` already reached the
-            // remote path (another client of this replica scheduled it).
             let own_slot = commit_version
-                .filter(|&version| decision_commit && version > state.scheduled_through)
-                .map(|version| {
-                    state.seen.record(version, writeset);
-                    state.scheduled_through = version;
-                    (state.next_order_index(), version)
-                });
+                .filter(|&version| decision_commit && state.schedule_own(version, writeset))
+                .map(|version| (state.next_order_index(), version));
             (base, scheduled, own_slot)
         };
 
@@ -567,7 +550,6 @@ impl Proxy {
         };
         let metrics = &self.shared.config.metrics;
         let mut handles: Vec<thread::JoinHandle<Result<Version>>> = Vec::new();
-        let mut failures: Vec<Error> = Vec::new();
         // Submit remote writesets concurrently, inserting a barrier before
         // any writeset with an artificial conflict: one NOT conflict-free
         // back to the replica's scheduled version must wait for the
@@ -583,24 +565,13 @@ impl Proxy {
         }
 
         // Submit the local commit (or abort) concurrently with the remotes.
-        let outcome = match own_slot {
-            Some((order_index, version)) => match tx.commit_ordered(order_index, version) {
-                Ok(v) => Some(v),
-                Err(e) => {
-                    failures.push(e);
-                    None
-                }
-            },
-            None => {
-                // Aborted, or its effects already reached the replica through
-                // the remote path.
-                if decision_commit {
-                    tx.abort();
-                }
-                commit_version
-            }
-        };
-
+        // Without a slot it was aborted, or left to the remote path (see
+        // `schedule_own`).
+        if let Some((order_index, version)) = own_slot {
+            failures.extend(tx.commit_ordered(order_index, version).err());
+        } else if decision_commit {
+            tx.abort();
+        }
         failures.extend(handles.into_iter().filter_map(failure));
 
         if !failures.is_empty() {
@@ -608,10 +579,8 @@ impl Proxy {
             // commit's effects are then applied via the resync if they were
             // certified, so the epilogue still reports success.
             self.resync()?;
-            return self.finish_update_commit(tx, decision_commit, commit_version);
         }
-
-        self.finish_update_commit(tx, decision_commit, outcome.or(commit_version))
+        self.finish_update_commit(tx, decision_commit, commit_version)
     }
 
     fn commit_transaction(
@@ -663,7 +632,6 @@ impl Proxy {
             replica_version,
         };
         let response = self.shared.certifier.certify(&request)?;
-        self.shared.state.lock().last_contact = Instant::now();
         if let Some(t) = timer.as_mut() {
             // The certify round-trip; a commit response also implies the
             // writeset is durable at the certifier, so the durable mark

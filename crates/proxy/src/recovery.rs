@@ -13,9 +13,9 @@
 //! 2. **Redo the WAL** up to its dense frontier (see `dense_frontier`).
 //!    Tashkent-MW runs with `SyncMode::Off`, whose log preserves nothing
 //!    after a crash, so there the frontier is the image itself.
-//! 3. **Refuse a gap**: the certified logs only reach down to the
-//!    truncation floor, so a database still below it would be handed a
-//!    stream with a silent hole.  Recovery fails loudly instead.
+//! 3. **Refuse a gap**: a database below the in-process certifier's
+//!    truncation floor cannot be caught up.  (A fully trimmed log returns
+//!    an empty stream, so the resync alone would not see the gap.)
 //! 4. **Resync**: a fresh [`Proxy`] installs everything past the database's
 //!    version through [`Proxy::resync`] — the install path every other
 //!    remote writeset takes, counted in `RemoteInstalls`, and on
@@ -63,7 +63,7 @@ pub fn recover_replica(
     };
     let db =
         Database::recover_with_baseline(engine, device, schema, image.as_ref(), Some(frontier))?;
-    let floor = certifier.truncation_floor();
+    let floor = certifier.local().truncation_floor();
     if db.version() < floor {
         return Err(Error::Corruption(format!(
             "replica recovered to version {} is below the certifier truncation floor {floor}; \

@@ -2,14 +2,19 @@
 //! certifier: two replicas exchange updates, conflicts are detected, and the
 //! replicas converge to the same state in the same global order.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use tashkent_certifier::{Certifier, CertifierConfig, CertifierNodeId};
-use tashkent_common::{
-    Component, CounterId, Error, EventKind, MetricsRegistry, ReplicaId, SystemKind, Value, Version,
+use tashkent_certifier::{
+    CertificationRequest, CertificationResponse, Certifier, CertifierConfig, CertifierNodeId,
+    RemoteWriteSet,
 };
-use tashkent_proxy::{Proxy, ProxyConfig};
+use tashkent_common::{
+    Component, CounterId, Error, EventKind, MetricsRegistry, ReplicaId, Result, SystemKind, Value,
+    Version,
+};
+use tashkent_proxy::{CertifierHandle, CertifierService, Proxy, ProxyConfig};
 use tashkent_storage::{Database, EngineConfig};
 
 /// A certifier and the registry it and every replica proxy report into.
@@ -40,6 +45,32 @@ impl Rig {
         id: u32,
         ordered_commit_timeout: Duration,
     ) -> Proxy {
+        let handle = CertifierHandle::Local(Arc::clone(&self.certifier));
+        self.replica_via(system, id, ordered_commit_timeout, handle)
+    }
+
+    /// A replica reaching the certifier through `service`, as a networked
+    /// replica does.
+    fn replica_through(&self, system: SystemKind, id: u32, service: Arc<GapService>) -> Proxy {
+        let handle = CertifierHandle::Remote {
+            service,
+            colocated: Box::new(CertifierHandle::Local(Arc::clone(&self.certifier))),
+        };
+        self.replica_via(
+            system,
+            id,
+            EngineConfig::default().ordered_commit_timeout,
+            handle,
+        )
+    }
+
+    fn replica_via(
+        &self,
+        system: SystemKind,
+        id: u32,
+        ordered_commit_timeout: Duration,
+        certifier: CertifierHandle,
+    ) -> Proxy {
         let db = Database::new(EngineConfig {
             ordered_commit_timeout,
             ..EngineConfig::with_sync_mode(match system {
@@ -52,7 +83,7 @@ impl Rig {
             metrics: Arc::clone(&self.metrics),
             ..ProxyConfig::new(system, ReplicaId(id))
         };
-        Proxy::new(config, db, Arc::clone(&self.certifier))
+        Proxy::new(config, db, certifier)
     }
 
     fn counter(&self, counter: CounterId) -> u64 {
@@ -68,7 +99,58 @@ impl Rig {
     }
 }
 
-fn deposit(proxy: &Proxy, key: i64, amount: i64) -> Result<Option<Version>, Error> {
+/// A data plane that loses the first writeset of every stream it is told
+/// to: `fetch_gap` for `writesets_after`, `certify_gap` for the remote
+/// writesets a certify response carries.
+struct GapService {
+    inner: Arc<Certifier>,
+    fetch_gap: AtomicBool,
+    certify_gap: AtomicBool,
+}
+
+impl GapService {
+    fn new(inner: &Arc<Certifier>, fetch_gap: bool, certify_gap: bool) -> Arc<Self> {
+        Arc::new(GapService {
+            inner: Arc::clone(inner),
+            fetch_gap: AtomicBool::new(fetch_gap),
+            certify_gap: AtomicBool::new(certify_gap),
+        })
+    }
+
+    fn heal(&self) {
+        self.fetch_gap.store(false, Ordering::SeqCst);
+        self.certify_gap.store(false, Ordering::SeqCst);
+    }
+}
+
+fn drop_first(gap: &AtomicBool, mut stream: Vec<RemoteWriteSet>) -> Vec<RemoteWriteSet> {
+    if gap.load(Ordering::SeqCst) && !stream.is_empty() {
+        stream.remove(0);
+    }
+    stream
+}
+
+impl CertifierService for GapService {
+    fn certify(&self, request: &CertificationRequest) -> Result<CertificationResponse> {
+        let mut response = self.inner.certify(request)?;
+        response.remote_writesets = drop_first(&self.certify_gap, response.remote_writesets);
+        Ok(response)
+    }
+    fn writesets_after(&self, since: Version) -> Vec<RemoteWriteSet> {
+        drop_first(&self.fetch_gap, self.inner.writesets_after(since))
+    }
+    fn system_version(&self) -> Version {
+        self.inner.system_version()
+    }
+    fn is_available(&self) -> bool {
+        self.inner.is_available()
+    }
+    fn truncation_floor(&self) -> Version {
+        self.inner.truncation_floor()
+    }
+}
+
+fn deposit(proxy: &Proxy, key: i64, amount: i64) -> Result<Option<Version>> {
     let table = proxy.database().table_id("accounts").unwrap();
     let tx = proxy.begin();
     let balance = tx
@@ -451,5 +533,85 @@ fn api_backlog_group_installs_beside_concurrent_clients() {
         for i in 0..COMMITS {
             assert_eq!(balance(&b, client * 1000 + i), 1, "client {client} key {i}");
         }
+    }
+}
+
+/// A fetched stream that does not continue at `replica_version + 1` is
+/// refused with a typed error and schedules nothing; once the stream is
+/// dense again the same proxy installs every version in order.
+#[test]
+fn a_stream_that_skips_a_version_is_refused_and_schedules_nothing() {
+    for system in SystemKind::ALL {
+        let rig = Rig::new();
+        let a = rig.replica(system, 0);
+        for key in 1..=3 {
+            deposit(&a, key, 10 * key).unwrap();
+        }
+        let service = GapService::new(&rig.certifier, true, false);
+        let b = rig.replica_through(system, 1, Arc::clone(&service));
+
+        let result = b.refresh();
+        assert!(
+            matches!(result, Err(Error::Corruption(_))),
+            "{system}: {result:?}"
+        );
+        assert_eq!(b.replica_version(), Version::ZERO, "{system}");
+        assert_eq!(b.database().version(), Version::ZERO, "{system}");
+
+        service.heal();
+        assert_eq!(b.refresh().unwrap(), 3, "{system}");
+        assert_eq!(b.database().version(), Version(3), "{system}");
+        for key in 1..=3 {
+            assert_eq!(balance(&b, key), 10 * key, "{system} key {key}");
+        }
+    }
+}
+
+/// A certified local commit whose version is not the next dense one is not
+/// committed locally: the client still gets its certified version, the
+/// replica does not move, and the certifier stream installs the commit in
+/// order later.
+#[test]
+fn a_certified_commit_that_would_skip_a_version_is_left_to_the_stream() {
+    for system in SystemKind::ALL {
+        let rig = Rig::new();
+        let a = rig.replica(system, 0);
+        deposit(&a, 1, 100).unwrap();
+        let service = GapService::new(&rig.certifier, false, true);
+        let b = rig.replica_through(system, 1, Arc::clone(&service));
+
+        // Certified at version 2 with version 1 lost from the response.
+        assert_eq!(deposit(&b, 2, 20).unwrap(), Some(Version(2)), "{system}");
+        assert_eq!(b.database().version(), Version::ZERO, "{system}");
+        assert_eq!(b.replica_version(), Version::ZERO, "{system}");
+
+        service.heal();
+        assert_eq!(b.refresh().unwrap(), 2, "{system}");
+        assert_eq!(b.database().version(), Version(2), "{system}");
+        assert_eq!(balance(&b, 1), 100, "{system}");
+        assert_eq!(balance(&b, 2), 20, "{system}");
+    }
+}
+
+/// A certify response whose remote writesets skip a version is the commit
+/// pipelines' soft-recovery case, not a lost commit: the resync fetches the
+/// dense stream — the commit's own writeset included — and the client gets
+/// its certified version.
+#[test]
+fn a_gapped_certify_response_resyncs_instead_of_losing_the_commit() {
+    for system in SystemKind::ALL {
+        let rig = Rig::new();
+        let a = rig.replica(system, 0);
+        deposit(&a, 1, 100).unwrap();
+        deposit(&a, 2, 200).unwrap();
+        let b = rig.replica_through(system, 1, GapService::new(&rig.certifier, false, true));
+
+        assert_eq!(deposit(&b, 3, 30).unwrap(), Some(Version(3)), "{system}");
+        assert_eq!(b.database().version(), Version(3), "{system}");
+        assert_eq!(b.replica_version(), Version(3), "{system}");
+        for (key, amount) in [(1, 100), (2, 200), (3, 30)] {
+            assert_eq!(balance(&b, key), amount, "{system} key {key}");
+        }
+        assert_eq!(rig.resyncs(), 1, "{system}");
     }
 }

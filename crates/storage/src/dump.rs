@@ -2,15 +2,15 @@
 //!
 //! Tashkent-MW disables all synchronous WAL writes at the replicas, which on
 //! engines like PostgreSQL also voids *physical data integrity* after a
-//! crash.  To compensate, the middleware periodically asks the database for a
-//! complete copy of a committed snapshot and records the version of that
-//! copy.  After a crash the replica is restarted from the most recent intact
-//! dump and the middleware re-applies the writesets committed since the dump
-//! version (Section 7.1, Case 1).
+//! crash.  Section 7.1 compensates with a complete copy of a committed
+//! snapshot, stamped with its version, that the replica restarts from before
+//! the middleware re-applies the writesets committed since.
 //!
 //! A [`DatabaseDump`] is such a copy: every table's visible rows at one
 //! version, together with the version itself, serialisable to a checksummed
-//! byte image (the "dump file").
+//! byte image.  Dumps are taken only as the payload of a sealed checkpoint
+//! ([`crate::checkpoint`]); replica recovery restores the best intact one on
+//! every system, not only on Tashkent-MW.
 
 use tashkent_common::codec::{FrameLayout, Reader, Writer};
 use tashkent_common::{Result, RowKey, Version};

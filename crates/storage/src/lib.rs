@@ -33,7 +33,7 @@
 //!   writeset.
 //! * [`engine`] — the [`engine::Database`] façade: begin / read / write /
 //!   commit / ordered commit / apply-writeset / dump / crash / recover.
-//! * [`dump`] — full-database dumps used by Tashkent-MW replica recovery.
+//! * [`dump`] — full-database dumps, the payload of a replica checkpoint.
 //! * [`checkpoint`] — sealed, versioned checkpoint images behind an atomic
 //!   manifest pointer flip; the durable artifact watermark-driven log
 //!   truncation restarts from.

@@ -11,6 +11,8 @@
 //! comparable one-for-one.
 
 use std::sync::Arc;
+use std::thread;
+use std::time::Duration;
 
 use tashkent::{
     Cluster, ClusterConfig, CounterId, RowKey, SystemKind, TableId, TransportKind, Value,
@@ -191,6 +193,34 @@ fn every_transport_takes_identical_decisions_and_contents() {
                 cluster.metrics_snapshot().counter(CounterId::NetMessages) > 0,
                 "{system}/{transport:?}: no traffic crossed the network transport"
             );
+        }
+    }
+}
+
+/// `sync_all` settles by version: a replica whose certifier link is down
+/// when the sync starts keeps refreshing until the link heals, instead of
+/// taking one empty fetch for "nothing new".
+#[test]
+fn sync_all_waits_out_a_severed_link_until_every_replica_is_current() {
+    for system in SystemKind::ALL {
+        let (cluster, table) = build(system, TransportKind::Loopback);
+        assert!(cluster.sever_certifier_link(1));
+        let committed = transfer(&cluster, table, 0, 1, 2, 5);
+        assert!(matches!(committed, Outcome::Commit { .. }), "{system}");
+
+        let healer = {
+            let cluster = Arc::clone(&cluster);
+            thread::spawn(move || {
+                thread::sleep(Duration::from_millis(50));
+                assert!(cluster.heal_certifier_link(1));
+            })
+        };
+        let synced = cluster.sync_all();
+        healer.join().unwrap();
+        synced.unwrap_or_else(|e| panic!("{system}: {e}"));
+        let target = cluster.certifier().local().system_version();
+        for (replica, version) in cluster.replica_versions() {
+            assert_eq!(version, target, "{system}: {replica} behind after sync_all");
         }
     }
 }
