@@ -14,28 +14,31 @@
 //!   message: certify request/decision, writeset stream fetch, status,
 //!   recovery state transfer, and session control (hello, ping, goodbye).
 //! * [`transport`] — the [`Transport`]/[`Listener`]/[`Connection`] traits:
-//!   non-blocking, poll-based endpoints that the event loops drive.
+//!   blocking endpoints whose every wait ends on a wake-up, a close or a
+//!   deadline.
 //! * [`loopback`] — a deterministic in-memory transport whose links can be
 //!   severed and healed (fault injection for partitions) — the cluster's
 //!   fault harness drives it exactly like crash faults.
-//! * [`tcp`] — the same trait over real non-blocking `std::net` sockets on
-//!   localhost.
-//! * [`session`] — the client side: [`RemoteCertifier`] runs a small event
-//!   loop on its own thread (dial, handshake, per-peer send queue with
-//!   backpressure, reconnect with exponential backoff, graceful close) and
-//!   implements [`CertifierService`](tashkent_proxy::CertifierService), so a
-//!   proxy certifies across the wire through the same handle it always used.
-//! * [`server`] — the certifier side: [`NetServer`] polls one listener plus
-//!   every accepted session and answers requests from the in-process
-//!   certifier behind it.
+//! * [`tcp`] — the same traits over blocking `std::net` sockets.
+//! * [`session`] — the client side: [`RemoteCertifier`] lets each caller
+//!   write its own request and wait for its reply, while one reader thread
+//!   per session dials, handshakes, fills replies by request id, detects
+//!   half-open links and reconnects with exponential backoff.  It
+//!   implements [`CertifierService`](tashkent_proxy::CertifierService), so
+//!   a proxy certifies across the wire through the same handle it always
+//!   used.
+//! * [`server`] — the certifier side: [`NetServer`] runs an acceptor thread
+//!   and one thread per session that reads a request, answers it from the
+//!   in-process certifier behind it and writes the reply.
 //! * [`cluster_net`] — [`ClusterNet`] wires one server and one client per
 //!   replica together for a whole cluster, and exposes the sever/heal hooks
 //!   the fault executor calls.
 //!
 //! The design intentionally avoids an async runtime: the build is air-gapped
-//! and the workloads are closed-loop, so a poll loop over non-blocking
-//! endpoints (with a short park when idle) is both sufficient and exactly
-//! reproducible under the loopback transport.
+//! and the workloads are closed-loop, so a few blocking threads per session
+//! are sufficient.  No thread sleeps to poll: a reply wakes its caller, a
+//! close or a sever wakes a blocked reader, and everything else waits on a
+//! deadline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

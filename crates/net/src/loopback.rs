@@ -3,18 +3,19 @@
 //! [`LoopbackNet`] is a tiny in-process "network": listeners register under
 //! logical endpoint names (`certifier`, `replica-0`, ...), dialling pushes a
 //! connection into the listener's backlog, and each established connection
-//! is a pair of bounded in-memory byte queues.  Because nothing leaves the
-//! process, runs are as reproducible as the in-process cluster — which is
-//! exactly what the fault harness needs.
+//! is a pair of bounded in-memory byte queues whose readers and writers wait
+//! on a condvar.  Because nothing leaves the process, runs are as
+//! reproducible as the in-process cluster — which is exactly what the fault
+//! harness needs.
 //!
 //! Fault injection hooks:
 //!
 //! * [`LoopbackNet::sever`] / [`LoopbackNet::heal`] cut or restore the link
-//!   between two endpoints.  A severed link kills established connections
-//!   (both directions) *and* refuses new dials, so a partition behaves like
-//!   a real one: in-flight requests fail with
-//!   [`Error::Unavailable`] and
-//!   reconnect attempts keep failing until the link heals.
+//!   between two endpoints.  A sever closes the link's established
+//!   connections (both directions, waking their blocked readers) *and*
+//!   refuses new dials, so a partition behaves like a real one: in-flight
+//!   requests fail with [`Error::Unavailable`] and reconnect attempts keep
+//!   failing until the link heals.
 //! * [`LoopbackNet::sever_one_way`] cuts only one *direction*: bytes sent
 //!   that way silently vanish while the reverse direction keeps flowing —
 //!   the half-open link of a real asymmetric partition.  The sender sees
@@ -28,9 +29,11 @@
 //!   reconnect path is exercised.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Weak};
+use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tashkent_common::{Error, Result};
@@ -38,7 +41,7 @@ use tashkent_common::{Error, Result};
 use crate::transport::{Connection, Listener, Transport};
 
 /// Per-direction buffered-byte cap; a sender whose peer is this far behind
-/// sees `Ok(0)` (would block) and must poll again — backpressure, not OOM.
+/// waits for room until its deadline — backpressure, not OOM.
 const PIPE_CAPACITY: usize = 8 << 20;
 
 /// A link name pair in canonical (sorted) order, so `sever(a, b)` and
@@ -53,8 +56,10 @@ fn link_key(a: &str, b: &str) -> (String, String) {
 
 #[derive(Default)]
 struct NetState {
-    /// Accept backlog per listening endpoint (`None` once closed).
+    /// Accept backlog per listening endpoint (absent once closed).
     backlogs: HashMap<String, VecDeque<LoopbackConn>>,
+    /// Every dialled connection by link, so a sever can close it.
+    live: Vec<((String, String), Weak<Wire>)>,
     /// Currently severed links.
     severed: HashSet<(String, String)>,
     /// Directionally severed links, as `(from, to)`: bytes sent from →
@@ -67,6 +72,8 @@ struct NetState {
 /// The shared in-memory network: a registry of listeners and link states.
 pub struct LoopbackNet {
     state: Mutex<NetState>,
+    /// Wakes blocked accepts: a dial arrived or a listener closed.
+    dialled: Condvar,
 }
 
 impl Default for LoopbackNet {
@@ -81,6 +88,7 @@ impl LoopbackNet {
     pub fn new() -> LoopbackNet {
         LoopbackNet {
             state: Mutex::new(NetState::default()),
+            dialled: Condvar::new(),
         }
     }
 
@@ -100,11 +108,18 @@ impl LoopbackNet {
         }
     }
 
-    /// Severs the link between two endpoints: established connections die
-    /// and new dials fail until [`LoopbackNet::heal`].  Returns `true` if
-    /// the link was previously healthy.
+    /// Severs the link between two endpoints: established connections are
+    /// closed and new dials fail until [`LoopbackNet::heal`].  Returns
+    /// `true` if the link was previously healthy.
     pub fn sever(&self, a: &str, b: &str) -> bool {
-        self.state.lock().severed.insert(link_key(a, b))
+        let link = link_key(a, b);
+        let mut state = self.state.lock();
+        for (_, wire) in state.live.iter().filter(|(l, _)| *l == link) {
+            if let Some(wire) = wire.upgrade() {
+                wire.close();
+            }
+        }
+        state.severed.insert(link)
     }
 
     /// Heals a severed link — the symmetric sever *and* any one-way severs
@@ -175,15 +190,18 @@ impl LoopbackNet {
         };
     }
 
-    fn roll_drop(&self) -> bool {
+    /// One send's fate: whether the network resets the connection first (one
+    /// seeded draw per send), and whether the `from` → `to` direction is cut.
+    fn on_send(&self, from: &str, to: &str) -> (bool, bool) {
         let mut state = self.state.lock();
-        match &mut state.drop_rng {
-            Some((rng, rate)) => {
-                let rate = *rate;
-                rng.gen_bool(rate)
-            }
-            None => false,
-        }
+        let dropped = state
+            .drop_rng
+            .as_mut()
+            .is_some_and(|(rng, rate)| rng.gen_bool(*rate));
+        let cut = state
+            .severed_one_way
+            .contains(&(from.to_string(), to.to_string()));
+        (dropped, cut)
     }
 }
 
@@ -205,6 +223,7 @@ impl Transport for LoopbackTransport {
         Ok(Box::new(LoopbackListener {
             net: Arc::clone(&self.net),
             endpoint: endpoint.to_string(),
+            closed: AtomicBool::new(false),
         }))
     }
 
@@ -226,40 +245,57 @@ impl Transport for LoopbackTransport {
                 self.local, endpoint
             )));
         }
-        let (client, server) = LoopbackConn::pair(
-            Arc::clone(&self.net),
-            link,
-            endpoint.to_string(),
-            self.local.clone(),
-        );
-        match state.backlogs.get_mut(endpoint) {
-            Some(backlog) => {
-                backlog.push_back(server);
-                Ok(Box::new(client))
-            }
-            None => Err(Error::Unavailable(format!(
+        let wire = Arc::new(Wire::new());
+        let end = |inbound: usize, local: &str, peer: &str| LoopbackConn {
+            net: Arc::clone(&self.net),
+            wire: Arc::clone(&wire),
+            inbound,
+            local_name: local.to_string(),
+            peer_name: peer.to_string(),
+        };
+        let Some(backlog) = state.backlogs.get_mut(endpoint) else {
+            return Err(Error::Unavailable(format!(
                 "no loopback listener at '{endpoint}'"
-            ))),
-        }
+            )));
+        };
+        backlog.push_back(end(1, endpoint, &self.local));
+        state.live.retain(|(_, wire)| wire.strong_count() > 0);
+        state.live.push((link, Arc::downgrade(&wire)));
+        self.net.dialled.notify_all();
+        Ok(Box::new(end(0, &self.local, endpoint)))
     }
 }
 
 struct LoopbackListener {
     net: Arc<LoopbackNet>,
     endpoint: String,
+    closed: AtomicBool,
 }
 
 impl Listener for LoopbackListener {
-    fn try_accept(&mut self) -> Result<Option<Box<dyn Connection>>> {
+    fn accept(&self) -> Result<Box<dyn Connection>> {
         let mut state = self.net.state.lock();
-        match state.backlogs.get_mut(&self.endpoint) {
-            Some(backlog) => Ok(backlog
-                .pop_front()
-                .map(|conn| Box::new(conn) as Box<dyn Connection>)),
-            None => Err(Error::Unavailable(format!(
-                "loopback listener '{}' is closed",
-                self.endpoint
-            ))),
+        loop {
+            let backlog = match state.backlogs.get_mut(&self.endpoint) {
+                Some(backlog) if !self.closed.load(Ordering::Acquire) => backlog,
+                _ => {
+                    return Err(Error::Unavailable(format!(
+                        "loopback listener '{}' is closed",
+                        self.endpoint
+                    )))
+                }
+            };
+            if let Some(conn) = backlog.pop_front() {
+                return Ok(Box::new(conn));
+            }
+            self.net.dialled.wait(&mut state);
+        }
+    }
+
+    fn close(&self) {
+        if !self.closed.swap(true, Ordering::AcqRel) {
+            self.net.state.lock().backlogs.remove(&self.endpoint);
+            self.net.dialled.notify_all();
         }
     }
 
@@ -270,127 +306,132 @@ impl Listener for LoopbackListener {
 
 impl Drop for LoopbackListener {
     fn drop(&mut self) {
-        self.net.state.lock().backlogs.remove(&self.endpoint);
+        self.close();
     }
 }
 
-/// One direction of a loopback pipe.
-#[derive(Default)]
-struct Pipe {
-    bytes: VecDeque<u8>,
+/// Both directions of one established connection, shared by its two ends.
+struct Wire {
+    state: Mutex<Pipes>,
+    /// Per direction: wakes its reader (bytes arrived, or the wire closed)
+    /// and a writer waiting for room.
+    changed: [Condvar; 2],
+}
+
+struct Pipes {
+    /// `bytes[0]` flows towards the dialler, `bytes[1]` towards the
+    /// listener.
+    bytes: [VecDeque<u8>; 2],
     closed: bool,
+}
+
+impl Wire {
+    fn new() -> Wire {
+        Wire {
+            state: Mutex::new(Pipes {
+                bytes: [VecDeque::new(), VecDeque::new()],
+                closed: false,
+            }),
+            changed: [Condvar::new(), Condvar::new()],
+        }
+    }
+
+    fn close(&self) {
+        self.state.lock().closed = true;
+        for changed in &self.changed {
+            changed.notify_all();
+        }
+    }
 }
 
 /// One end of an established loopback connection.
 struct LoopbackConn {
     net: Arc<LoopbackNet>,
-    link: (String, String),
+    wire: Arc<Wire>,
+    /// Which direction of the wire flows towards this end.
+    inbound: usize,
     local_name: String,
     peer_name: String,
-    /// Bytes flowing towards this end.
-    inbound: Arc<Mutex<Pipe>>,
-    /// Bytes flowing towards the peer.
-    outbound: Arc<Mutex<Pipe>>,
 }
 
 impl LoopbackConn {
-    fn pair(
-        net: Arc<LoopbackNet>,
-        link: (String, String),
-        dialed: String,
-        dialer: String,
-    ) -> (LoopbackConn, LoopbackConn) {
-        let a = Arc::new(Mutex::new(Pipe::default()));
-        let b = Arc::new(Mutex::new(Pipe::default()));
-        let client = LoopbackConn {
-            net: Arc::clone(&net),
-            link: link.clone(),
-            local_name: dialer.clone(),
-            peer_name: dialed.clone(),
-            inbound: Arc::clone(&a),
-            outbound: Arc::clone(&b),
-        };
-        let server = LoopbackConn {
-            net,
-            link,
-            local_name: dialed,
-            peer_name: dialer,
-            inbound: b,
-            outbound: a,
-        };
-        (client, server)
-    }
-
-    fn reset(&self) {
-        self.inbound.lock().closed = true;
-        self.outbound.lock().closed = true;
-    }
-
-    fn severed(&self) -> bool {
-        self.net
-            .state
-            .lock()
-            .severed
-            .contains(&self.link)
-    }
-
-    /// `true` while the *outgoing* direction of this end is one-way
-    /// severed: sends then vanish silently (half-open link).
-    fn outbound_cut(&self) -> bool {
-        self.net
-            .state
-            .lock()
-            .severed_one_way
-            .contains(&(self.local_name.clone(), self.peer_name.clone()))
+    fn closed_error(&self) -> Error {
+        Error::Unavailable(format!(
+            "loopback connection to {} is closed",
+            self.peer_name
+        ))
     }
 }
 
 impl Connection for LoopbackConn {
-    fn try_send(&mut self, bytes: &[u8]) -> Result<usize> {
-        if self.severed() {
-            self.reset();
+    fn send(&self, mut bytes: &[u8], timeout: Duration) -> Result<()> {
+        let (dropped, cut) = self.net.on_send(&self.local_name, &self.peer_name);
+        if dropped {
+            self.wire.close();
         }
-        if self.net.roll_drop() {
-            self.reset();
+        let deadline = Instant::now() + timeout;
+        let outbound = 1 - self.inbound;
+        let mut pipes = self.wire.state.lock();
+        loop {
+            if pipes.closed {
+                return Err(self.closed_error());
+            }
+            // Half-open link: the send "succeeds" — the sender has no way
+            // to tell — but the bytes never reach the peer.  Closed-wire
+            // errors still win (above) so resets are not masked.
+            if cut {
+                return Ok(());
+            }
+            let queued = &mut pipes.bytes[outbound];
+            let n = bytes.len().min(PIPE_CAPACITY.saturating_sub(queued.len()));
+            queued.extend(&bytes[..n]);
+            bytes = &bytes[n..];
+            self.wire.changed[outbound].notify_all();
+            let left = deadline.saturating_duration_since(Instant::now());
+            if bytes.is_empty() {
+                return Ok(());
+            } else if left.is_zero() {
+                return Err(Error::Unavailable(format!(
+                    "send to {} timed out after {timeout:?}",
+                    self.peer_name
+                )));
+            }
+            self.wire.changed[outbound].wait_for(&mut pipes, left);
         }
-        // Half-open link: the send "succeeds" — the sender has no way to
-        // tell — but the bytes never reach the peer.  Closed-pipe errors
-        // still win (checked below) so resets are not masked.
-        if self.outbound_cut() && !self.outbound.lock().closed {
-            return Ok(bytes.len());
-        }
-        let mut pipe = self.outbound.lock();
-        if pipe.closed {
-            return Err(Error::Unavailable(format!(
-                "loopback connection to {} is closed",
-                self.peer_name
-            )));
-        }
-        let room = PIPE_CAPACITY.saturating_sub(pipe.bytes.len());
-        let n = bytes.len().min(room);
-        pipe.bytes.extend(&bytes[..n]);
-        Ok(n)
     }
 
-    fn try_recv(&mut self, buf: &mut [u8]) -> Result<usize> {
-        if self.severed() {
-            self.reset();
-        }
-        let mut pipe = self.inbound.lock();
-        let n = pipe.bytes.len().min(buf.len());
-        if n > 0 {
-            for slot in buf.iter_mut().take(n) {
-                *slot = pipe.bytes.pop_front().expect("counted above");
+    fn recv(&self, buf: &mut [u8], timeout: Option<Duration>) -> Result<usize> {
+        let deadline = timeout.map(|timeout| Instant::now() + timeout);
+        let changed = &self.wire.changed[self.inbound];
+        let mut pipes = self.wire.state.lock();
+        loop {
+            let queued = &mut pipes.bytes[self.inbound];
+            let n = queued.len().min(buf.len());
+            if n > 0 {
+                // Only a full pipe has a writer waiting for room.
+                if queued.len() >= PIPE_CAPACITY {
+                    changed.notify_all();
+                }
+                for (slot, byte) in buf.iter_mut().zip(queued.drain(..n)) {
+                    *slot = byte;
+                }
+                return Ok(n);
             }
-            return Ok(n);
+            if pipes.closed {
+                return Err(self.closed_error());
+            }
+            match deadline.map(|deadline| deadline.saturating_duration_since(Instant::now())) {
+                Some(left) if left.is_zero() => return Ok(0),
+                Some(left) => {
+                    changed.wait_for(&mut pipes, left);
+                }
+                None => changed.wait(&mut pipes),
+            }
         }
-        if pipe.closed {
-            return Err(Error::Unavailable(format!(
-                "loopback connection to {} is closed",
-                self.peer_name
-            )));
-        }
-        Ok(0)
+    }
+
+    fn close(&self) {
+        self.wire.close();
     }
 
     fn peer(&self) -> String {
@@ -400,7 +441,7 @@ impl Connection for LoopbackConn {
 
 impl Drop for LoopbackConn {
     fn drop(&mut self) {
-        self.reset();
+        self.wire.close();
     }
 }
 
@@ -408,28 +449,35 @@ impl Drop for LoopbackConn {
 mod tests {
     use super::*;
 
+    const SECOND: Duration = Duration::from_secs(1);
+    const QUIET: Option<Duration> = Some(Duration::from_millis(5));
+
     fn establish(
         net: &Arc<LoopbackNet>,
     ) -> (Box<dyn Connection>, Box<dyn Connection>, Box<dyn Listener>) {
         let server_side = net.transport("certifier");
-        let mut listener = server_side.listen("certifier").unwrap();
+        let listener = server_side.listen("certifier").unwrap();
         let client = net.transport("replica-0").dial("certifier").unwrap();
-        let server = listener.try_accept().unwrap().unwrap();
+        let server = listener.accept().unwrap();
         (client, server, listener)
     }
 
     #[test]
     fn bytes_flow_both_ways() {
         let net = LoopbackNet::shared();
-        let (mut client, mut server, _listener) = establish(&net);
-        assert_eq!(client.try_send(b"ping").unwrap(), 4);
+        let (client, server, _listener) = establish(&net);
+        client.send(b"ping", SECOND).unwrap();
         let mut buf = [0u8; 16];
-        assert_eq!(server.try_recv(&mut buf).unwrap(), 4);
+        assert_eq!(server.recv(&mut buf, QUIET).unwrap(), 4);
         assert_eq!(&buf[..4], b"ping");
-        assert_eq!(server.try_send(b"pong").unwrap(), 4);
-        assert_eq!(client.try_recv(&mut buf).unwrap(), 4);
+        server.send(b"pong", SECOND).unwrap();
+        assert_eq!(client.recv(&mut buf, QUIET).unwrap(), 4);
         assert_eq!(&buf[..4], b"pong");
-        assert_eq!(client.try_recv(&mut buf).unwrap(), 0, "empty = would block");
+        assert_eq!(
+            client.recv(&mut buf, QUIET).unwrap(),
+            0,
+            "empty = timed out"
+        );
         assert_eq!(client.peer(), "certifier");
         assert_eq!(server.peer(), "replica-0");
     }
@@ -437,9 +485,9 @@ mod tests {
     #[test]
     fn severed_links_kill_connections_and_refuse_dials() {
         let net = LoopbackNet::shared();
-        let (mut client, _server, _listener) = establish(&net);
+        let (client, _server, _listener) = establish(&net);
         assert!(net.sever("replica-0", "certifier"));
-        assert!(client.try_send(b"x").is_err());
+        assert!(client.send(b"x", SECOND).is_err());
         assert!(net
             .transport("replica-0")
             .dial("certifier")
@@ -451,31 +499,59 @@ mod tests {
     }
 
     #[test]
+    fn a_sever_wakes_blocked_readers_on_both_ends() {
+        let net = LoopbackNet::shared();
+        let (client, server, _listener) = establish(&net);
+        let readers: Vec<_> = [client, server]
+            .into_iter()
+            .map(|conn| std::thread::spawn(move || conn.recv(&mut [0u8; 8], None)))
+            .collect();
+        net.sever("certifier", "replica-0");
+        for reader in readers {
+            assert!(reader.join().unwrap().is_err_and(|e| e.is_unavailable()));
+        }
+    }
+
+    #[test]
+    fn close_wakes_a_blocked_accept() {
+        let net = LoopbackNet::shared();
+        let listener: Arc<dyn Listener> =
+            Arc::from(net.transport("certifier").listen("certifier").unwrap());
+        let acceptor = {
+            let listener = Arc::clone(&listener);
+            std::thread::spawn(move || listener.accept().map(|_| ()))
+        };
+        listener.close();
+        assert!(acceptor.join().unwrap().is_err_and(|e| e.is_unavailable()));
+        assert!(net.transport("replica-0").dial("certifier").is_err());
+    }
+
+    #[test]
     fn peer_drop_surfaces_as_unavailable_after_drain() {
         let net = LoopbackNet::shared();
-        let (mut client, server, _listener) = establish(&net);
-        assert_eq!(client.try_send(b"last words").unwrap(), 10);
+        let (client, server, _listener) = establish(&net);
+        client.send(b"last words", SECOND).unwrap();
         drop(server);
         // Buffered bytes are still deliverable... to nobody here; the
         // client's own reads see the close.
         let mut buf = [0u8; 4];
-        assert!(client.try_recv(&mut buf).is_err());
-        assert!(client.try_send(b"x").is_err());
+        assert!(client.recv(&mut buf, QUIET).is_err());
+        assert!(client.send(b"x", SECOND).is_err());
     }
 
     #[test]
     fn one_way_sever_drops_bytes_silently_one_direction() {
         let net = LoopbackNet::shared();
-        let (mut client, mut server, _listener) = establish(&net);
+        let (client, server, _listener) = establish(&net);
         assert!(net.sever_one_way("replica-0", "certifier"));
         // The cut direction: the sender sees success, the peer nothing —
         // the half-open signature.
-        assert_eq!(client.try_send(b"lost").unwrap(), 4);
+        client.send(b"lost", SECOND).unwrap();
         let mut buf = [0u8; 16];
-        assert_eq!(server.try_recv(&mut buf).unwrap(), 0);
+        assert_eq!(server.recv(&mut buf, QUIET).unwrap(), 0);
         // The reverse direction still flows.
-        assert_eq!(server.try_send(b"pong").unwrap(), 4);
-        assert_eq!(client.try_recv(&mut buf).unwrap(), 4);
+        server.send(b"pong", SECOND).unwrap();
+        assert_eq!(client.recv(&mut buf, QUIET).unwrap(), 4);
         assert_eq!(&buf[..4], b"pong");
         // Dials are refused in both roles while one direction is cut.
         assert!(net
@@ -487,8 +563,8 @@ mod tests {
         // Healing the direction restores it without ever resetting the
         // established connection.
         assert!(net.heal_one_way("replica-0", "certifier"));
-        assert_eq!(client.try_send(b"back").unwrap(), 4);
-        assert_eq!(server.try_recv(&mut buf).unwrap(), 4);
+        client.send(b"back", SECOND).unwrap();
+        assert_eq!(server.recv(&mut buf, QUIET).unwrap(), 4);
         assert_eq!(&buf[..4], b"back");
     }
 
@@ -508,12 +584,15 @@ mod tests {
     fn seeded_drops_reset_connections() {
         let net = LoopbackNet::shared();
         net.set_drop_rate(0xD20B, 1.0);
-        let (mut client, _server, listener) = establish(&net);
-        assert!(client.try_send(b"x").is_err(), "rate 1.0 drops immediately");
+        let (client, _server, listener) = establish(&net);
+        assert!(
+            client.send(b"x", SECOND).is_err(),
+            "rate 1.0 drops immediately"
+        );
         net.set_drop_rate(0, 0.0);
         drop(listener);
-        let (mut client, _server2, _listener2) = establish(&net);
-        assert!(client.try_send(b"x").is_ok());
+        let (client, _server2, _listener2) = establish(&net);
+        assert!(client.send(b"x", SECOND).is_ok());
     }
 
     #[test]

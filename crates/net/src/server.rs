@@ -1,55 +1,46 @@
 //! The certifier side of the wire: [`NetServer`].
 //!
-//! One `NetServer` fronts one in-process certifier (a
-//! [`CertifierHandle`]) with a single poll-based event loop: it accepts new
-//! connections, completes handshakes, decodes request envelopes, answers
-//! them from the certifier and flushes responses — all without blocking, so
-//! one thread serves every replica session.  (Certification itself is an
-//! in-memory intersection test — the durable log write happens on the
-//! certifier's group-commit path — so a single service loop is not the
-//! bottleneck at cluster-test scale.)
+//! One `NetServer` fronts one in-process certifier (a [`CertifierHandle`]).
+//! An acceptor thread blocks on the listener, and each accepted connection
+//! gets one thread that reads a request, answers it from the certifier and
+//! writes the reply, in a loop.  Requests from different replicas therefore
+//! reach the certifier concurrently and can meet in one certification epoch,
+//! exactly as in-process callers do.  Threads are bounded by the number of
+//! sessions; none is spawned per request.
 //!
 //! Sessions appear in the event journal as
 //! [`EventKind::SessionOpen`] / [`EventKind::SessionClose`] on the
 //! certifier component, and in the open-sessions gauge (each side counts
 //! its own end).
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use tashkent_common::{
-    metrics::MetricsRegistry, Component, Event, EventKind, GaugeId, Result,
-};
+use tashkent_common::{metrics::MetricsRegistry, Component, Event, EventKind, GaugeId, Result};
 use tashkent_proxy::CertifierHandle;
 
 use crate::message::{Envelope, Message};
-use crate::transport::{FramedConn, Listener, Transport};
+use crate::transport::{send_envelope, Connection, FramedConn, Listener, Transport};
 
-/// How long the loop parks when a tick moved nothing.
-const IDLE_PARK: Duration = Duration::from_micros(100);
+/// How long a reply may wait for the peer to take its bytes.
+const REPLY_DEADLINE: Duration = Duration::from_secs(2);
 
-/// One accepted connection and its handshake state.
-struct ServerSession {
-    framed: FramedConn,
-    /// The peer's self-declared name once the `Hello` arrived.
-    node: Option<String>,
-    /// Set by `Goodbye`: close once the response backlog drains.
-    closing: bool,
-}
+/// Every accepted connection and the thread serving it.
+type Sessions = Mutex<Vec<(Arc<dyn Connection>, thread::JoinHandle<()>)>>;
 
 /// The certifier's network front end.
 pub struct NetServer {
     endpoint: String,
     name: String,
-    shutdown: Arc<AtomicBool>,
-    worker: Mutex<Option<thread::JoinHandle<()>>>,
+    listener: Arc<dyn Listener>,
+    sessions: Arc<Sessions>,
+    acceptor: Mutex<Option<thread::JoinHandle<()>>>,
 }
 
 impl NetServer {
-    /// Binds `endpoint` on `transport` and starts the service loop for
+    /// Binds `endpoint` on `transport` and starts accepting sessions for
     /// `handle`.  The returned server reports the *actual* endpoint (TCP
     /// port 0 resolves to the bound port).
     ///
@@ -63,20 +54,24 @@ impl NetServer {
         endpoint: &str,
         metrics: Arc<MetricsRegistry>,
     ) -> Result<NetServer> {
-        let listener = transport.listen(endpoint)?;
+        let listener: Arc<dyn Listener> = Arc::from(transport.listen(endpoint)?);
         let actual = listener.local_endpoint();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let loop_shutdown = Arc::clone(&shutdown);
-        let loop_name = name.to_string();
-        let worker = thread::Builder::new()
-            .name(format!("tknp-server-{name}"))
-            .spawn(move || service_loop(&loop_name, &handle, listener, &metrics, &loop_shutdown))
-            .expect("spawn server event loop");
+        let sessions = Arc::new(Mutex::new(Vec::new()));
+        let acceptor = {
+            let listener = Arc::clone(&listener);
+            let sessions = Arc::clone(&sessions);
+            let name = name.to_string();
+            thread::Builder::new()
+                .name(format!("tknp-accept-{name}"))
+                .spawn(move || accept_loop(&name, &handle, listener.as_ref(), &sessions, &metrics))
+                .expect("spawn server acceptor")
+        };
         Ok(NetServer {
             endpoint: actual,
             name: name.to_string(),
-            shutdown,
-            worker: Mutex::new(Some(worker)),
+            listener,
+            sessions,
+            acceptor: Mutex::new(Some(acceptor)),
         })
     }
 
@@ -93,11 +88,19 @@ impl NetServer {
         &self.name
     }
 
-    /// Stops the service loop and joins it.  Idempotent.
+    /// Stops accepting, closes every session and joins every thread.
+    /// Idempotent.
     pub fn stop(&self) {
-        self.shutdown.store(true, Ordering::Release);
-        if let Some(worker) = self.worker.lock().take() {
-            let _ = worker.join();
+        self.listener.close();
+        if let Some(acceptor) = self.acceptor.lock().take() {
+            let _ = acceptor.join();
+        }
+        let sessions = std::mem::take(&mut *self.sessions.lock());
+        for (conn, _) in &sessions {
+            conn.close();
+        }
+        for (_, thread) in sessions {
+            let _ = thread.join();
         }
     }
 }
@@ -108,137 +111,103 @@ impl Drop for NetServer {
     }
 }
 
-fn service_loop(
+fn accept_loop(
     name: &str,
     handle: &CertifierHandle,
-    mut listener: Box<dyn Listener>,
+    listener: &dyn Listener,
+    sessions: &Sessions,
     metrics: &Arc<MetricsRegistry>,
-    shutdown: &AtomicBool,
 ) {
-    let mut sessions: Vec<ServerSession> = Vec::new();
-    while !shutdown.load(Ordering::Acquire) {
-        let mut moved = false;
-
-        // Accept whatever is queued.
-        while let Ok(Some(conn)) = listener.try_accept() {
-            sessions.push(ServerSession {
-                framed: FramedConn::new(conn),
-                node: None,
-                closing: false,
-            });
-            moved = true;
-        }
-
-        // Pump every session; collect the dead ones.
-        let mut index = 0;
-        while index < sessions.len() {
-            match pump_one(name, handle, &mut sessions[index], metrics) {
-                Ok(session_moved) => {
-                    let session = &sessions[index];
-                    if session.closing && session.framed.backlog() == 0 {
-                        close_session(sessions.remove(index), metrics);
-                        moved = true;
-                    } else {
-                        moved |= session_moved;
-                        index += 1;
-                    }
-                }
-                Err(_) => {
-                    close_session(sessions.remove(index), metrics);
-                    moved = true;
-                }
-            }
-        }
-
-        if !moved {
-            thread::sleep(IDLE_PARK);
-        }
-    }
-    for session in sessions.drain(..) {
-        close_session(session, metrics);
-    }
-}
-
-fn close_session(session: ServerSession, metrics: &Arc<MetricsRegistry>) {
-    // Sessions that never completed the handshake were never counted.
-    if let Some(node) = session.node {
-        metrics.gauge_add(GaugeId::OpenSessions, -1);
-        metrics.emit(
-            Event::new(Component::Certifier, EventKind::SessionClose).node(node_index(&node)),
-        );
+    while let Ok(conn) = listener.accept() {
+        let conn: Arc<dyn Connection> = Arc::from(conn);
+        let (name, handle, metrics) = (name.to_string(), handle.clone(), Arc::clone(metrics));
+        let served = Arc::clone(&conn);
+        let thread = thread::Builder::new()
+            .name(format!("tknp-serve-{}", conn.peer()))
+            .spawn(move || serve(&name, &handle, served, &metrics))
+            .expect("spawn server session");
+        let mut sessions = sessions.lock();
+        sessions.retain(|(_, thread)| !thread.is_finished());
+        sessions.push((conn, thread));
     }
 }
 
 /// Parses the peer index out of a `replica-N` style node name (journal
 /// correlation); anything else gets the "no node" sentinel.
-fn node_index(node: &str) -> usize {
+pub(crate) fn node_index(node: &str) -> usize {
     node.rsplit('-')
         .next()
         .and_then(|s| s.parse::<usize>().ok())
         .unwrap_or(usize::from(u16::MAX))
 }
 
-fn pump_one(
+/// Serves one connection until the peer says goodbye, the connection
+/// fails, or [`NetServer::stop`] closes it.
+fn serve(
     name: &str,
     handle: &CertifierHandle,
-    session: &mut ServerSession,
-    metrics: &Arc<MetricsRegistry>,
-) -> Result<bool> {
-    let mut moved = session.framed.flush(metrics)?;
-    for envelope in session.framed.poll(metrics)? {
-        moved = true;
-        let reply = match envelope.message {
-            Message::Hello { node } => {
-                metrics.gauge_add(GaugeId::OpenSessions, 1);
-                metrics.emit(
-                    Event::new(Component::Certifier, EventKind::SessionOpen)
-                        .node(node_index(&node)),
-                );
-                session.node = Some(node);
-                Some(Message::HelloAck {
-                    node: name.to_string(),
-                })
-            }
-            Message::CertifyRequest(request) => Some(match handle.certify(&request) {
-                Ok(response) => Message::CertifyDecision(response),
-                Err(e) => Message::ErrorReply {
-                    unavailable: e.is_unavailable(),
-                    detail: e.to_string(),
+    conn: Arc<dyn Connection>,
+    metrics: &MetricsRegistry,
+) {
+    let mut framed = FramedConn::new(Arc::clone(&conn));
+    // The peer's self-declared name once its `Hello` arrived.
+    let mut node: Option<String> = None;
+    'session: while let Ok(envelopes) = framed.recv(None, metrics) {
+        for envelope in envelopes.into_iter().flatten() {
+            let message = match envelope.message {
+                Message::Hello { node: peer } => {
+                    metrics.gauge_add(GaugeId::OpenSessions, 1);
+                    metrics.emit(
+                        Event::new(Component::Certifier, EventKind::SessionOpen)
+                            .node(node_index(&peer)),
+                    );
+                    node = Some(peer);
+                    Message::HelloAck {
+                        node: name.to_string(),
+                    }
+                }
+                Message::CertifyRequest(request) => match handle.certify(&request) {
+                    Ok(response) => Message::CertifyDecision(response),
+                    Err(e) => Message::ErrorReply {
+                        unavailable: e.is_unavailable(),
+                        detail: e.to_string(),
+                    },
                 },
-            }),
-            Message::FetchWritesets { since } => Some(Message::WritesetBatch {
-                writesets: handle.writesets_after(since),
-            }),
-            Message::StatusRequest => Some(Message::StatusResponse {
-                system_version: handle.system_version(),
-                truncation_floor: handle.truncation_floor(),
-                available: handle.is_available(),
-            }),
-            Message::StateTransferRequest => Some(Message::StateTransferResponse {
-                checkpoint: handle.local().latest_checkpoint_payload(),
-            }),
-            Message::Ping => Some(Message::Pong),
-            Message::Goodbye => {
-                session.closing = true;
-                None
-            }
-            // Responses arriving at the server are a peer bug; answer with
-            // a typed error instead of tearing the session down.
-            other => Some(Message::ErrorReply {
-                unavailable: false,
-                detail: format!("unexpected {} at the certifier", other.label()),
-            }),
-        };
-        if let Some(message) = reply {
-            session.framed.queue(
-                &Envelope {
-                    request_id: envelope.request_id,
-                    message,
+                Message::FetchWritesets { since } => Message::WritesetBatch {
+                    writesets: handle.writesets_after(since),
                 },
-                metrics,
-            );
+                Message::StatusRequest => Message::StatusResponse {
+                    system_version: handle.system_version(),
+                    truncation_floor: handle.truncation_floor(),
+                    available: handle.is_available(),
+                },
+                Message::StateTransferRequest => Message::StateTransferResponse {
+                    checkpoint: handle.local().latest_checkpoint_payload(),
+                },
+                Message::Ping => Message::Pong,
+                Message::Goodbye => break 'session,
+                // Responses arriving at the server are a peer bug; answer
+                // with a typed error instead of tearing the session down.
+                other => Message::ErrorReply {
+                    unavailable: false,
+                    detail: format!("unexpected {} at the certifier", other.label()),
+                },
+            };
+            let reply = Envelope {
+                request_id: envelope.request_id,
+                message,
+            };
+            if send_envelope(conn.as_ref(), &reply, REPLY_DEADLINE, metrics).is_err() {
+                break 'session;
+            }
         }
     }
-    session.framed.flush(metrics)?;
-    Ok(moved)
+    conn.close();
+    // Sessions that never completed the handshake were never counted.
+    if let Some(node) = node {
+        metrics.gauge_add(GaugeId::OpenSessions, -1);
+        metrics.emit(
+            Event::new(Component::Certifier, EventKind::SessionClose).node(node_index(&node)),
+        );
+    }
 }

@@ -1,26 +1,25 @@
 //! The client side of a certifier session: [`RemoteCertifier`].
 //!
-//! One `RemoteCertifier` manages one logical session from a replica to the
-//! certifier server.  It runs a small event loop on its own thread:
-//!
-//! * **dial + handshake** — connect, send [`Message::Hello`], wait for the
-//!   [`Message::HelloAck`]; only then is the session open (and counted in
-//!   the open-sessions gauge / event journal).
-//! * **send queue with backpressure** — callers enqueue requests into a
-//!   bounded queue; when it is full they wait briefly for space and
-//!   otherwise fail with `Unavailable` rather than buffering unboundedly.
-//! * **reconnect with backoff** — a lost connection fails every in-flight
-//!   request (the resilient workload driver absorbs the `Unavailable`s),
-//!   then redials with exponential backoff until the link heals, counting
+//! * **Requests.** A caller writes its own frame under the session's writer
+//!   lock, then waits on its reply slot.  The transport's blocking send is
+//!   the backpressure: nothing is queued on a caller's behalf.
+//! * **One reader thread per session.** It dials and handshakes
+//!   ([`Message::Hello`] / [`Message::HelloAck`]; only then is the session
+//!   open, in the open-sessions gauge and the event journal), then blocks
+//!   on the connection and fills reply slots by request id.
+//! * **Teardown and reconnect.** On a read error, or when no bytes arrive
+//!   for `half_open_grace` while a request is pending, the reader closes
+//!   the connection, fails every pending request with `Unavailable`, and
+//!   redials with exponential backoff, counting
 //!   [`CounterId::NetReconnects`].
-//! * **graceful close** — dropping the handle drains in-flight requests,
-//!   sends [`Message::Goodbye`] and joins the loop.
+//! * **Graceful close.** [`RemoteCertifier::close`] (and drop) waits
+//!   briefly for pending replies, sends [`Message::Goodbye`] and joins the
+//!   reader.
 //!
-//! The blocking request API on top implements
-//! [`CertifierService`], so a `CertifierHandle::Remote`
-//! (`tashkent_proxy`) makes the entire proxy stack run over the wire.  An
-//! empty fetch may mean the wire failed; callers that need completeness
-//! compare versions, as `Cluster::sync_all` does.
+//! [`RemoteCertifier`] implements [`CertifierService`], so a
+//! `CertifierHandle::Remote` (`tashkent_proxy`) runs the whole proxy stack
+//! over the wire.  An empty fetch may mean the wire failed; callers that
+//! need completeness compare versions, as `Cluster::sync_all` does.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -28,7 +27,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use tashkent_certifier::{CertificationRequest, CertificationResponse, RemoteWriteSet};
 use tashkent_common::{
     metrics::MetricsRegistry, Component, CounterId, Error, Event, EventKind, GaugeId, Result,
@@ -37,7 +36,20 @@ use tashkent_common::{
 use tashkent_proxy::CertifierService;
 
 use crate::message::{Envelope, Message};
-use crate::transport::{FramedConn, Transport};
+use crate::server::node_index;
+use crate::transport::{send_envelope, Connection, FramedConn, Transport};
+
+/// First reconnect delay; doubles up to [`BACKOFF_CEILING`].
+const BACKOFF_FLOOR: Duration = Duration::from_millis(1);
+
+/// Largest reconnect delay.
+const BACKOFF_CEILING: Duration = Duration::from_millis(50);
+
+/// How long a graceful close waits for pending replies.
+const DRAIN_DEADLINE: Duration = Duration::from_millis(50);
+
+/// How long the dialler waits for the `HelloAck`.
+const HANDSHAKE_DEADLINE: Duration = Duration::from_millis(500);
 
 /// Tuning knobs for one client session.
 #[derive(Debug, Clone)]
@@ -49,19 +61,12 @@ pub struct SessionConfig {
     /// How long a caller waits for a response before giving up with
     /// `Unavailable`.
     pub request_timeout: Duration,
-    /// First reconnect delay; doubles up to [`SessionConfig::backoff_ceiling`].
-    pub backoff_floor: Duration,
-    /// Largest reconnect delay.
-    pub backoff_ceiling: Duration,
-    /// Bounded send queue: callers beyond this wait for space, then fail.
-    pub send_queue_limit: usize,
     /// Half-open link detector: if requests are in flight but *no* inbound
     /// traffic arrives for this long, the session declares the return path
     /// dead and tears the connection down for a redial.  A one-way severed
     /// link never surfaces as a send error — the bytes just vanish — so
     /// without this the session would sit "connected" forever while every
-    /// request burned its full timeout.  Appended last so configurations
-    /// built field-by-field before it existed keep their meaning.
+    /// request burned its full timeout.
     pub half_open_grace: Duration,
 }
 
@@ -73,9 +78,6 @@ impl SessionConfig {
             node: node.to_string(),
             endpoint: endpoint.to_string(),
             request_timeout: Duration::from_secs(2),
-            backoff_floor: Duration::from_millis(1),
-            backoff_ceiling: Duration::from_millis(50),
-            send_queue_limit: 256,
             // At the request timeout a healthy server must long since have
             // answered *something*, so this can never fire spuriously.
             half_open_grace: Duration::from_secs(2),
@@ -83,21 +85,31 @@ impl SessionConfig {
     }
 }
 
-/// A pending request slot: `None` until the event loop fills it.
-type Slot = Option<Result<Message>>;
+/// A request awaiting its reply.
+struct Pending {
+    /// When it was sent: the half-open detector's clock.
+    sent: Instant,
+    /// `None` until the reader (or a teardown) fills it.
+    reply: Option<Result<Message>>,
+}
 
+/// The session's current connection.
 #[derive(Default)]
-struct ClientState {
-    next_id: u64,
-    outbound: Vec<Envelope>,
-    pending: HashMap<u64, Slot>,
+struct Link {
+    /// The connection being set up or in use.
+    conn: Option<Arc<dyn Connection>>,
+    /// `true` once its handshake has completed.
+    open: bool,
 }
 
 struct Shared {
-    state: Mutex<ClientState>,
-    /// Wakes requesters (a slot filled, or queue space freed).
-    answered: Condvar,
-    connected: AtomicBool,
+    /// The writer lock: held while a frame is written, and while the
+    /// connection is swapped.  Its changes wake `wait_connected`,
+    /// `wait_disconnected` and a reader backing off when the session closes.
+    link: Watched<Link>,
+    /// Changes wake requesters (a reply arrived) and a draining `close`.
+    pending: Watched<HashMap<u64, Pending>>,
+    next_id: AtomicU64,
     shutdown: AtomicBool,
     last_system_version: AtomicU64,
     last_floor: AtomicU64,
@@ -106,17 +118,57 @@ struct Shared {
 }
 
 impl Shared {
+    fn is_shut_down(&self) -> bool {
+        self.shutdown.load(Ordering::Acquire)
+    }
+
+    /// Counts a session opening (`+1`) or closing (`-1`).
+    fn note_session(&self, delta: i64, kind: EventKind) {
+        self.metrics.gauge_add(GaugeId::OpenSessions, delta);
+        self.metrics
+            .emit(Event::new(Component::Proxy, kind).node(self.node_index));
+    }
+
     /// Fails every in-flight request with `Unavailable` (connection lost).
     fn fail_all_pending(&self, why: &str) {
-        let mut state = self.state.lock();
-        for slot in state.pending.values_mut() {
-            if slot.is_none() {
-                *slot = Some(Err(Error::Unavailable(why.to_string())));
+        for pending in self.pending.state.lock().values_mut() {
+            if pending.reply.is_none() {
+                pending.reply = Some(Err(Error::Unavailable(why.to_string())));
             }
         }
-        state.outbound.clear();
-        drop(state);
-        self.answered.notify_all();
+        self.pending.changed.notify_all();
+    }
+}
+
+/// The error for a reply of the wrong kind.
+fn unexpected(expected: &str, got: &Message) -> Error {
+    Error::Protocol(format!("expected {expected}, got {}", got.label()))
+}
+
+/// A mutex and the condvar that announces its changes.
+struct Watched<T> {
+    state: Mutex<T>,
+    changed: Condvar,
+}
+
+impl<T> Watched<T> {
+    fn new(state: T) -> Watched<T> {
+        let (state, changed) = (Mutex::new(state), Condvar::new());
+        Watched { state, changed }
+    }
+
+    /// Locks, then waits for changes while `waiting` holds, at most until
+    /// `until`.
+    fn wait_while(&self, until: Instant, waiting: impl Fn(&T) -> bool) -> MutexGuard<'_, T> {
+        let mut state = self.state.lock();
+        while waiting(&state) {
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            self.changed.wait_for(&mut state, left);
+        }
+        state
     }
 }
 
@@ -124,11 +176,11 @@ impl Shared {
 pub struct RemoteCertifier {
     shared: Arc<Shared>,
     config: SessionConfig,
-    worker: Mutex<Option<thread::JoinHandle<()>>>,
+    reader: Mutex<Option<thread::JoinHandle<()>>>,
 }
 
 impl RemoteCertifier {
-    /// Starts the session: spawns the event loop, which dials (and keeps
+    /// Starts the session: spawns the reader thread, which dials (and keeps
     /// redialling) `config.endpoint` over `transport`.
     #[must_use]
     pub fn start(
@@ -136,39 +188,52 @@ impl RemoteCertifier {
         transport: Arc<dyn Transport>,
         metrics: Arc<MetricsRegistry>,
     ) -> Arc<RemoteCertifier> {
-        let node_index = config
-            .node
-            .rsplit('-')
-            .next()
-            .and_then(|s| s.parse::<usize>().ok())
-            .unwrap_or(usize::from(u16::MAX));
+        let node_index = node_index(&config.node);
         let shared = Arc::new(Shared {
-            state: Mutex::new(ClientState::default()),
-            answered: Condvar::new(),
-            connected: AtomicBool::new(false),
+            link: Watched::new(Link::default()),
+            pending: Watched::new(HashMap::new()),
+            next_id: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             last_system_version: AtomicU64::new(0),
             last_floor: AtomicU64::new(0),
             metrics,
             node_index,
         });
-        let loop_shared = Arc::clone(&shared);
-        let loop_config = config.clone();
-        let worker = thread::Builder::new()
+        let reader_shared = Arc::clone(&shared);
+        let reader_config = config.clone();
+        let reader = thread::Builder::new()
             .name(format!("tknp-client-{}", config.node))
-            .spawn(move || event_loop(&loop_shared, &loop_config, transport.as_ref()))
-            .expect("spawn session event loop");
+            .spawn(move || run(&reader_shared, &reader_config, transport.as_ref()))
+            .expect("spawn session reader");
         Arc::new(RemoteCertifier {
             shared,
             config,
-            worker: Mutex::new(Some(worker)),
+            reader: Mutex::new(Some(reader)),
         })
     }
 
     /// `true` once the handshake has completed and the wire is up.
     #[must_use]
     pub fn is_connected(&self) -> bool {
-        self.shared.connected.load(Ordering::Acquire)
+        self.shared.link.state.lock().open
+    }
+
+    /// Waits until the session is `open` (or not), or fails at the deadline.
+    fn wait_open(&self, open: bool, deadline: Duration, failure: &str) -> Result<()> {
+        let until = Instant::now() + deadline;
+        if self
+            .shared
+            .link
+            .wait_while(until, |link| link.open != open)
+            .open
+            == open
+        {
+            return Ok(());
+        }
+        Err(Error::Unavailable(format!(
+            "session {} -> {} {failure} {deadline:?}",
+            self.config.node, self.config.endpoint
+        )))
     }
 
     /// Waits until the session is established (cluster start-up barrier).
@@ -177,17 +242,7 @@ impl RemoteCertifier {
     ///
     /// `Unavailable` if the deadline passes without a handshake.
     pub fn wait_connected(&self, deadline: Duration) -> Result<()> {
-        let start = Instant::now();
-        while !self.is_connected() {
-            if start.elapsed() > deadline {
-                return Err(Error::Unavailable(format!(
-                    "session {} -> {} did not establish within {deadline:?}",
-                    self.config.node, self.config.endpoint
-                )));
-            }
-            thread::sleep(Duration::from_micros(200));
-        }
-        Ok(())
+        self.wait_open(true, deadline, "did not establish within")
     }
 
     /// Waits until the session has *dropped* (half-open detection and
@@ -197,73 +252,62 @@ impl RemoteCertifier {
     ///
     /// `Unavailable` if the session is still up when the deadline passes.
     pub fn wait_disconnected(&self, deadline: Duration) -> Result<()> {
-        let start = Instant::now();
-        while self.is_connected() {
-            if start.elapsed() > deadline {
-                return Err(Error::Unavailable(format!(
-                    "session {} -> {} still connected after {deadline:?}",
-                    self.config.node, self.config.endpoint
-                )));
-            }
-            thread::sleep(Duration::from_micros(200));
-        }
-        Ok(())
+        self.wait_open(false, deadline, "still connected after")
     }
 
     /// Sends one request and blocks for its response (or timeout).
     ///
     /// # Errors
     ///
-    /// `Unavailable` when the wire is down, the send queue stays full, or
+    /// `Unavailable` when the wire is down, the send does not complete, or
     /// the response does not arrive within the request timeout; server-side
     /// failures are rebuilt from the [`Message::ErrorReply`].
     pub fn request(&self, message: Message) -> Result<Message> {
-        if self.shared.shutdown.load(Ordering::Acquire) {
+        let shared = &self.shared;
+        if shared.is_shut_down() {
             return Err(Error::Unavailable("session is shut down".into()));
         }
-        let id = {
-            let mut state = self.shared.state.lock();
-            // Backpressure: wait (briefly) for queue space instead of
-            // growing without bound when the wire is slow or down.
-            let space_deadline = Instant::now() + self.config.request_timeout;
-            while state.outbound.len() >= self.config.send_queue_limit {
-                let remaining = space_deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    return Err(Error::Unavailable("session send queue is full".into()));
-                }
-                self.shared.answered.wait_for(&mut state, remaining);
-            }
-            state.next_id += 1;
-            let id = state.next_id;
-            state.pending.insert(id, None);
-            state.outbound.push(Envelope {
-                request_id: id,
-                message,
-            });
-            id
+        let request_id = shared.next_id.fetch_add(1, Ordering::Relaxed) + 1;
+        let envelope = Envelope {
+            request_id,
+            message,
         };
-        let deadline = Instant::now() + self.config.request_timeout;
-        let mut state = self.shared.state.lock();
-        loop {
-            if let Some(slot) = state.pending.get_mut(&id) {
-                if slot.is_some() {
-                    let result = slot.take().expect("checked is_some");
-                    state.pending.remove(&id);
-                    return self.unwrap_reply(result);
-                }
-            } else {
-                return Err(Error::Unavailable("request slot vanished".into()));
+        let timeout = self.config.request_timeout;
+        {
+            let mut link = shared.link.state.lock();
+            let Some(conn) = link.conn.as_ref().filter(|_| link.open) else {
+                return Err(Error::Unavailable("certifier wire is down".into()));
+            };
+            let sent = Instant::now();
+            let mut pending = shared.pending.state.lock();
+            pending.insert(request_id, Pending { sent, reply: None });
+            drop(pending);
+            if let Err(e) = send_envelope(conn.as_ref(), &envelope, timeout, &shared.metrics) {
+                shared.pending.state.lock().remove(&request_id);
+                // The session is down from here on, so a `wait_connected`
+                // waits for the redial; the reader wakes to the close and
+                // tears the connection down.
+                conn.close();
+                link.open = false;
+                shared.link.changed.notify_all();
+                return Err(e);
             }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                state.pending.remove(&id);
-                return Err(Error::Unavailable(format!(
-                    "request to {} timed out after {:?}",
-                    self.config.endpoint, self.config.request_timeout
-                )));
-            }
-            self.shared.answered.wait_for(&mut state, remaining);
         }
+        let until = Instant::now() + timeout;
+        let reply = shared
+            .pending
+            .wait_while(until, |p| {
+                p.get(&request_id).is_some_and(|p| p.reply.is_none())
+            })
+            .remove(&request_id)
+            .and_then(|p| p.reply);
+        let Some(reply) = reply else {
+            return Err(Error::Unavailable(format!(
+                "request to {} timed out after {timeout:?}",
+                self.config.endpoint
+            )));
+        };
+        self.unwrap_reply(reply)
     }
 
     fn unwrap_reply(&self, result: Result<Message>) -> Result<Message> {
@@ -289,10 +333,7 @@ impl RemoteCertifier {
     pub fn state_transfer(&self) -> Result<Option<Vec<u8>>> {
         match self.request(Message::StateTransferRequest)? {
             Message::StateTransferResponse { checkpoint } => Ok(checkpoint),
-            other => Err(Error::Protocol(format!(
-                "expected state-transfer response, got {}",
-                other.label()
-            ))),
+            other => Err(unexpected("state-transfer response", &other)),
         }
     }
 
@@ -304,10 +345,7 @@ impl RemoteCertifier {
     pub fn ping(&self) -> Result<()> {
         match self.request(Message::Ping)? {
             Message::Pong => Ok(()),
-            other => Err(Error::Protocol(format!(
-                "expected pong, got {}",
-                other.label()
-            ))),
+            other => Err(unexpected("pong", &other)),
         }
     }
 
@@ -326,20 +364,38 @@ impl RemoteCertifier {
                     .fetch_max(truncation_floor.value(), Ordering::AcqRel);
                 Ok((system_version, truncation_floor, available))
             }
-            other => Err(Error::Protocol(format!(
-                "expected status response, got {}",
-                other.label()
-            ))),
+            other => Err(unexpected("status response", &other)),
         }
     }
 
-    /// Shuts the session down: drains in-flight requests, says goodbye,
-    /// joins the event loop.  Idempotent.
+    /// Shuts the session down: waits briefly for pending replies, says
+    /// goodbye, closes the connection and joins the reader.  Idempotent.
     pub fn close(&self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.answered.notify_all();
-        if let Some(worker) = self.worker.lock().take() {
-            let _ = worker.join();
+        let shared = &self.shared;
+        shared.shutdown.store(true, Ordering::Release);
+        let until = Instant::now() + DRAIN_DEADLINE;
+        drop(
+            shared
+                .pending
+                .wait_while(until, |p| p.values().any(|p| p.reply.is_none())),
+        );
+        {
+            let link = shared.link.state.lock();
+            if let Some(conn) = &link.conn {
+                if link.open {
+                    let goodbye = Envelope {
+                        request_id: 0,
+                        message: Message::Goodbye,
+                    };
+                    let _ = send_envelope(conn.as_ref(), &goodbye, DRAIN_DEADLINE, &shared.metrics);
+                }
+                conn.close();
+            }
+            // Under the lock, so a reader about to back off sees the flag.
+            shared.link.changed.notify_all();
+        }
+        if let Some(reader) = self.reader.lock().take() {
+            let _ = reader.join();
         }
     }
 }
@@ -359,10 +415,7 @@ impl CertifierService for RemoteCertifier {
                     .fetch_max(response.system_version.value(), Ordering::AcqRel);
                 Ok(response)
             }
-            other => Err(Error::Protocol(format!(
-                "expected certify decision, got {}",
-                other.label()
-            ))),
+            other => Err(unexpected("certify decision", &other)),
         }
     }
 
@@ -394,202 +447,127 @@ impl CertifierService for RemoteCertifier {
     }
 }
 
-/// How long the event loop parks when a tick moved nothing.
-const IDLE_PARK: Duration = Duration::from_micros(100);
-
-/// How long a graceful close keeps draining in-flight requests.
-const DRAIN_DEADLINE: Duration = Duration::from_millis(50);
-
-/// How long the dialler waits for the `HelloAck`.
-const HANDSHAKE_DEADLINE: Duration = Duration::from_millis(500);
-
-fn event_loop(shared: &Shared, config: &SessionConfig, transport: &dyn Transport) {
-    let mut backoff = config.backoff_floor;
+/// The reader thread: establish a session, read replies until it breaks,
+/// tear it down, back off, redial — until the session is closed.
+fn run(shared: &Shared, config: &SessionConfig, transport: &dyn Transport) {
+    let mut backoff = BACKOFF_FLOOR;
     let mut sessions_opened = 0u64;
-    while !shared.shutdown.load(Ordering::Acquire) {
-        // Phase 1: establish a session.
-        let conn = match establish(shared, config, transport) {
-            Some(conn) => conn,
-            None => {
-                shared.fail_all_pending("certifier wire is down");
-                // Back off, but keep watching the shutdown flag.
-                let until = Instant::now() + backoff;
-                while Instant::now() < until && !shared.shutdown.load(Ordering::Acquire) {
-                    thread::sleep(IDLE_PARK);
-                }
-                backoff = (backoff * 2).min(config.backoff_ceiling);
-                continue;
-            }
+    while !shared.is_shut_down() {
+        let Some(mut framed) = establish(shared, config, transport) else {
+            let until = Instant::now() + backoff;
+            drop(shared.link.wait_while(until, |_| !shared.is_shut_down()));
+            backoff = (backoff * 2).min(BACKOFF_CEILING);
+            continue;
         };
-        backoff = config.backoff_floor;
+        backoff = BACKOFF_FLOOR;
         sessions_opened += 1;
         if sessions_opened > 1 {
             shared.metrics.incr(CounterId::NetReconnects);
         }
-        shared.connected.store(true, Ordering::Release);
-        shared.metrics.gauge_add(GaugeId::OpenSessions, 1);
-        shared.metrics.emit(
-            Event::new(Component::Proxy, EventKind::SessionOpen).node(shared.node_index),
-        );
-
-        // Phase 2: pump the session until it breaks or we shut down.
-        let why = pump_session(shared, config, conn);
-
-        shared.connected.store(false, Ordering::Release);
-        shared.metrics.gauge_add(GaugeId::OpenSessions, -1);
-        shared.metrics.emit(
-            Event::new(Component::Proxy, EventKind::SessionClose).node(shared.node_index),
-        );
-        if !shared.shutdown.load(Ordering::Acquire) {
-            shared.fail_all_pending(&why);
-        }
+        shared.note_session(1, EventKind::SessionOpen);
+        let why = read_replies(shared, config, &mut framed);
+        *shared.link.state.lock() = Link::default();
+        shared.link.changed.notify_all();
+        drop(framed); // the last handle: closes the connection
+        shared.note_session(-1, EventKind::SessionClose);
+        shared.fail_all_pending(&why);
     }
-    shared.fail_all_pending("session is shut down");
 }
 
-/// Dials and completes the handshake; `None` on any failure (caller backs
-/// off and retries).
+/// Dials and completes the handshake; `None` on any failure (the caller
+/// backs off and retries).
 fn establish(
     shared: &Shared,
     config: &SessionConfig,
     transport: &dyn Transport,
 ) -> Option<FramedConn> {
-    let conn = transport.dial(&config.endpoint).ok()?;
-    let mut framed = FramedConn::new(conn);
-    framed.queue(
-        &Envelope {
-            request_id: 0,
-            message: Message::Hello {
-                node: config.node.clone(),
-            },
-        },
-        &shared.metrics,
-    );
-    let deadline = Instant::now() + HANDSHAKE_DEADLINE;
-    while Instant::now() < deadline && !shared.shutdown.load(Ordering::Acquire) {
-        framed.flush(&shared.metrics).ok()?;
-        for envelope in framed.poll(&shared.metrics).ok()? {
-            if matches!(envelope.message, Message::HelloAck { .. }) {
-                return Some(framed);
-            }
+    let conn: Arc<dyn Connection> = Arc::from(transport.dial(&config.endpoint).ok()?);
+    {
+        // Published before the handshake so a `close` can interrupt it.
+        let mut link = shared.link.state.lock();
+        if shared.is_shut_down() {
+            return None;
         }
-        thread::sleep(IDLE_PARK);
+        link.conn = Some(Arc::clone(&conn));
     }
-    None
+    let mut framed = FramedConn::new(Arc::clone(&conn));
+    let hello = Envelope {
+        request_id: 0,
+        message: Message::Hello {
+            node: config.node.clone(),
+        },
+    };
+    let acked = send_envelope(conn.as_ref(), &hello, HANDSHAKE_DEADLINE, &shared.metrics).is_ok()
+        && await_hello_ack(&mut framed, &shared.metrics);
+    let mut link = shared.link.state.lock();
+    if acked && !shared.is_shut_down() {
+        link.open = true;
+        shared.link.changed.notify_all();
+        return Some(framed);
+    }
+    link.conn = None;
+    None // dropping the last handle closes the connection
 }
 
-/// Drives one established session; returns the reason it ended.
-fn pump_session(shared: &Shared, config: &SessionConfig, mut framed: FramedConn) -> String {
-    // Half-open link detection: a one-way cut of the wire never errors a
-    // send — bytes just vanish — so the pump watches for the *absence* of
-    // response traffic while requests are outstanding and declares the
-    // session dead after `half_open_grace`.  The timer only runs while
-    // something is awaited: an idle session owes us no traffic.
-    let mut waiting_since = Instant::now();
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            graceful_close(shared, &mut framed);
-            return "session is shut down".into();
+fn await_hello_ack(framed: &mut FramedConn, metrics: &MetricsRegistry) -> bool {
+    let until = Instant::now() + HANDSHAKE_DEADLINE;
+    let left = || Some(until.saturating_duration_since(Instant::now()));
+    while let Ok(Some(envelopes)) = framed.recv(left(), metrics) {
+        if envelopes
+            .iter()
+            .any(|e| matches!(e.message, Message::HelloAck { .. }))
+        {
+            return true;
         }
-        let mut moved = false;
+    }
+    false
+}
 
-        // Outbound: stage queued requests, then push bytes.
-        let has_pending = {
-            let mut state = shared.state.lock();
-            let queued: Vec<Envelope> = state.outbound.drain(..).collect();
-            let has_pending = state.pending.values().any(Option::is_none);
-            drop(state);
-            if !queued.is_empty() {
-                moved = true;
-                for envelope in &queued {
-                    framed.queue(envelope, &shared.metrics);
-                }
-                // Queue space freed: wake writers blocked on backpressure.
-                shared.answered.notify_all();
-            }
-            has_pending
-        };
-        if !has_pending {
-            waiting_since = Instant::now();
-        } else if waiting_since.elapsed() > config.half_open_grace {
+/// Reads replies into their slots until the connection fails or the link
+/// turns out half-open; returns why the session ended.
+fn read_replies(shared: &Shared, config: &SessionConfig, framed: &mut FramedConn) -> String {
+    // Half-open link detection: a one-way cut of the wire never errors a
+    // send — bytes just vanish — so the reader watches for the *absence* of
+    // inbound bytes while a request is pending and declares the session
+    // dead after `half_open_grace`.  The clock only runs while something is
+    // awaited: an idle session owes us no traffic.
+    let mut heard = Instant::now();
+    loop {
+        let awaited = shared
+            .pending
+            .state
+            .lock()
+            .values()
+            .filter(|p| p.reply.is_none())
+            .map(|p| p.sent.max(heard))
+            .min();
+        // With nothing awaited the reader still wakes after a grace, to
+        // start the clock of a request sent meanwhile.
+        let since = awaited.unwrap_or_else(Instant::now);
+        let timeout = (since + config.half_open_grace).saturating_duration_since(Instant::now());
+        if timeout.is_zero() {
             return format!(
                 "no response traffic for {:?} with requests in flight; \
                  assuming a half-open link",
                 config.half_open_grace
             );
         }
-        match framed.flush(&shared.metrics) {
-            Ok(flushed) => moved |= flushed,
+        match framed.recv(Some(timeout), &shared.metrics) {
             Err(e) => return e.to_string(),
-        }
-
-        // Inbound: match responses to pending requests.
-        match framed.poll(&shared.metrics) {
-            Ok(envelopes) => {
-                if !envelopes.is_empty() {
-                    moved = true;
-                    waiting_since = Instant::now();
-                    let mut state = shared.state.lock();
-                    for envelope in envelopes {
-                        if let Some(slot) = state.pending.get_mut(&envelope.request_id) {
-                            *slot = Some(Ok(envelope.message));
-                        }
-                        // Responses to abandoned (timed-out) requests are
-                        // dropped on the floor, matching their caller.
+            Ok(None) => {}
+            Ok(Some(envelopes)) => {
+                heard = Instant::now();
+                let mut pending = shared.pending.state.lock();
+                for envelope in envelopes {
+                    // Replies to abandoned (timed-out) requests are dropped
+                    // on the floor, matching their caller.
+                    if let Some(slot) = pending.get_mut(&envelope.request_id) {
+                        slot.reply = Some(Ok(envelope.message));
                     }
-                    drop(state);
-                    shared.answered.notify_all();
                 }
+                drop(pending);
+                shared.pending.changed.notify_all();
             }
-            Err(e) => return e.to_string(),
-        }
-
-        if !moved {
-            thread::sleep(IDLE_PARK);
         }
     }
-}
-
-/// Drains in-flight work briefly, then says goodbye.
-fn graceful_close(shared: &Shared, framed: &mut FramedConn) {
-    let deadline = Instant::now() + DRAIN_DEADLINE;
-    while Instant::now() < deadline {
-        let drained = {
-            let state = shared.state.lock();
-            state.outbound.is_empty() && state.pending.is_empty()
-        } && framed.backlog() == 0;
-        if drained {
-            break;
-        }
-        let mut state = shared.state.lock();
-        let queued: Vec<Envelope> = state.outbound.drain(..).collect();
-        drop(state);
-        for envelope in &queued {
-            framed.queue(envelope, &shared.metrics);
-        }
-        if framed.flush(&shared.metrics).is_err() {
-            return;
-        }
-        if let Ok(envelopes) = framed.poll(&shared.metrics) {
-            let mut state = shared.state.lock();
-            for envelope in envelopes {
-                if let Some(slot) = state.pending.get_mut(&envelope.request_id) {
-                    *slot = Some(Ok(envelope.message));
-                }
-            }
-            drop(state);
-            shared.answered.notify_all();
-        } else {
-            return;
-        }
-        thread::sleep(IDLE_PARK);
-    }
-    framed.queue(
-        &Envelope {
-            request_id: 0,
-            message: Message::Goodbye,
-        },
-        &shared.metrics,
-    );
-    let _ = framed.flush(&shared.metrics);
 }

@@ -1,17 +1,18 @@
-//! Transport abstraction: poll-based, non-blocking byte pipes.
+//! Transport abstraction: blocking byte pipes with deadlines.
 //!
-//! The event loops ([`crate::session`], [`crate::server`]) are written
-//! against these three traits only, so the in-memory loopback transport and
-//! the TCP transport are interchangeable — `ClusterConfig::transport` picks
-//! one and nothing above this layer changes.
-//!
-//! All operations are non-blocking:
-//!
-//! * `Ok(0)` from [`Connection::try_send`] / [`Connection::try_recv`] means
-//!   *would block* — nothing was moved, poll again later.
-//! * [`Error::Unavailable`](tashkent_common::Error::Unavailable) means the
-//!   connection is gone (peer closed, link severed, socket reset); the
-//!   caller must drop it and, if it owns the session, reconnect.
+//! The session and server threads ([`crate::session`], [`crate::server`])
+//! are written against these three traits only, so the in-memory loopback
+//! transport and the TCP transport are interchangeable —
+//! `ClusterConfig::transport` picks one and nothing above this layer
+//! changes.  Every wait ends on a wake-up or a deadline: a `recv` wakes to
+//! bytes, its timeout, or a close from any thread (or the link's loss); an
+//! `accept` wakes to a dial or the listener's close.
+//! [`Error::Unavailable`](tashkent_common::Error::Unavailable) means the
+//! connection is gone; the caller drops it and, if it owns the session,
+//! reconnects.
+
+use std::sync::Arc;
+use std::time::Duration;
 
 use tashkent_common::codec::Reader;
 use tashkent_common::{metrics::MetricsRegistry, CounterId, Result};
@@ -19,25 +20,31 @@ use tashkent_common::{metrics::MetricsRegistry, CounterId, Result};
 use crate::frame::FrameReader;
 use crate::message::{decode_envelope, encode_framed, Envelope};
 
-/// One established bidirectional byte stream.
-pub trait Connection: Send {
-    /// Attempts to write bytes; returns how many were accepted (`0` = would
-    /// block).
+/// One established bidirectional byte stream, shared by the threads that
+/// write to it, read from it and close it.
+pub trait Connection: Send + Sync {
+    /// Writes all of `bytes`.
     ///
     /// # Errors
     ///
     /// [`Error::Unavailable`](tashkent_common::Error::Unavailable) once the
-    /// connection is closed or its link severed.
-    fn try_send(&mut self, bytes: &[u8]) -> Result<usize>;
+    /// connection is closed or its link severed, or if the peer has not
+    /// taken every byte within `timeout`.
+    fn send(&self, bytes: &[u8], timeout: Duration) -> Result<()>;
 
-    /// Attempts to read bytes into `buf`; returns how many arrived (`0` =
-    /// nothing available right now).
+    /// Blocks until bytes arrive and reads them into `buf`; returns how many
+    /// (at least one), or `0` once `timeout` passed with nothing to read.
+    /// `None` waits without a deadline, until bytes or a close.
     ///
     /// # Errors
     ///
     /// [`Error::Unavailable`](tashkent_common::Error::Unavailable) once the
     /// connection is closed or its link severed.
-    fn try_recv(&mut self, buf: &mut [u8]) -> Result<usize>;
+    fn recv(&self, buf: &mut [u8], timeout: Option<Duration>) -> Result<usize>;
+
+    /// Closes both directions; a `recv` blocked on another thread wakes
+    /// with `Unavailable`.  Idempotent.
+    fn close(&self);
 
     /// The peer's endpoint name (loopback) or socket address (TCP), for
     /// logs and the session table.
@@ -45,14 +52,18 @@ pub trait Connection: Send {
 }
 
 /// A bound accept point.
-pub trait Listener: Send {
-    /// Accepts one pending connection if any (`None` = would block).
+pub trait Listener: Send + Sync {
+    /// Blocks until a dial arrives and returns its connection.
     ///
     /// # Errors
     ///
-    /// [`Error::Unavailable`](tashkent_common::Error::Unavailable) if the
-    /// listener itself is closed.
-    fn try_accept(&mut self) -> Result<Option<Box<dyn Connection>>>;
+    /// [`Error::Unavailable`](tashkent_common::Error::Unavailable) once the
+    /// listener is closed.
+    fn accept(&self) -> Result<Box<dyn Connection>>;
+
+    /// Stops accepting; an `accept` blocked on another thread wakes with
+    /// `Unavailable`.  Idempotent.
+    fn close(&self);
 
     /// The endpoint this listener is reachable at.  For TCP bound to port
     /// `0` this is the *actual* address, so clients can dial it.
@@ -80,91 +91,69 @@ pub trait Transport: Send + Sync {
     fn dial(&self, endpoint: &str) -> Result<Box<dyn Connection>>;
 }
 
-/// A [`Connection`] with framing and message accounting on top: the unit
-/// both event loops ([`crate::session`], [`crate::server`]) actually drive.
+/// Encodes one envelope as a frame and sends it whole, counting it in the
+/// registry ([`CounterId::NetMessages`], [`CounterId::NetBytesSent`]).
 ///
-/// Outbound envelopes are encoded into a staging buffer and flushed as the
-/// peer accepts bytes; inbound bytes are reassembled into frames and decoded
-/// into envelopes.  Byte and message counters go to the cluster's metrics
-/// registry ([`CounterId::NetBytesSent`], [`CounterId::NetBytesReceived`],
-/// [`CounterId::NetMessages`]).
+/// # Errors
+///
+/// Whatever [`Connection::send`] reports.
+pub fn send_envelope(
+    conn: &dyn Connection,
+    envelope: &Envelope,
+    timeout: Duration,
+    metrics: &MetricsRegistry,
+) -> Result<()> {
+    let mut frame = Vec::new();
+    encode_framed(&mut frame, envelope);
+    conn.send(&frame, timeout)?;
+    metrics.incr(CounterId::NetMessages);
+    metrics.add(CounterId::NetBytesSent, frame.len() as u64);
+    Ok(())
+}
+
+/// The receiving side of a [`Connection`]: inbound bytes are reassembled
+/// into frames and decoded into envelopes, counted in the registry
+/// ([`CounterId::NetBytesReceived`], [`CounterId::NetMessages`]).
 pub struct FramedConn {
-    conn: Box<dyn Connection>,
+    conn: Arc<dyn Connection>,
     reader: FrameReader,
-    out: Vec<u8>,
 }
 
 impl FramedConn {
     /// Wraps an established connection.
     #[must_use]
-    pub fn new(conn: Box<dyn Connection>) -> FramedConn {
+    pub fn new(conn: Arc<dyn Connection>) -> FramedConn {
         FramedConn {
             conn,
             reader: FrameReader::new(),
-            out: Vec::new(),
         }
     }
 
-    /// The peer's name / address.
-    #[must_use]
-    pub fn peer(&self) -> String {
-        self.conn.peer()
-    }
-
-    /// Bytes staged but not yet accepted by the peer.
-    #[must_use]
-    pub fn backlog(&self) -> usize {
-        self.out.len()
-    }
-
-    /// Stages one envelope for sending (flushed by [`FramedConn::flush`]).
-    pub fn queue(&mut self, envelope: &Envelope, metrics: &MetricsRegistry) {
-        encode_framed(&mut self.out, envelope);
-        metrics.incr(CounterId::NetMessages);
-    }
-
-    /// Pushes staged bytes into the connection; returns `true` if any bytes
-    /// moved.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the connection's
-    /// [`Error::Unavailable`](tashkent_common::Error::Unavailable).
-    pub fn flush(&mut self, metrics: &MetricsRegistry) -> Result<bool> {
-        let mut moved = false;
-        while !self.out.is_empty() {
-            let n = self.conn.try_send(&self.out)?;
-            if n == 0 {
-                break;
-            }
-            self.out.drain(0..n);
-            metrics.add(CounterId::NetBytesSent, n as u64);
-            moved = true;
-        }
-        Ok(moved)
-    }
-
-    /// Reads whatever the peer sent and returns the complete envelopes.
+    /// Blocks for the next bytes and returns the envelopes they complete
+    /// (possibly none, for a partial frame); `None` once `timeout` passed
+    /// with no bytes at all.
     ///
     /// # Errors
     ///
     /// Propagates connection loss, and surfaces malformed frames or
     /// messages as their typed errors — the caller tears the session down.
-    pub fn poll(&mut self, metrics: &MetricsRegistry) -> Result<Vec<Envelope>> {
+    pub fn recv(
+        &mut self,
+        timeout: Option<Duration>,
+        metrics: &MetricsRegistry,
+    ) -> Result<Option<Vec<Envelope>>> {
         let mut buf = [0u8; 16 * 1024];
-        loop {
-            let n = self.conn.try_recv(&mut buf)?;
-            if n == 0 {
-                break;
-            }
-            metrics.add(CounterId::NetBytesReceived, n as u64);
-            self.reader.push(&buf[..n]);
+        let n = self.conn.recv(&mut buf, timeout)?;
+        if n == 0 {
+            return Ok(None);
         }
+        metrics.add(CounterId::NetBytesReceived, n as u64);
+        self.reader.push(&buf[..n]);
         let mut envelopes = Vec::new();
         while let Some(payload) = self.reader.next_frame()? {
             envelopes.push(decode_envelope(&mut Reader::new(&payload))?);
             metrics.incr(CounterId::NetMessages);
         }
-        Ok(envelopes)
+        Ok(Some(envelopes))
     }
 }

@@ -1,7 +1,7 @@
 //! End-to-end session tests: a real certifier behind a [`NetServer`],
 //! certified against through a [`RemoteCertifier`] — over both transports.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use tashkent_certifier::certifier::decode_checkpoint_payload;
@@ -12,6 +12,7 @@ use tashkent_common::{
 };
 use tashkent_net::{ClusterNet, LoopbackNet, NetServer, RemoteCertifier, SessionConfig, TcpTransport};
 use tashkent_proxy::{CertifierHandle, CertifierService, Proxy, ProxyConfig};
+use tashkent_storage::disk::DiskConfig;
 use tashkent_storage::{Database, EngineConfig};
 
 fn ws(key: i64) -> WriteSet {
@@ -339,4 +340,87 @@ fn a_refresh_below_the_truncation_floor_is_refused_over_loopback() {
         assert_eq!(proxy.replica_version(), Version::ZERO, "{system}");
     }
     client.close();
+}
+
+/// Two replicas' requests over the wire reach the certifier concurrently:
+/// released together while an epoch holds the certifier's slept log, both
+/// queue behind it and are decided in one epoch.
+#[test]
+fn requests_from_two_sessions_meet_in_one_certifier_epoch() {
+    let metrics = Arc::new(MetricsRegistry::enabled());
+    let certifier = Arc::new(Certifier::new(CertifierConfig {
+        disk: DiskConfig::with_latency(Duration::from_millis(20)),
+        metrics: Arc::clone(&metrics),
+        ..CertifierConfig::default()
+    }));
+    let net = LoopbackNet::shared();
+    let _server = NetServer::start(
+        "certifier",
+        CertifierHandle::Local(Arc::clone(&certifier)),
+        &net.transport("certifier"),
+        "certifier",
+        Arc::clone(&metrics),
+    )
+    .unwrap();
+    let clients: Vec<Arc<RemoteCertifier>> = (0..2)
+        .map(|i| {
+            let name = format!("replica-{i}");
+            let client = RemoteCertifier::start(
+                SessionConfig::new(&name, "certifier"),
+                Arc::new(net.transport(&name)),
+                Arc::clone(&metrics),
+            );
+            client.wait_connected(Duration::from_secs(2)).unwrap();
+            client
+        })
+        .collect();
+    let request = |key: i64| CertificationRequest {
+        replica: ReplicaId(0),
+        start_version: Version::ZERO,
+        writeset: ws(key),
+        replica_version: Version::ZERO,
+    };
+    let batches = || -> Vec<u64> {
+        metrics
+            .component_events(Component::Certifier)
+            .iter()
+            .filter(|e| e.kind == EventKind::CertifyBatch)
+            .map(|e| e.version)
+            .collect()
+    };
+
+    // An in-process certify leads the first epoch; its batch event is
+    // emitted before the 20 ms durable append, which the wire requests
+    // then queue behind.
+    let occupier = {
+        let certifier = Arc::clone(&certifier);
+        std::thread::spawn(move || certifier.certify(&request(1)).unwrap())
+    };
+    while batches().is_empty() {
+        std::thread::yield_now();
+    }
+    let barrier = Arc::new(Barrier::new(2));
+    let wire: Vec<_> = clients
+        .iter()
+        .zip([2, 3])
+        .map(|(client, key)| {
+            let (client, barrier) = (Arc::clone(client), Arc::clone(&barrier));
+            std::thread::spawn(move || {
+                barrier.wait();
+                client.certify(&request(key)).unwrap()
+            })
+        })
+        .collect();
+    for certify in wire {
+        assert!(certify.join().unwrap().decision.is_commit());
+    }
+    assert!(occupier.join().unwrap().decision.is_commit());
+    let sizes = batches();
+    assert!(
+        sizes.iter().any(|&size| size >= 2),
+        "two sessions' certifies were decided one epoch each: epoch sizes {sizes:?}"
+    );
+    for client in &clients {
+        client.close();
+    }
 }
