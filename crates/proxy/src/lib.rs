@@ -17,8 +17,9 @@
 //! * **Tashkent-API** — remote writesets and the local commit are submitted
 //!   *concurrently* using the extended `COMMIT <seq>` API; the database
 //!   groups their commit records into a single fsync while announcing them in
-//!   global order.  Remote writesets that would create an "artificial"
-//!   conflict (Section 5.2.1) are serialised behind the conflicting version.
+//!   global order.  Each install begins at its announce turn.  Remote
+//!   writesets that would create an "artificial" conflict (Section 5.2.1)
+//!   are also submitted only after every earlier install has finished.
 //!
 //! The proxy also implements Section 6.2's local certification and refresh
 //! (a stream with a gap is refused; an empty one may mean the wire failed),

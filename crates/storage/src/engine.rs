@@ -513,7 +513,7 @@ impl Database {
         respect_sync_mode: bool,
     ) -> Result<Version> {
         let tx = self.begin();
-        self.mark_remote_apply(tx.id(), None);
+        self.mark_remote_apply(tx.id());
         if let Err(e) = tx.apply_items(writeset) {
             tx.abort();
             return Err(e);
@@ -535,6 +535,13 @@ impl Database {
     /// certifier.  ([`Database::apply_writeset`], the serial Base path,
     /// still flushes.)
     ///
+    /// The install begins at its announce turn, not before.  By then every
+    /// earlier index has announced, so its snapshot holds every earlier
+    /// writeset; no later install has started; and no certified local
+    /// commit writes one of its rows (certification would have aborted
+    /// it).  So it touches no row another install needs, and one attempt
+    /// suffices.
+    ///
     /// # Errors
     ///
     /// Propagates lock conflicts, deadlocks and ordered-commit timeouts.
@@ -544,58 +551,26 @@ impl Database {
         commit_version: Version,
         order_index: u64,
     ) -> Result<Version> {
-        // An ordered apply can lose a row to an *earlier-ordered* apply
-        // mid-flight: `lock_row` wounds the later-ordered holder of a row
-        // the earlier one needs (the later one is parked waiting for the
-        // earlier one's announce — a guaranteed cross-component deadlock
-        // otherwise), and a first-committer validation can trip over the
-        // earlier apply's just-installed row.  Both are transient ordering
-        // artifacts, not real conflicts — this writeset is certified and
-        // must commit — so retry with a fresh snapshot.  Progress is
-        // guaranteed: a wound only comes from a strictly earlier announce
-        // order, so a retry that waits for this apply's own announce turn
-        // cannot be wounded again (every earlier order has announced by
-        // then).  The wait matters as much as the retry itself: retrying
-        // immediately turns a deep pipeline into a livelock — dozens of
-        // wounded appliers respinning begin/apply/conflict at full speed
-        // starve the announce chain they are waiting on (on a small box the
-        // fault harness measured multi-second drain stalls with ~75
-        // runnable threads), while parking on the announce condvar lets the
-        // one thread whose turn it is actually run.  The cap is a backstop
-        // that surfaces genuine pathology to the caller's resync path.
-        const WOUND_RETRIES: usize = 64;
-        let mut attempt = 0;
-        loop {
-            let tx = self.begin();
-            self.mark_remote_apply(tx.id(), Some(order_index));
-            let result = match tx.apply_items(writeset) {
-                Ok(()) => tx.commit_ordered(order_index, commit_version),
-                Err(e) => {
-                    tx.abort();
-                    Err(e)
-                }
-            };
-            match result {
-                Err(Error::WriteConflict { .. } | Error::Deadlock { .. })
-                    if attempt < WOUND_RETRIES =>
-                {
-                    attempt += 1;
-                    if !self.wait_for_announce_turn(order_index) {
-                        return Err(Error::OrderedCommitTimeout {
-                            sequence: commit_version,
-                        });
-                    }
-                }
-                other => return other,
+        if !self.wait_for_announce_turn(order_index) {
+            return Err(Error::OrderedCommitTimeout {
+                sequence: commit_version,
+            });
+        }
+        let tx = self.begin();
+        self.mark_remote_apply(tx.id());
+        match tx.apply_items(writeset) {
+            Ok(()) => tx.commit_ordered(order_index, commit_version),
+            Err(e) => {
+                tx.abort();
+                Err(e)
             }
         }
     }
 
     /// Parks until every announce order strictly below `order_index` has
-    /// announced (the precondition under which an ordered apply retry can
-    /// no longer be wounded).  Returns `false` if the ordered-commit
-    /// timeout elapses first — the announce chain itself is stuck, which
-    /// is the caller's resync path, not a retry case.
+    /// announced.  Returns `false` if the ordered-commit timeout elapses
+    /// first: the announce chain itself is stuck, which is the caller's
+    /// resync path.
     fn wait_for_announce_turn(&self, order_index: u64) -> bool {
         let deadline = std::time::Instant::now() + self.shared.ordered_commit_timeout;
         let mut data = self.shared.data.lock();
@@ -614,10 +589,9 @@ impl Database {
         true
     }
 
-    fn mark_remote_apply(&self, id: TxId, order: Option<u64>) {
+    fn mark_remote_apply(&self, id: TxId) {
         if let Some(tx) = self.shared.txns.lock().get_mut(&id) {
             tx.remote_apply = true;
-            tx.remote_order = order;
         }
     }
 
@@ -712,9 +686,13 @@ impl Database {
         // writesets intersect the install are exactly the holders it meets
         // here, and each is aborted at the row.  Aborting at once also keeps
         // the apply phase out of deadlocks with client transactions.
-        let (is_remote_apply, my_order) = self
-            .with_tx(id, |tx| Ok((tx.remote_apply, tx.remote_order)))
-            .unwrap_or((false, None));
+        //
+        // A remote holder is waited out on the blocking path, never
+        // aborted.  An ordered install begins only at its announce turn, so
+        // the one remote holder it can meet is an install from an index a
+        // resync burned, still finishing; aborting that one could let its
+        // cloned write buffer land anyway.
+        let is_remote_apply = self.with_tx(id, |tx| Ok(tx.remote_apply)).unwrap_or(false);
         if is_remote_apply {
             let resource = (table, key.clone());
             loop {
@@ -723,40 +701,10 @@ impl Database {
                 }
                 match self.shared.locks.holder(&resource) {
                     Some(holder) if holder != id => {
-                        let (holder_is_remote, holder_order) = self
-                            .with_tx(holder, |tx| Ok((tx.remote_apply, tx.remote_order)))
-                            .unwrap_or((false, None));
-                        if holder_is_remote {
-                            // Two *concurrently certified* writesets never
-                            // conflict — but two sequential certified
-                            // writesets may well write the same row, and
-                            // their applies can be scheduled by different
-                            // pipeline rounds and race here.  The announce
-                            // order decides who must commit first.  A holder
-                            // with a LATER order index is parked waiting for
-                            // our own announce while holding our row — a
-                            // cross-component cycle (row lock ↔ announce
-                            // chain) the wait-for graph cannot see, and the
-                            // mechanism behind the historical drain-tail
-                            // stall (presumed-deadlock retries at ~1 Hz
-                            // until an ordered-commit timeout broke the
-                            // cycle).  Wound it; `apply_writeset_ordered`
-                            // retries it after us.  An EARLIER-ordered (or
-                            // unordered) holder announces and releases
-                            // soon: wait it out on the blocking path.
-                            match (my_order, holder_order) {
-                                (Some(mine), Some(theirs)) if theirs > mine => {
-                                    self.abort_transaction(holder);
-                                    // The victim may be parked in its
-                                    // announce wait; wake it so it observes
-                                    // the wound now, not at its deadline.
-                                    self.shared.announced.notify_all();
-                                }
-                                _ => break,
-                            }
-                        } else {
-                            self.abort_transaction(holder);
+                        if self.with_tx(holder, |tx| Ok(tx.remote_apply)).unwrap_or(false) {
+                            break;
                         }
+                        self.abort_transaction(holder);
                     }
                     _ => {}
                 }
@@ -1065,18 +1013,15 @@ impl Database {
                 )));
             }
             if data.announce_counter == order_index - 1 {
-                // Our turn — but an earlier-ordered apply may have wounded
-                // us while we waited (`lock_row`), in which case our locks
-                // are gone and installing would race its write.  Check
-                // without `data` held (the transaction table is never taken
-                // under the data lock).  No new wound can land after this
-                // check: wounds only come from strictly earlier orders, and
-                // every one of those has already announced.
+                // Our turn.  Check without `data` held (the transaction
+                // table is never taken under the data lock) that no
+                // install's row lock aborted us while we waited: our locks
+                // would be gone and installing would race its write.
                 drop(data);
                 if !self.with_tx(id, |tx| Ok(tx.is_active())).unwrap_or(false) {
                     return Err(Error::WriteConflict {
                         tx: id,
-                        detail: "ordered apply wounded by an earlier-ordered writeset".into(),
+                        detail: "ordered commit aborted while it waited for its turn".into(),
                     });
                 }
                 data = self.shared.data.lock();
@@ -1100,17 +1045,6 @@ impl Database {
                 self.abort_tx(id);
                 return Err(Error::OrderedCommitTimeout { sequence: version });
             }
-            // Woken — by an announce, or by a wound from an earlier-ordered
-            // apply that needed one of our rows.  Surface a wound promptly
-            // as a retryable conflict instead of sleeping out the deadline.
-            drop(data);
-            if !self.with_tx(id, |tx| Ok(tx.is_active())).unwrap_or(false) {
-                return Err(Error::WriteConflict {
-                    tx: id,
-                    detail: "ordered apply wounded by an earlier-ordered writeset".into(),
-                });
-            }
-            data = self.shared.data.lock();
         }
         if let Some(started) = announce_started {
             self.shared
@@ -1124,9 +1058,19 @@ impl Database {
         );
         self.install(&mut data, &buffer, version);
         data.announce_counter = order_index;
+        // Release the row locks before the announce can be observed.  The
+        // next index's install begins as soon as it sees this announce; had
+        // it found this transaction still holding one of its rows, it would
+        // have queued behind a committing holder and lost with a write
+        // conflict, leaving its index unannounced.
+        self.shared.locks.release_all(id, true);
         drop(data);
         self.shared.announced.notify_all();
-        self.finish_commit(id, version);
+        self.with_tx(id, |tx| {
+            tx.state = TxState::Committed(version);
+            Ok(())
+        })
+        .ok();
         Ok(version)
     }
 }
@@ -1571,17 +1515,15 @@ mod tests {
     }
 
     #[test]
-    fn wounded_ordered_apply_parks_for_its_turn_instead_of_spinning() {
-        // A wounded (or lock-timed-out) ordered apply cannot succeed before
-        // its announce turn: every wound comes from a strictly earlier
-        // order.  The retry loop must therefore park on the announce
-        // condvar rather than respin begin/apply/conflict — the hot-spin
-        // variant burned one full lock-wait round per retry (the fault
-        // harness measured ~75 runnable threads and 10+ second drain
-        // stalls on seed 0x29).  Here the predecessor (order 1) never
-        // arrives and a local transaction pins the row: the apply must
-        // give up with OrderedCommitTimeout after roughly one lock-wait
-        // plus one announce-wait, not 64 lock-wait rounds.
+    fn ordered_install_without_its_turn_parks_instead_of_spinning() {
+        // An ordered install parks on the announce condvar until its turn
+        // and only then begins.  An install that begins early and respins
+        // begin/apply/conflict burns one full lock-wait round per attempt
+        // (the fault harness once measured ~75 runnable threads and 10+
+        // second drain stalls on seed 0x29).  Here the predecessor (order
+        // 1) never arrives and a local transaction pins the row: the
+        // install must give up with OrderedCommitTimeout after one
+        // announce-wait, without spinning through lock-wait rounds.
         let db = Database::new(EngineConfig {
             ordered_commit_timeout: Duration::from_millis(75),
             lock_wait_timeout: Duration::from_millis(50),
@@ -1614,6 +1556,50 @@ mod tests {
              ({elapsed:?})"
         );
         drop(holder);
+    }
+
+    #[test]
+    fn ordered_install_waits_for_its_turn_before_touching_a_row() {
+        let (db, t) = test_db();
+        let holder = db.begin();
+        holder
+            .insert(t, 1, vec![("balance".into(), Value::Int(1))])
+            .unwrap();
+        let writeset = WriteSet::from_items(vec![tashkent_common::WriteItem::insert(
+            t,
+            1,
+            vec![("balance".into(), Value::Int(2))],
+        )]);
+        // Index 2 is submitted while index 1 is outstanding.
+        let (done, result) = std::sync::mpsc::channel();
+        let installer = {
+            let db = db.clone();
+            thread::spawn(move || {
+                done.send(db.apply_writeset_ordered(&writeset, Version(2), 2))
+                    .unwrap();
+            })
+        };
+        thread::sleep(Duration::from_millis(100));
+        assert!(
+            holder.is_active(),
+            "the install took the row before its announce turn"
+        );
+        assert_eq!(db.version(), Version::ZERO);
+        // Index 1 announces; the install then aborts the local holder at
+        // the row (Section 8.2) and lands.
+        let first = db.begin();
+        first
+            .insert(t, 5, vec![("balance".into(), Value::Int(5))])
+            .unwrap();
+        assert_eq!(first.commit_ordered(1, Version(1)).unwrap(), Version(1));
+        let landed = result
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the install finished once its turn came");
+        assert_eq!(landed.unwrap(), Version(2));
+        installer.join().unwrap();
+        assert!(!holder.is_active());
+        assert_eq!(db.version(), Version(2));
+        assert_eq!(balance(&db, t, 1), 2);
     }
 
     #[test]

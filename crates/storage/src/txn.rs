@@ -37,16 +37,11 @@ pub struct Transaction {
     pub write_buffer: HashMap<(TableId, RowKey), Option<Row>>,
     /// The captured writeset, in write order.
     pub writeset: WriteSet,
-    /// `true` if this transaction is the application of a remote writeset
-    /// (used for diagnostics and to skip writeset re-capture downstream).
-    /// An *ordered* remote apply appends its commit record without a flush.
+    /// `true` if this transaction is the install of a remote writeset.  Its
+    /// row locks abort a local holder and wait out a remote one (Section
+    /// 8.2), and an *ordered* install appends its commit record without a
+    /// flush.
     pub remote_apply: bool,
-    /// For an *ordered* remote apply, its announce-order index.  Row-lock
-    /// arbitration between two remote applies compares these: the
-    /// later-ordered one can never commit first (it waits for the earlier
-    /// one's announce), so holding a row the earlier one needs is a
-    /// guaranteed cross-component deadlock and the later one is wounded.
-    pub remote_order: Option<u64>,
 }
 
 impl Transaction {
@@ -60,7 +55,6 @@ impl Transaction {
             write_buffer: HashMap::new(),
             writeset: WriteSet::new(),
             remote_apply: false,
-            remote_order: None,
         }
     }
 

@@ -6,21 +6,20 @@
 //! in-flight ordered commit resolves.
 //!
 //! Root cause: two *sequential* certified writesets that touch the same row
-//! can be scheduled by different apply-pipeline rounds and race their row
-//! locks.  When the later-ordered apply grabbed the row first, it parked in
-//! its ordered-announce wait (holding the row) while the earlier-ordered
-//! apply blocked on the row lock — a cycle through the announce chain that
-//! the engine's wait-for-graph cannot see.  The earlier apply aborted after
-//! the 1 s lock-wait as a presumed deadlock and was retried by the proxy
-//! (the ~1 Hz heartbeat); the later one only gave way at its 5 s ordered
-//! -commit timeout, and the retry could re-establish the same interleaving.
+//! can be scheduled by different apply-pipeline rounds.  When the
+//! later-ordered install began first, it took the row and parked in its
+//! announce wait while the earlier-ordered install blocked on the row lock
+//! — a cycle through the announce chain that the engine's wait-for graph
+//! cannot see.  The earlier install aborted after the 1 s lock-wait as a
+//! presumed deadlock and was retried (the ~1 Hz heartbeat); the later one
+//! only gave way at its 5 s ordered-commit timeout.
 //!
-//! The fix: remote applies record their announce-order index, the row-lock
-//! arbitration wounds a later-ordered remote holder (it cannot commit first
-//! anyway), and `apply_writeset_ordered` transparently retries the wounded
-//! apply once its predecessor is through.  These tests replay the stalling
-//! schedule deterministically and assert it now resolves in milliseconds,
-//! with no presumed-deadlock aborts at all.
+//! The rule that removes the cycle: an ordered install begins at its
+//! announce turn.  `apply_writeset_ordered` waits until every earlier index
+//! has announced before it takes a snapshot or a row lock, so a later
+//! install never holds a row an earlier one needs.  These tests replay the
+//! stalling schedule deterministically and assert it resolves in
+//! milliseconds, with no presumed-deadlock aborts at all.
 
 use std::sync::Arc;
 use std::thread;
@@ -52,12 +51,12 @@ fn seeded_db() -> (Arc<Database>, TableId, Arc<MetricsRegistry>) {
 }
 
 /// The exact two-apply interleaving of the stall: the later-ordered apply
-/// (order 2) starts first and holds the contended row across its announce
-/// wait; the earlier-ordered apply (order 1) then needs that row.  Before
-/// the fix this took `lock_wait_timeout` (1 s) to fail the earlier apply as
+/// (order 2) is submitted first; the earlier-ordered apply (order 1) then
+/// needs the same row.  When an install could take the row before its
+/// turn, this took `lock_wait_timeout` (1 s) to fail the earlier apply as
 /// a presumed deadlock and `ordered_commit_timeout` (5 s) to unstick the
-/// later one; now the earlier apply wounds the later, commits, and the
-/// later retries behind it.
+/// later one; now the later apply waits for its turn without touching the
+/// row, the earlier one commits, and the later one begins behind it.
 #[test]
 fn later_ordered_apply_yields_the_row_to_its_predecessor() {
     let (db, t, metrics) = seeded_db();
@@ -67,8 +66,7 @@ fn later_ordered_apply_yields_the_row_to_its_predecessor() {
         let db = Arc::clone(&db);
         thread::spawn(move || db.apply_writeset_ordered(&update(t, 1, 30), Version(3), 2))
     };
-    // Let the later-ordered apply take the row lock and park in its
-    // announce wait (all its steps are microsecond-scale; the sleep only
+    // Let the later-ordered apply park in its turn wait (the sleep only
     // orders the two applies, it is not load-bearing for correctness —
     // if the earlier apply won the race the schedule is trivially fine).
     thread::sleep(Duration::from_millis(200));
@@ -77,9 +75,9 @@ fn later_ordered_apply_yields_the_row_to_its_predecessor() {
     assert_eq!(earlier.unwrap(), Version(2));
     assert_eq!(later.join().unwrap().unwrap(), Version(3));
 
-    // The stall signature is gone: sub-second resolution (pre-fix this
+    // The stall signature is gone: sub-second resolution (the stalling
     // schedule needed the 5 s ordered-commit timeout to break the cycle)
-    // and zero presumed-deadlock aborts (pre-fix: one per 1 s retry beat).
+    // and zero presumed-deadlock aborts (it had one per 1 s retry beat).
     assert!(
         started.elapsed() < Duration::from_secs(1),
         "drain-tail schedule took {:?}",
@@ -92,11 +90,10 @@ fn later_ordered_apply_yields_the_row_to_its_predecessor() {
     assert_eq!(row.get("x"), Some(&Value::Int(30)));
 }
 
-/// A three-deep inversion: orders 3, 2, 1 all write the same row and start
-/// in reverse announce order, so every apply initially holds a row its
-/// predecessor needs.  Each predecessor must wound its successor, and each
-/// wounded successor must retry and land — the whole chain drains without
-/// a single presumed-deadlock abort.
+/// A three-deep inversion: orders 3, 2, 1 all write the same row and are
+/// submitted in reverse announce order.  Each waits for its turn before it
+/// touches the row, so the whole chain drains in announce order without a
+/// single presumed-deadlock abort.
 #[test]
 fn reversed_apply_chain_drains_without_deadlock_beats() {
     let (db, t, metrics) = seeded_db();
@@ -131,17 +128,15 @@ fn reversed_apply_chain_drains_without_deadlock_beats() {
     assert_eq!(row.get("x"), Some(&Value::Int(30)));
 }
 
-/// Earlier-ordered holders are NOT wounded: an apply that blocks on its
-/// predecessor's row simply waits out the predecessor's (quick) announce.
-/// Pins the asymmetry of the arbitration — wounding in both directions
-/// would livelock the chain.
+/// Earlier-ordered installs are never wounded: an apply whose predecessor
+/// wrote the same row runs after the predecessor's announce and commits on
+/// top of it.
 #[test]
 fn earlier_ordered_holder_is_waited_out_not_wounded() {
     let (db, t, metrics) = seeded_db();
 
-    // Order 1 starts first and holds the row briefly (it announces
-    // immediately: announce_counter is 0, its turn).  Order 2 must wait,
-    // not wound.
+    // Order 1 runs first (announce_counter is 0, its turn) and announces;
+    // order 2 then begins on a snapshot that holds order 1's row.
     let r1 = db.apply_writeset_ordered(&update(t, 1, 10), Version(2), 1);
     assert_eq!(r1.unwrap(), Version(2));
     let r2 = db.apply_writeset_ordered(&update(t, 1, 20), Version(3), 2);
