@@ -63,8 +63,8 @@ pub(crate) struct ShardStream {
 /// above `up_to` are dropped: only versions at or below the sampled system
 /// version are guaranteed to have reached every owning shard's stream.
 ///
-/// This is the *fan-in*: above this merge the proxy's serial and concurrent
-/// apply pipelines see one stream, whatever the shard count.
+/// This is the *fan-in*: above this merge the proxy's commit pipeline
+/// sees one stream, whatever the shard count.
 #[must_use]
 pub(crate) fn merge_shard_streams(
     streams: &[ShardStream],

@@ -1,14 +1,16 @@
 //! System variants and cluster configuration.
 //!
 //! The paper evaluates three otherwise-identical replication systems that
-//! differ only in where durability lives and whether the database is told the
-//! global commit order:
+//! differ only in where durability lives and where the commit order is
+//! enforced.  Here every replica commit on every system carries its order
+//! (`COMMIT <seq>`) and is announced in that order; what differs is where
+//! the commit record's flush sits relative to the commit's announce turn:
 //!
-//! | System | Ordering | Durability | Commits at the replica |
-//! |--------|----------|------------|------------------------|
-//! | `Base` | middleware | database (synchronous WAL) | serial, one fsync each |
-//! | `Tashkent-MW` | middleware | middleware (certifier log) | serial but in-memory |
-//! | `Tashkent-API` | middleware → database (`COMMIT <seq>`) | database | concurrent, group-committed |
+//! | System | Durability | Flush vs. announce turn | Commits at the replica |
+//! |--------|------------|-------------------------|------------------------|
+//! | `Base` | database (synchronous WAL) | inside the turn | serial, one fsync each |
+//! | `Tashkent-MW` | middleware (certifier log) | none (sync off) | serial but in-memory |
+//! | `Tashkent-API` | database | before the turn; installs only append | concurrent, group-committed |
 //!
 //! [`SystemKind`] selects the variant; [`ClusterConfig`] describes a real
 //! deployment (replica count, certifier group and shards, forced aborts and
@@ -17,7 +19,8 @@
 /// Which of the three replication designs a cluster runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SystemKind {
-    /// Ordering in middleware, durability in the database, serial commits.
+    /// Durability in the database, serial commits: each flushes inside its
+    /// announce turn.
     Base,
     /// Durability moved to the certifier log; replica commits are in-memory.
     TashkentMw,
@@ -63,8 +66,10 @@ impl SystemKind {
         !matches!(self, SystemKind::TashkentApiNoCertDurability)
     }
 
-    /// `true` if the replica may submit commits concurrently because the
-    /// commit order is passed to the database (the Tashkent-API systems).
+    /// `true` if the replica submits its commits concurrently and groups
+    /// their flushes, leaving the announce order to the database (the
+    /// Tashkent-API systems).  Base and Tashkent-MW flush each commit inside
+    /// its announce turn.
     #[must_use]
     pub fn ordered_commit_api(self) -> bool {
         matches!(

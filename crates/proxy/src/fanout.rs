@@ -6,11 +6,11 @@
 //! operations a proxy performs per transaction or during catch-up; the
 //! control plane (fault injection, checkpointing, log inspection) is the
 //! in-process certifier's own API, reached through
-//! [`CertifierHandle::local`].  Either way the commit pipelines see one
+//! [`CertifierHandle::local`].  Either way the commit pipeline sees one
 //! gap-free, totally-ordered stream of remote writesets — with several
 //! certification shards, [`Certifier::writesets_after`] fans out to every
 //! shard's version stream and fans in by global commit version — so the
-//! proxy's serial and concurrent pipelines are oblivious to sharding and
+//! proxy's commit pipeline is oblivious to sharding and
 //! transport.
 
 use std::sync::Arc;

@@ -5,21 +5,23 @@
 //! database (Section 4.1).  The proxy tracks the replica's version, keeps a
 //! small amount of state per active transaction, invokes certification at
 //! commit time, applies the remote writesets returned by the certifier and
-//! finally commits or aborts the local transaction — following one of three
-//! pipelines:
+//! finally commits or aborts the local transaction.  One pipeline serves all
+//! three systems: every install and every certified local commit takes a
+//! dense order index and is announced in that order through the extended
+//! `COMMIT <seq>` API, and each install begins at its announce turn.
 //!
-//! * **Base** — remote writesets and the local commit are submitted serially;
-//!   the database performs a synchronous commit-record write for each, so two
-//!   fsyncs sit in the critical path of every local update transaction.
-//! * **Tashkent-MW** — the same serial pipeline, but the replica runs with
-//!   synchronous writes disabled (durability lives in the certifier log), so
-//!   the serial commits are fast in-memory operations.
-//! * **Tashkent-API** — remote writesets and the local commit are submitted
-//!   *concurrently* using the extended `COMMIT <seq>` API; the database
-//!   groups their commit records into a single fsync while announcing them in
-//!   global order.  Each install begins at its announce turn.  Remote
-//!   writesets that would create an "artificial" conflict (Section 5.2.1)
-//!   are also submitted only after every earlier install has finished.
+//! * **Base** — the round's remote writesets install as one group on the
+//!   committing thread, then the local commit; each flushes its commit
+//!   record inside its announce turn, so two fsyncs sit in the critical
+//!   path of every local update transaction.
+//! * **Tashkent-MW** — the same, but the replica runs with synchronous
+//!   writes disabled (durability lives in the certifier log), so the
+//!   commits are fast in-memory operations.
+//! * **Tashkent-API** — remote writesets install *concurrently* with the
+//!   local commit, one thread each; the local commit flushes before its
+//!   turn, so concurrent commits share one fsync, and installs only append.
+//!   Remote writesets that would create an "artificial" conflict (Section
+//!   5.2.1) are submitted only after every earlier install has finished.
 //!
 //! The proxy also implements Section 6.2's local certification and refresh
 //! (a stream with a gap is refused; an empty one may mean the wire failed),

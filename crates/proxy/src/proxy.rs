@@ -1,15 +1,25 @@
-//! The proxy itself: transaction interception and the three commit pipelines.
+//! The proxy itself: transaction interception and the one commit pipeline.
 //!
-//! Tashkent-API has one ordering rule (Section 8.3): every install on its
-//! replica — a pipeline item, a merged backlog, a refresh, a resync — takes a
-//! dense order index under the proxy's state lock, in global version order,
-//! and the engine announces commits in index order.  An install begins at
-//! its announce turn, so installs never race each other for a row; the
-//! concurrency left is the local commit's flush overlapping the installs
-//! around it.  Base and Tashkent-MW install serially under the apply lock
-//! and never hand out an index.  On all three, an install's row lock aborts
-//! any local holder (Section 8.2), and no install or local commit ever
-//! skips a version.
+//! One ordering rule holds on all three systems (Sections 5 and 8.3): every
+//! install on the replica — a certify round's remote writesets, a refresh,
+//! a resync — and every certified local commit takes a dense order index
+//! under the proxy's state lock, in global version order, and the engine
+//! announces commits in index order.  An install begins at its announce
+//! turn, so installs never race each other for a row.  The systems differ
+//! in two places only:
+//!
+//! * how a round's installs run: Tashkent-API installs each remote writeset
+//!   on its own thread, beside the local commit; Base and Tashkent-MW
+//!   install the round's writesets as one merged group on the committing
+//!   thread, before it;
+//! * where a commit record's flush sits relative to its turn
+//!   ([`FlushAt`]): Base flushes inside its turn, one fsync per local
+//!   commit and per install group; Tashkent-MW runs with synchronous
+//!   writes off; Tashkent-API's local commit flushes before its turn, so
+//!   concurrent commits share one fsync, and its installs only append.
+//!
+//! On all three, an install's row lock aborts any local holder (Section
+//! 8.2), and no install or local commit ever skips a version.
 
 use std::sync::Arc;
 use std::thread;
@@ -22,7 +32,7 @@ use tashkent_common::{
     Component, Error, Event, EventKind, MetricsRegistry, ReplicaId, Result, RowKey, SystemKind,
     TableId, TraceTimer, Value, Version, WriteSet,
 };
-use tashkent_storage::{Database, Row, TxHandle};
+use tashkent_storage::{Database, FlushAt, Row, TxHandle};
 
 use crate::fanout::CertifierHandle;
 use crate::seen::SeenWriteSets;
@@ -85,8 +95,7 @@ struct ProxyState {
     /// local commit at this replica; it is what the proxy reports to the
     /// certifier as `replica_version`.
     scheduled_through: Version,
-    /// Dense order indices handed to the ordered-commit API (Tashkent-API
-    /// only; stays zero on Base and Tashkent-MW).
+    /// The last dense order index handed to the engine's ordered commit.
     order_counter: u64,
     /// Local copy of seen writesets for local certification.
     seen: SeenWriteSets,
@@ -139,19 +148,18 @@ impl ProxyState {
 }
 
 /// One scheduled install: a run of consecutive certified writesets applied
-/// as one replica transaction at the last one's version.  A merged run
-/// applies later writes last, so it needs no barrier inside itself.
+/// as one replica transaction at the last one's version, announced at its
+/// order index.  A merged run applies later writes last, so it needs no
+/// barrier inside itself.
 struct Install {
     writeset: Arc<WriteSet>,
     version: Version,
     count: usize,
-    /// The announce position on a Tashkent-API replica; `None` on Base and
-    /// Tashkent-MW, whose caller holds the apply lock instead.
-    order_index: Option<u64>,
+    order_index: u64,
 }
 
 impl Install {
-    fn new(group: &[RemoteWriteSet], order_index: Option<u64>) -> Self {
+    fn new(group: &[RemoteWriteSet], order_index: u64) -> Self {
         let writeset = match group {
             [one] => Arc::clone(&one.writeset),
             _ => Arc::new(WriteSet::merged(group.iter().map(|r| &*r.writeset))),
@@ -173,10 +181,8 @@ impl Install {
     fn run(&self, shared: &ProxyShared) -> Result<Version> {
         let (db, metrics) = (&shared.db, &shared.config.metrics);
         let started = metrics.is_enabled().then(Instant::now);
-        let result = match self.order_index {
-            Some(index) => db.apply_writeset_ordered(&self.writeset, self.version, index),
-            None => db.apply_writeset(&self.writeset, self.version),
-        };
+        let result =
+            db.apply_writeset_ordered(&self.writeset, self.version, self.order_index, shared.flush);
         if result.is_ok() {
             if let Some(started) = started {
                 metrics.record_stage(Stage::Install, started.elapsed());
@@ -196,11 +202,14 @@ struct ProxyShared {
     config: ProxyConfig,
     db: Database,
     certifier: CertifierHandle,
+    /// Where every commit this proxy orders flushes relative to its
+    /// announce turn: chosen from `config.system` here and nowhere else.
+    flush: FlushAt,
     state: Mutex<ProxyState>,
-    /// Serialises every resync, and for Base and Tashkent-MW also the
-    /// apply-remote-writesets / commit phase ([C4]/[C5]) and the refresh.
-    /// No Tashkent-API install holds it while it waits for its announce turn.
-    apply_lock: Mutex<()>,
+    /// Serialises resyncs and nothing else.  Two concurrent resyncs would
+    /// each burn the other's order index and install the same backlog
+    /// twice, failing one of them.
+    resync_lock: Mutex<()>,
 }
 
 /// The transparent proxy attached to one database replica.
@@ -232,17 +241,23 @@ impl Proxy {
         certifier: impl Into<CertifierHandle>,
     ) -> Self {
         let scheduled_through = db.version();
+        let flush = if config.system.ordered_commit_api() {
+            FlushAt::BeforeTurn
+        } else {
+            FlushAt::InTurn
+        };
         Proxy {
             shared: Arc::new(ProxyShared {
                 config,
                 db,
                 certifier: certifier.into(),
+                flush,
                 state: Mutex::new(ProxyState {
                     scheduled_through,
                     order_counter: 0,
                     seen: SeenWriteSets::new(),
                 }),
-                apply_lock: Mutex::new(()),
+                resync_lock: Mutex::new(()),
             }),
         }
     }
@@ -276,14 +291,14 @@ impl Proxy {
     pub fn begin(&self) -> ProxyTransaction {
         // Label the transaction with the engine's actual snapshot version.
         // Labelling with the proxy's `scheduled_through` instead looks
-        // equivalent but is not: in the concurrent pipeline scheduling runs
-        // ahead of announcement, so a transaction could be labelled past
-        // writesets its snapshot cannot see — and certification (which
-        // checks conflicts only *after* the label) would let it overwrite
-        // them: lost updates, caught by the fault harness's TPC-B
-        // conservation oracle under plain concurrent load.  A label that is
-        // conservative (older than the snapshot) is safe under GSI; a label
-        // newer than the snapshot never is.
+        // equivalent but is not: scheduling runs ahead of announcement, so
+        // a transaction could be labelled past writesets its snapshot
+        // cannot see — and certification (which checks conflicts only
+        // *after* the label) would let it overwrite them: lost updates,
+        // caught by the fault harness's TPC-B conservation oracle under
+        // plain concurrent load.  A label that is conservative (older than
+        // the snapshot) is safe under GSI; a label newer than the snapshot
+        // never is.
         let metrics = &self.shared.config.metrics;
         metrics.incr(CounterId::TxBegun);
         let begin_started = metrics.is_enabled().then(Instant::now);
@@ -313,10 +328,10 @@ impl Proxy {
     /// stream may mean the wire failed; callers that need completeness
     /// compare versions, as `Cluster::sync_all` does.
     ///
-    /// On Tashkent-API the group takes the next order index and waits for
-    /// its announce turn.  Behind an index that never announces (a crashed
-    /// or wounded commit) it waits out the engine's `ordered_commit_timeout`,
-    /// resyncs, and returns the timeout.
+    /// The group takes the next order index and waits for its announce
+    /// turn.  Behind an index that never announces (a crashed or failed
+    /// commit) it waits out the engine's `ordered_commit_timeout`, resyncs,
+    /// and returns the timeout.
     ///
     /// # Errors
     ///
@@ -327,21 +342,13 @@ impl Proxy {
             .shared
             .certifier
             .writesets_after(self.replica_version());
-        // Tashkent-API takes no apply lock while the group waits for its
-        // announce turn: a failing pipeline ahead of it must stay free to
-        // resync, or the apply lock and the announce chain would wait on
-        // each other until the timeout broke the cycle.
-        let guard = (!self.shared.config.system.ordered_commit_api())
-            .then(|| self.shared.apply_lock.lock());
         self.install_group(&remotes, false).or_else(|e| {
             // A failed install already advanced the scheduling state past
             // writesets that never reached the engine; resync before
             // surfacing the error, or the certifier (which only resends
             // versions above the reported `replica_version`) would never
-            // deliver them again.  Base and Tashkent-MW keep the apply lock
-            // from the failed install through the resync.
-            let _guard = guard.unwrap_or_else(|| self.shared.apply_lock.lock());
-            self.resync_locked()?;
+            // deliver them again.
+            self.resync()?;
             Err(e)
         })
     }
@@ -356,14 +363,7 @@ impl Proxy {
     /// Fails if the database crashed or the stream has a gap
     /// ([`Error::Corruption`]: the database is below the truncation floor).
     pub fn resync(&self) -> Result<usize> {
-        let _guard = self.shared.apply_lock.lock();
-        self.resync_locked()
-    }
-
-    /// [`Proxy::resync`] body, for callers that already hold the apply lock
-    /// (re-locking it would self-deadlock; `parking_lot::Mutex` is not
-    /// reentrant).
-    fn resync_locked(&self) -> Result<usize> {
+        let _serial = self.shared.resync_lock.lock();
         self.shared.config.metrics.emit(
             Event::new(Component::Replica, EventKind::Resync)
                 .node(self.shared.config.replica.value() as usize),
@@ -387,15 +387,11 @@ impl Proxy {
 
     // ----- internals -----
 
-    /// Installs the not-yet-scheduled suffix of `remotes` as one group — the
-    /// install of refresh, resync and Base / Tashkent-MW's [C4].  Returns
-    /// the number of writesets installed, or the gap `ProxyState::schedule`
+    /// Installs the not-yet-scheduled suffix of `remotes` as one group at
+    /// the next order index, taken in the same state-lock section that
+    /// schedules it — the install of refresh and resync.  Returns the
+    /// number of writesets installed, or the gap `ProxyState::schedule`
     /// refuses.
-    ///
-    /// The one per-system difference is the engine call: on Tashkent-API
-    /// the group takes the next order index in the same state-lock section
-    /// that schedules it and is announced in turn; on Base and Tashkent-MW
-    /// the caller holds the apply lock and the group commits directly.
     ///
     /// `restart` (resync) first declares every handed-out order index
     /// consumed — their owners fail and resync in turn — and restarts
@@ -403,20 +399,17 @@ impl Proxy {
     /// section, so the group's own index is the next to announce and waits
     /// on nothing.
     fn install_group(&self, remotes: &[RemoteWriteSet], restart: bool) -> Result<usize> {
-        let ordered = self.shared.config.system.ordered_commit_api();
         let install = {
             let mut state = self.shared.state.lock();
             if restart {
-                if ordered {
-                    self.shared.db.force_announce_counter(state.order_counter);
-                }
+                self.shared.db.force_announce_counter(state.order_counter);
                 state.scheduled_through = self.shared.db.version();
             }
             let group = state.schedule(remotes)?;
             if group.is_empty() {
                 return Ok(0);
             }
-            Install::new(group, ordered.then(|| state.next_order_index()))
+            Install::new(group, state.next_order_index())
         };
         self.shared
             .config
@@ -426,86 +419,19 @@ impl Proxy {
         Ok(install.count)
     }
 
-    /// The serial commit pipeline used by Base and Tashkent-MW
-    /// (steps [C4] and [C5], serialised).
-    fn commit_serial(
-        &self,
-        tx: &TxHandle,
-        decision_commit: bool,
-        commit_version: Option<Version>,
-        remotes: &[RemoteWriteSet],
-        writeset: &WriteSet,
-    ) -> Result<CommitOutcome> {
-        let _guard = self.shared.apply_lock.lock();
-        // An aborted local transaction is rolled back before the remote
-        // writesets are applied: it may hold write locks on rows the remote
-        // writesets are about to modify.
-        if !decision_commit {
-            tx.abort();
-        }
-        // [C4] apply the grouped remote writesets in their own transaction.
-        if self.install_group(remotes, false).is_err() {
-            // A refused gap, or a failed install that advanced the
-            // scheduling state past writesets that never reached the engine:
-            // resync re-applies them — and, if this transaction was
-            // certified, its own logged writeset too, in which case the
-            // dense-version check below routes around the local commit.
-            self.resync_locked()?;
-        }
-        // [C5] finalise the local commit.
-        if !decision_commit {
-            return self.finish_update_commit(tx, false, None);
-        }
-        let version = commit_version.expect("commit decision carries a version");
-        if !self.shared.state.lock().schedule_own(version, writeset) {
-            // Either the effects already reached the replica through the
-            // remote path, or committing here would skip versions; either
-            // way the certifier stream delivers them, not this commit.
-            tx.abort();
-        } else if let Err(e) = tx.commit_at(version) {
-            // An install's row lock may have aborted the local transaction
-            // under us (Section 8.2).  Its certified effects are recovered by
-            // a resync; the client sees a retryable conflict.  `commit_serial`
-            // already holds the apply lock, so use the lock-free body —
-            // calling `resync()` here would re-lock `apply_lock` and
-            // self-deadlock.
-            self.resync_locked()?;
-            return Err(match e {
-                Error::InvalidTransactionState { tx, .. } => Error::WriteConflict {
-                    tx,
-                    detail: "transaction aborted by a conflicting remote writeset".into(),
-                },
-                other => other,
-            });
-        }
-        self.finish_update_commit(tx, true, commit_version)
-    }
-
-    /// Common epilogue of the commit pipelines: the final outcome of an
-    /// update transaction whose remote writesets have been installed
-    /// (directly or through a recovery resync).
-    fn finish_update_commit(
-        &self,
-        tx: &TxHandle,
-        decision_commit: bool,
-        commit_version: Option<Version>,
-    ) -> Result<CommitOutcome> {
-        if !decision_commit {
-            return Err(Error::CertificationFailed {
-                start_version: tx.start_version(),
-                detail: "certifier aborted the transaction".into(),
-            });
-        }
-        Ok(CommitOutcome {
-            commit_version,
-            read_only: false,
-        })
-    }
-
-    /// The concurrent commit pipeline of Tashkent-API: remote writesets and
-    /// the local commit are submitted together; the database groups their
-    /// commit records and announces them in global order.
-    fn commit_concurrent(
+    /// [C4] / [C5], the one commit pipeline: installs the remote writesets
+    /// a certify response carried and finalises the local commit.
+    ///
+    /// Under the state lock the round schedules its remotes, each run of
+    /// them taking an order index, then one for the local commit if it is
+    /// the next dense version.  On Tashkent-API each remote writeset — or
+    /// the whole backlog, merged, when it is wider than the window —
+    /// installs on its own thread, beside the local commit.  On Base and
+    /// Tashkent-MW the round's writesets install as one merged group on
+    /// this thread, before it.  Any failure soft-recovers through a resync,
+    /// which also installs the local commit's certified writeset if it never
+    /// landed, so a certified round still reports its version.
+    fn commit_round(
         &self,
         tx: &TxHandle,
         decision_commit: bool,
@@ -518,13 +444,9 @@ impl Proxy {
         if !decision_commit {
             tx.abort();
         }
+        let concurrent = self.shared.config.system.ordered_commit_api();
         let mut failures: Vec<Error> = Vec::new();
-        // Schedule under the state lock: dense order indices in global
-        // version order, one per not-yet-scheduled remote writeset — or one
-        // for the whole backlog, merged, when it is wider than the window —
-        // then one for the local commit if it is the next dense version.
-        // The merged group rides the same spawn/join loop as any other
-        // remote.  A refused gap schedules nothing and soft-recovers below.
+        // A refused gap schedules nothing and soft-recovers below.
         let (base, scheduled, own_slot) = {
             let mut state = self.shared.state.lock();
             let base = state.scheduled_through;
@@ -532,10 +454,10 @@ impl Proxy {
                 failures.push(gap);
                 &[]
             });
-            let width = if pending.len() > CONCURRENT_WINDOW {
-                pending.len()
-            } else {
+            let width = if concurrent && pending.len() <= CONCURRENT_WINDOW {
                 1
+            } else {
+                pending.len().max(1)
             };
             let scheduled: Vec<_> = pending
                 .chunks(width)
@@ -554,41 +476,57 @@ impl Proxy {
         };
         let metrics = &self.shared.config.metrics;
         let mut handles: Vec<thread::JoinHandle<Result<Version>>> = Vec::new();
-        // Submit remote writesets concurrently, inserting a barrier before
-        // any writeset with an artificial conflict (one NOT conflict-free
-        // back to the replica's scheduled version): it waits for every
-        // install submitted before it.  Correctness does not need the
-        // barrier, since each install begins at its announce turn anyway.
-        // It is kept for a measured timing reason: on 2 vCPUs, removing it
-        // moved `tpcb_tcp`'s Tashkent-API commit p50 from a median of 106
-        // to 189 µs, every run in the slow mode.
         for (group, order_index) in scheduled {
+            let install = Install::new(group, order_index);
+            if !concurrent {
+                failures.extend(install.run(&self.shared).err());
+                continue;
+            }
+            // Tashkent-API inserts a barrier before any writeset with an
+            // artificial conflict (one NOT conflict-free back to the
+            // replica's scheduled version): it waits for every install
+            // submitted before it.  Correctness does not need the barrier,
+            // since each install begins at its announce turn anyway.  It is
+            // kept for a measured timing reason: on 2 vCPUs, removing it
+            // moved `tpcb_tcp`'s Tashkent-API commit p50 from a median of
+            // 106 to 189 µs, every run in the slow mode.
             if group[0].conflict_free_to > base && !handles.is_empty() {
                 metrics.incr(CounterId::ArtificialConflictBarriers);
                 failures.extend(handles.drain(..).filter_map(failure));
             }
-            let install = Install::new(group, Some(order_index));
             let shared = Arc::clone(&self.shared);
             handles.push(thread::spawn(move || install.run(&shared)));
         }
 
-        // Submit the local commit (or abort) concurrently with the remotes.
-        // Without a slot it was aborted, or left to the remote path (see
-        // `schedule_own`).
-        if let Some((order_index, version)) = own_slot {
-            failures.extend(tx.commit_ordered(order_index, version).err());
-        } else if decision_commit {
-            tx.abort();
+        // The local commit takes its turn.  Without a slot it was aborted,
+        // or left to the remote path (see `schedule_own`).  Behind an
+        // install already known to have failed it is skipped, since that
+        // index never announces and the commit would wait out
+        // `ordered_commit_timeout`; the resync installs its writeset.
+        match own_slot {
+            Some((order_index, version)) if failures.is_empty() => {
+                failures.extend(
+                    tx.commit_ordered(order_index, version, self.shared.flush)
+                        .err(),
+                );
+            }
+            _ => tx.abort(),
         }
         failures.extend(handles.into_iter().filter_map(failure));
 
         if !failures.is_empty() {
-            // Soft recovery: bring the replica back in sync.  The local
-            // commit's effects are then applied via the resync if they were
-            // certified, so the epilogue still reports success.
             self.resync()?;
         }
-        self.finish_update_commit(tx, decision_commit, commit_version)
+        if !decision_commit {
+            return Err(Error::CertificationFailed {
+                start_version: tx.start_version(),
+                detail: "certifier aborted the transaction".into(),
+            });
+        }
+        Ok(CommitOutcome {
+            commit_version,
+            read_only: false,
+        })
     }
 
     fn commit_transaction(
@@ -650,24 +588,13 @@ impl Proxy {
         );
         let decision_commit = matches!(response.decision, CertificationDecision::Commit);
 
-        // [C4] / [C5]: apply remote writesets and finalise the local commit.
-        let result = if self.shared.config.system.ordered_commit_api() {
-            self.commit_concurrent(
-                &ptx.tx,
-                decision_commit,
-                response.commit_version,
-                &response.remote_writesets,
-                &writeset,
-            )
-        } else {
-            self.commit_serial(
-                &ptx.tx,
-                decision_commit,
-                response.commit_version,
-                &response.remote_writesets,
-                &writeset,
-            )
-        };
+        let result = self.commit_round(
+            &ptx.tx,
+            decision_commit,
+            response.commit_version,
+            &response.remote_writesets,
+            &writeset,
+        );
         if let Some(t) = timer.as_mut() {
             // The whole apply-remotes / announce / local-commit phase sits
             // between the durable and announce marks; the install mark is

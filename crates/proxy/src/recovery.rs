@@ -119,6 +119,7 @@ mod tests {
         WriteSet,
     };
     use tashkent_storage::checkpoint::{encode_image, encode_manifest};
+    use tashkent_storage::FlushAt;
 
     use super::*;
 
@@ -219,8 +220,13 @@ mod tests {
     fn never_crashed(certifier: &CertifierHandle) -> Database {
         let db = replica(SystemKind::TashkentApi);
         for (order, remote) in certifier.writesets_after(Version::ZERO).iter().enumerate() {
-            db.apply_writeset_ordered(&remote.writeset, remote.commit_version, order as u64 + 1)
-                .unwrap();
+            db.apply_writeset_ordered(
+                &remote.writeset,
+                remote.commit_version,
+                order as u64 + 1,
+                FlushAt::BeforeTurn,
+            )
+            .unwrap();
         }
         db
     }
@@ -264,8 +270,13 @@ mod tests {
         // crashes before any local commit or checkpoint flushes the WAL.
         let db = replica(SystemKind::TashkentApi);
         for (order, remote) in remotes.iter().take(2).enumerate() {
-            db.apply_writeset_ordered(&remote.writeset, remote.commit_version, order as u64 + 1)
-                .unwrap();
+            db.apply_writeset_ordered(
+                &remote.writeset,
+                remote.commit_version,
+                order as u64 + 1,
+                FlushAt::BeforeTurn,
+            )
+            .unwrap();
         }
         assert_eq!(db.version(), Version(2), "both installs announced");
         db.crash();
@@ -289,13 +300,20 @@ mod tests {
         let certifier = certifier_with_entries(2);
         let remotes = certifier.writesets_after(Version::ZERO);
         let db = replica(SystemKind::TashkentApi);
-        db.apply_writeset_ordered(&remotes[0].writeset, remotes[0].commit_version, 1)
-            .unwrap();
+        db.apply_writeset_ordered(
+            &remotes[0].writeset,
+            remotes[0].commit_version,
+            1,
+            FlushAt::BeforeTurn,
+        )
+        .unwrap();
         // The replica's own transaction, certified as the second writeset,
         // commits through the ordered API and flushes.
         let local = db.begin();
         local.apply_items(&remotes[1].writeset).unwrap();
-        local.commit_ordered(2, remotes[1].commit_version).unwrap();
+        local
+            .commit_ordered(2, remotes[1].commit_version, FlushAt::BeforeTurn)
+            .unwrap();
         db.crash();
         assert_eq!(
             durable_commit_versions(&db),

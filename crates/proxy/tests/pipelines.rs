@@ -4,15 +4,15 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tashkent_certifier::{
     CertificationRequest, CertificationResponse, Certifier, CertifierConfig, CertifierNodeId,
     RemoteWriteSet,
 };
 use tashkent_common::{
-    Component, CounterId, Error, EventKind, MetricsRegistry, ReplicaId, Result, SystemKind, Value,
-    Version,
+    Component, CounterId, Error, EventKind, MetricsRegistry, ReplicaId, Result, SystemKind,
+    TableId, Value, Version, WriteItem, WriteSet,
 };
 use tashkent_proxy::{CertifierHandle, CertifierService, Proxy, ProxyConfig};
 use tashkent_storage::{Database, EngineConfig};
@@ -101,11 +101,14 @@ impl Rig {
 
 /// A data plane that loses the first writeset of every stream it is told
 /// to: `fetch_gap` for `writesets_after`, `certify_gap` for the remote
-/// writesets a certify response carries.
+/// writesets a certify response carries.  `certify_poison` instead rewrites
+/// a certify response's first remote writeset to name a table no replica
+/// has, so installing it fails.
 struct GapService {
     inner: Arc<Certifier>,
     fetch_gap: AtomicBool,
     certify_gap: AtomicBool,
+    certify_poison: AtomicBool,
 }
 
 impl GapService {
@@ -114,6 +117,7 @@ impl GapService {
             inner: Arc::clone(inner),
             fetch_gap: AtomicBool::new(fetch_gap),
             certify_gap: AtomicBool::new(certify_gap),
+            certify_poison: AtomicBool::new(false),
         })
     }
 
@@ -134,6 +138,15 @@ impl CertifierService for GapService {
     fn certify(&self, request: &CertificationRequest) -> Result<CertificationResponse> {
         let mut response = self.inner.certify(request)?;
         response.remote_writesets = drop_first(&self.certify_gap, response.remote_writesets);
+        if let Some(first) = response.remote_writesets.first_mut() {
+            if self.certify_poison.load(Ordering::SeqCst) {
+                first.writeset = Arc::new(WriteSet::from_items(vec![WriteItem::insert(
+                    TableId(99),
+                    first.commit_version.0 as i64,
+                    vec![("balance".into(), Value::Int(0))],
+                )]));
+            }
+        }
         Ok(response)
     }
     fn writesets_after(&self, since: Version) -> Vec<RemoteWriteSet> {
@@ -401,49 +414,61 @@ fn certifier_outage_surfaces_as_unavailable() {
     tx.commit().unwrap();
 }
 
-/// A refresh on Tashkent-API is an ordered install: it takes one order
+/// A refresh is an ordered install on every system: it takes one order
 /// index for the whole group and announces it like any commit.
 #[test]
-fn api_refresh_takes_an_order_index() {
-    let rig = Rig::new();
-    let a = rig.replica(SystemKind::TashkentApi, 0);
-    let b = rig.replica(SystemKind::TashkentApi, 1);
-    for key in 1..=5 {
-        deposit(&a, key, 10 * key).unwrap();
-    }
-    assert_eq!(b.refresh().unwrap(), 5);
-    assert_eq!(b.database().announce_counter(), 1);
-    assert_eq!(b.database().version(), Version(5));
-    for key in 1..=5 {
-        assert_eq!(balance(&b, key), balance(&a, key), "key {key}");
+fn refresh_takes_an_order_index() {
+    for system in SystemKind::ALL {
+        let rig = Rig::new();
+        let a = rig.replica(system, 0);
+        let b = rig.replica(system, 1);
+        for key in 1..=5 {
+            deposit(&a, key, 10 * key).unwrap();
+        }
+        assert_eq!(b.refresh().unwrap(), 5, "{system}");
+        assert_eq!(b.database().announce_counter(), 1, "{system}");
+        assert_eq!(b.database().version(), Version(5), "{system}");
+        for key in 1..=5 {
+            assert_eq!(balance(&b, key), balance(&a, key), "{system} key {key}");
+        }
     }
 }
 
 /// A refresh queued behind an index that never announces (the state a
-/// crashed or wounded ordered commit leaves behind) waits out the
+/// crashed or failed ordered commit leaves behind) waits out the
 /// ordered-commit timeout, then resyncs: the caller sees the timeout, and
 /// the replica is current anyway.
 #[test]
 fn refresh_behind_a_burned_order_index_times_out_and_resyncs() {
-    let rig = Rig::new();
-    let a = rig.replica(SystemKind::TashkentApi, 0);
-    let b = rig.replica_timing_out(SystemKind::TashkentApi, 1, Duration::from_millis(50));
-    for key in 1..=5 {
-        deposit(&a, key, 10 * key).unwrap();
-    }
-    b.debug_burn_order_index();
+    for system in SystemKind::ALL {
+        let rig = Rig::new();
+        let a = rig.replica(system, 0);
+        let b = rig.replica_timing_out(system, 1, Duration::from_millis(50));
+        for key in 1..=5 {
+            deposit(&a, key, 10 * key).unwrap();
+        }
+        b.debug_burn_order_index();
 
-    let result = b.refresh();
-    assert!(
-        matches!(result, Err(Error::OrderedCommitTimeout { .. })),
-        "{result:?}"
-    );
-    assert_eq!(b.replica_version(), rig.certifier.system_version());
-    assert_eq!(b.database().version(), rig.certifier.system_version());
-    for key in 1..=5 {
-        assert_eq!(balance(&b, key), 10 * key, "key {key}");
+        let result = b.refresh();
+        assert!(
+            matches!(result, Err(Error::OrderedCommitTimeout { .. })),
+            "{system}: {result:?}"
+        );
+        assert_eq!(
+            b.replica_version(),
+            rig.certifier.system_version(),
+            "{system}"
+        );
+        assert_eq!(
+            b.database().version(),
+            rig.certifier.system_version(),
+            "{system}"
+        );
+        for key in 1..=5 {
+            assert_eq!(balance(&b, key), 10 * key, "{system} key {key}");
+        }
+        assert_eq!(rig.resyncs(), 1, "{system}");
     }
-    assert_eq!(rig.resyncs(), 1);
 }
 
 /// `resync` burns outstanding order indices in the same state-lock section
@@ -451,35 +476,68 @@ fn refresh_behind_a_burned_order_index_times_out_and_resyncs() {
 /// burned by a failed pipeline, and the replica is fully usable afterwards.
 #[test]
 fn resync_force_fills_burned_order_indices() {
-    let rig = Rig::new();
-    let a = rig.replica(SystemKind::TashkentApi, 0);
-    let b = rig.replica(SystemKind::TashkentApi, 1);
+    for system in SystemKind::ALL {
+        let rig = Rig::new();
+        let a = rig.replica(system, 0);
+        let b = rig.replica(system, 1);
 
-    for key in 1..=5 {
-        deposit(&a, key, 10 * key).unwrap();
+        for key in 1..=5 {
+            deposit(&a, key, 10 * key).unwrap();
+        }
+        b.debug_burn_order_index();
+
+        // Soft recovery burns the stale index and applies the whole backlog.
+        let applied = b.resync().unwrap();
+        assert_eq!(applied, 5, "{system}");
+        assert_eq!(b.database().announce_counter(), 2, "{system}");
+        assert_eq!(b.replica_version(), Version(5), "{system}");
+        assert_eq!(b.database().version(), Version(5), "{system}");
+        for key in 1..=5 {
+            assert_eq!(balance(&b, key), 10 * key, "{system} key {key}");
+        }
+        assert_eq!(rig.resyncs(), 1, "{system}");
+
+        // The ordered-commit bookkeeping is consistent again: both replicas
+        // keep committing and converging.
+        deposit(&b, 6, 60).unwrap();
+        deposit(&a, 7, 70).unwrap();
+        b.refresh().unwrap();
+        a.refresh().unwrap();
+        assert_eq!(a.replica_version(), Version(7), "{system}");
+        assert_eq!(b.replica_version(), Version(7), "{system}");
+        assert_eq!(balance(&a, 6), 60, "{system}");
+        assert_eq!(balance(&b, 7), 70, "{system}");
     }
-    b.debug_burn_order_index();
+}
 
-    // Soft recovery burns the stale index and applies the whole backlog.
-    let applied = b.resync().unwrap();
-    assert_eq!(applied, 5);
-    assert_eq!(b.replica_version(), Version(5));
-    assert_eq!(b.database().version(), Version(5));
-    for key in 1..=5 {
-        assert_eq!(balance(&b, key), 10 * key, "key {key}");
+/// On Base and Tashkent-MW a round's remote writesets install as one group
+/// on the committing thread.  When that install fails, the round skips its
+/// own commit and resyncs at once: it never leaves the commit waiting out
+/// the 5 s ordered-commit timeout behind the group's unannounced index.
+#[test]
+fn a_failed_inline_group_install_resyncs_without_waiting_for_a_turn() {
+    for system in [SystemKind::Base, SystemKind::TashkentMw] {
+        let rig = Rig::new();
+        let a = rig.replica(system, 0);
+        deposit(&a, 1, 100).unwrap();
+        deposit(&a, 2, 200).unwrap();
+        let service = GapService::new(&rig.certifier, false, false);
+        service.certify_poison.store(true, Ordering::SeqCst);
+        let b = rig.replica_through(system, 1, service);
+
+        let started = Instant::now();
+        assert_eq!(deposit(&b, 3, 30).unwrap(), Some(Version(3)), "{system}");
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "{system}: the round took {elapsed:?}"
+        );
+        assert_eq!(rig.resyncs(), 1, "{system}");
+        assert_eq!(b.database().version(), Version(3), "{system}");
+        for (key, amount) in [(1, 100), (2, 200), (3, 30)] {
+            assert_eq!(balance(&b, key), amount, "{system} key {key}");
+        }
     }
-    assert_eq!(rig.resyncs(), 1);
-
-    // The ordered-commit bookkeeping is consistent again: both replicas
-    // keep committing and converging.
-    deposit(&b, 6, 60).unwrap();
-    deposit(&a, 7, 70).unwrap();
-    b.refresh().unwrap();
-    a.refresh().unwrap();
-    assert_eq!(a.replica_version(), Version(7));
-    assert_eq!(b.replica_version(), Version(7));
-    assert_eq!(balance(&a, 6), 60);
-    assert_eq!(balance(&b, 7), 70);
 }
 
 /// A backlog wider than the concurrent window installs as one merged group

@@ -10,13 +10,15 @@
 //! * [`TxHandle::writeset`] — writeset extraction (the trigger mechanism of
 //!   Section 8.1).
 //! * [`TxHandle::commit_at`] — commit that installs an externally chosen
-//!   global version, used by the proxy when it serially applies remote
-//!   writesets and local commits (Base and Tashkent-MW).
+//!   global version with no announce turn (standalone installs and WAL
+//!   redo).
 //! * [`TxHandle::commit_ordered`] — the extended `COMMIT <seq>` API of
-//!   Tashkent-API: commits may be submitted concurrently, their commit
-//!   records are group-committed in one fsync, and the engine *announces*
-//!   them in the prescribed dense order (the 20-line semaphore change of
-//!   Section 8.3).
+//!   Section 8.3, through which the proxy orders every replica commit on
+//!   every system: commits may be submitted concurrently and the engine
+//!   *announces* them in the prescribed dense order (the 20-line semaphore
+//!   change).  [`FlushAt`] places the commit record's flush before the
+//!   turn, where concurrent commits share one fsync (Tashkent-API), or
+//!   inside it, one fsync per commit (Base).
 //! * [`Database::set_sync_mode`] — enable / disable synchronous WAL writes
 //!   (Section 7.1), which is how Tashkent-MW turns replica commits into
 //!   in-memory operations.
@@ -60,10 +62,10 @@ pub struct EngineConfig {
     /// API-misuse case of Section 5.2: `COMMIT 9` without `COMMIT 1-8`).
     pub ordered_commit_timeout: Duration,
     /// Bound on one blocking row-lock wait.  Cycles that pass through
-    /// components outside the engine (the proxy's apply mutex, the ordered
-    /// announce order) are invisible to the wait-for-graph deadlock
-    /// detector; when the bound elapses the waiter aborts as a presumed
-    /// deadlock victim, which clients treat as a retryable conflict.
+    /// components outside the engine (the ordered announce order) are
+    /// invisible to the wait-for-graph deadlock detector; when the bound
+    /// elapses the waiter aborts as a presumed deadlock victim, which
+    /// clients treat as a retryable conflict.
     pub lock_wait_timeout: Duration,
     /// Metrics registry the engine reports into (lock-wait times, the
     /// announce-wait stage and WAL group-commit figures).  Defaults to a
@@ -94,6 +96,24 @@ impl EngineConfig {
             ..EngineConfig::default()
         }
     }
+}
+
+/// Where an ordered commit's WAL record is written relative to its announce
+/// turn: the one durability difference between the systems, chosen by the
+/// proxy.  Whether the write waits for a flush is still the engine's
+/// [`SyncMode`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FlushAt {
+    /// The record is written once the commit's turn arrives, before it
+    /// announces, so commits flush one at a time: one fsync per local
+    /// commit and one per install (Base; Tashkent-MW's sync mode makes the
+    /// write in-memory).
+    InTurn,
+    /// A local commit writes its record before it waits for its turn, so
+    /// concurrent commits share one fsync; a remote install only appends,
+    /// since its writeset is already durable in the certifier log
+    /// (Tashkent-API).
+    BeforeTurn,
 }
 
 /// Mutable data protected by the announce lock: the table heaps, the current
@@ -483,10 +503,15 @@ impl Database {
 
     /// Simulates a crash of the database process: un-synced log bytes are
     /// lost and every subsequent operation fails with
-    /// [`Error::Unavailable`] until the database is recovered.
+    /// [`Error::Unavailable`] until the database is recovered.  Commits
+    /// waiting for their announce turn wake and fail at once.
     pub fn crash(&self) {
         self.shared.crashed.store(true, Ordering::SeqCst);
         self.shared.device.crash();
+        // Taking the announce lock orders the flag before any waiter's next
+        // check: a waiter either sees it or is already parked and is woken.
+        drop(self.shared.data.lock());
+        self.shared.announced.notify_all();
     }
 
     /// `true` once [`Database::crash`] has been called.
@@ -518,22 +543,21 @@ impl Database {
             tx.abort();
             return Err(e);
         }
-        if respect_sync_mode {
-            tx.commit_at(commit_version)
-        } else {
-            // Recovery replay: never wait on fsyncs.
-            tx.commit_at_with_sync(commit_version, false)
-        }
+        // Recovery replay never waits on fsyncs.
+        self.commit_at_version(
+            tx.id(),
+            commit_version,
+            (!respect_sync_mode).then_some(false),
+        )
     }
 
-    /// Applies a remote writeset with the ordered-commit API (Tashkent-API):
-    /// the commit is announced at dense position `order_index`, and its
-    /// commit record is appended without waiting for a flush.  The writeset
-    /// is already durable in the certifier log; the next local ordered
-    /// commit's flush (or a checkpoint) covers the record, and a crash
-    /// before then leaves a gap that replica recovery re-fetches from the
-    /// certifier.  ([`Database::apply_writeset`], the serial Base path,
-    /// still flushes.)
+    /// Applies a remote writeset with the ordered-commit API: the commit is
+    /// announced at dense position `order_index`, and `flush` places its
+    /// commit record.  Under [`FlushAt::BeforeTurn`] the record is appended
+    /// without waiting for a flush: the writeset is already durable in the
+    /// certifier log, the next local ordered commit's flush (or a
+    /// checkpoint) covers the record, and a crash before then leaves a gap
+    /// that replica recovery re-fetches from the certifier.
     ///
     /// The install begins at its announce turn, not before.  By then every
     /// earlier index has announced, so its snapshot holds every earlier
@@ -544,22 +568,20 @@ impl Database {
     ///
     /// # Errors
     ///
-    /// Propagates lock conflicts, deadlocks and ordered-commit timeouts.
+    /// Propagates lock conflicts, deadlocks, ordered-commit timeouts and
+    /// [`Error::Unavailable`] after a crash.
     pub fn apply_writeset_ordered(
         &self,
         writeset: &WriteSet,
         commit_version: Version,
         order_index: u64,
+        flush: FlushAt,
     ) -> Result<Version> {
-        if !self.wait_for_announce_turn(order_index) {
-            return Err(Error::OrderedCommitTimeout {
-                sequence: commit_version,
-            });
-        }
+        self.wait_for_announce_turn(order_index, commit_version)?;
         let tx = self.begin();
         self.mark_remote_apply(tx.id());
         match tx.apply_items(writeset) {
-            Ok(()) => tx.commit_ordered(order_index, commit_version),
+            Ok(()) => tx.commit_ordered(order_index, commit_version, flush),
             Err(e) => {
                 tx.abort();
                 Err(e)
@@ -568,25 +590,24 @@ impl Database {
     }
 
     /// Parks until every announce order strictly below `order_index` has
-    /// announced.  Returns `false` if the ordered-commit timeout elapses
-    /// first: the announce chain itself is stuck, which is the caller's
-    /// resync path.
-    fn wait_for_announce_turn(&self, order_index: u64) -> bool {
+    /// announced.  Fails with [`Error::OrderedCommitTimeout`] if the
+    /// ordered-commit timeout elapses first (the announce chain itself is
+    /// stuck, which is the caller's resync path) and with
+    /// [`Error::Unavailable`] as soon as the database crashes.
+    fn wait_for_announce_turn(&self, order_index: u64, version: Version) -> Result<()> {
         let deadline = std::time::Instant::now() + self.shared.ordered_commit_timeout;
         let mut data = self.shared.data.lock();
-        while data.announce_counter < order_index.saturating_sub(1) {
-            let timeout = deadline.saturating_duration_since(std::time::Instant::now());
-            if timeout.is_zero()
-                || self
-                    .shared
-                    .announced
-                    .wait_for(&mut data, timeout)
-                    .timed_out()
-            {
-                return data.announce_counter >= order_index.saturating_sub(1);
+        loop {
+            self.check_alive()?;
+            if data.announce_counter >= order_index.saturating_sub(1) {
+                return Ok(());
             }
+            let timeout = deadline.saturating_duration_since(std::time::Instant::now());
+            if timeout.is_zero() {
+                return Err(Error::OrderedCommitTimeout { sequence: version });
+            }
+            self.shared.announced.wait_for(&mut data, timeout);
         }
-        true
     }
 
     fn mark_remote_apply(&self, id: TxId) {
@@ -951,7 +972,8 @@ impl Database {
         Ok(target)
     }
 
-    /// Externally versioned, serial commit (Base / Tashkent-MW path).
+    /// Externally versioned commit with no announce turn (standalone
+    /// installs and WAL redo).
     fn commit_at_version(&self, id: TxId, version: Version, force_sync: Option<bool>) -> Result<Version> {
         let Some((writeset, buffer, _)) = self.prepare_commit(id)? else {
             return Ok(self.version());
@@ -976,75 +998,66 @@ impl Database {
         Ok(version)
     }
 
-    /// The extended `COMMIT <seq>` of Tashkent-API: concurrent submission,
-    /// group-committed log records, ordered announcement.
-    fn commit_ordered_version(&self, id: TxId, order_index: u64, version: Version) -> Result<Version> {
+    /// The extended `COMMIT <seq>`: concurrent submission, ordered
+    /// announcement, the commit record written where `flush` places it.
+    fn commit_ordered_version(
+        &self,
+        id: TxId,
+        order_index: u64,
+        version: Version,
+        flush: FlushAt,
+    ) -> Result<Version> {
         if order_index == 0 {
             self.abort_tx(id);
-            return Err(Error::Protocol(
-                "ordered commit indices start at 1".into(),
-            ));
+            return Err(Error::Protocol("ordered commit indices start at 1".into()));
         }
         let Some((writeset, buffer, _)) = self.prepare_commit(id)? else {
             return Ok(self.version());
         };
-        // Durability first: a local commit's record may be flushed in any
-        // order relative to other transactions (grouped into one fsync when
-        // submissions are concurrent).  A remote install only appends: its
-        // writeset is already durable in the certifier log, the next local
-        // flush or checkpoint covers the record, and recovery re-fetches
-        // whatever a crash took from above the WAL's dense frontier.
-        let remote = self.with_tx(id, |tx| Ok(tx.remote_apply)).unwrap_or(false);
-        self.log_commit(version, &writeset, remote.then_some(false));
+        if flush == FlushAt::BeforeTurn {
+            // Durability first: a local commit's record may be flushed in
+            // any order relative to other transactions (grouped into one
+            // fsync when submissions are concurrent).  A remote install only
+            // appends: its writeset is already durable in the certifier log,
+            // the next local flush or checkpoint covers the record, and
+            // recovery re-fetches whatever a crash took from above the WAL's
+            // dense frontier.
+            let remote = self.with_tx(id, |tx| Ok(tx.remote_apply)).unwrap_or(false);
+            self.log_commit(version, &writeset, remote.then_some(false));
+        }
         // Announce strictly in the prescribed order ("semaphore").
         let announce_started = self
             .shared
             .metrics
             .is_enabled()
             .then(std::time::Instant::now);
-        let deadline = std::time::Instant::now() + self.shared.ordered_commit_timeout;
+        if let Err(e) = self.wait_for_announce_turn(order_index, version) {
+            self.abort_tx(id);
+            return Err(e);
+        }
+        // Our turn, unless a resync burned the index meanwhile (checked
+        // below).  Check without `data` held (the transaction table is never
+        // taken under the data lock) that no install's row lock aborted us
+        // while we waited: our locks would be gone and installing would race
+        // its write.
+        if !self.with_tx(id, |tx| Ok(tx.is_active())).unwrap_or(false) {
+            return Err(Error::WriteConflict {
+                tx: id,
+                detail: "ordered commit aborted while it waited for its turn".into(),
+            });
+        }
+        if flush == FlushAt::InTurn {
+            // Every later index waits for this announce, so the flush is
+            // serial: Base's one fsync per commit.
+            self.log_commit(version, &writeset, None);
+        }
         let mut data = self.shared.data.lock();
-        loop {
-            if data.announce_counter >= order_index {
-                drop(data);
-                self.abort_tx(id);
-                return Err(Error::Protocol(format!(
-                    "ordered commit index {order_index} already announced"
-                )));
-            }
-            if data.announce_counter == order_index - 1 {
-                // Our turn.  Check without `data` held (the transaction
-                // table is never taken under the data lock) that no
-                // install's row lock aborted us while we waited: our locks
-                // would be gone and installing would race its write.
-                drop(data);
-                if !self.with_tx(id, |tx| Ok(tx.is_active())).unwrap_or(false) {
-                    return Err(Error::WriteConflict {
-                        tx: id,
-                        detail: "ordered commit aborted while it waited for its turn".into(),
-                    });
-                }
-                data = self.shared.data.lock();
-                if data.announce_counter == order_index - 1 {
-                    break;
-                }
-                continue;
-            }
-            let timeout = deadline.saturating_duration_since(std::time::Instant::now());
-            if timeout.is_zero()
-                || self
-                    .shared
-                    .announced
-                    .wait_for(&mut data, timeout)
-                    .timed_out()
-            {
-                if data.announce_counter == order_index - 1 {
-                    continue;
-                }
-                drop(data);
-                self.abort_tx(id);
-                return Err(Error::OrderedCommitTimeout { sequence: version });
-            }
+        if data.announce_counter != order_index - 1 {
+            drop(data);
+            self.abort_tx(id);
+            return Err(Error::Protocol(format!(
+                "ordered commit index {order_index} already announced"
+            )));
         }
         if let Some(started) = announce_started {
             self.shared
@@ -1213,7 +1226,7 @@ impl TxHandle {
         self.db.commit_standalone(self.id)
     }
 
-    /// Commits at an externally chosen version (serial replicated path).
+    /// Commits at an externally chosen version, with no announce turn.
     ///
     /// # Errors
     ///
@@ -1223,29 +1236,26 @@ impl TxHandle {
         self.db.commit_at_version(self.id, version, None)
     }
 
-    /// Commits at an externally chosen version, overriding the sync mode
-    /// (used by recovery replay, which never waits for fsyncs).
-    ///
-    /// # Errors
-    ///
-    /// As for [`TxHandle::commit_at`].
-    pub fn commit_at_with_sync(&self, version: Version, sync: bool) -> Result<Version> {
-        self.db.commit_at_version(self.id, version, Some(sync))
-    }
-
-    /// The extended commit API of Tashkent-API: `COMMIT <seq>`.
+    /// The extended commit API of Section 8.3: `COMMIT <seq>`.
     ///
     /// `order_index` is the dense per-engine announce position (1, 2, 3, …)
-    /// and `version` the global version to install.  Concurrent ordered
-    /// commits group their log records into a single fsync; announcement
-    /// happens strictly in `order_index` order.
+    /// and `version` the global version to install.  Announcement happens
+    /// strictly in `order_index` order; `flush` places the commit record's
+    /// write before the turn (concurrent commits share one fsync) or inside
+    /// it (one fsync per commit).
     ///
     /// # Errors
     ///
     /// As for [`TxHandle::commit`], plus [`Error::OrderedCommitTimeout`] if a
     /// predecessor index never arrives (API misuse, Section 5.2).
-    pub fn commit_ordered(&self, order_index: u64, version: Version) -> Result<Version> {
-        self.db.commit_ordered_version(self.id, order_index, version)
+    pub fn commit_ordered(
+        &self,
+        order_index: u64,
+        version: Version,
+        flush: FlushAt,
+    ) -> Result<Version> {
+        self.db
+            .commit_ordered_version(self.id, order_index, version, flush)
     }
 
     /// Aborts the transaction, releasing its locks.
@@ -1253,6 +1263,7 @@ impl TxHandle {
         self.db.abort_tx(self.id);
     }
 
+    #[cfg(test)]
     fn is_active(&self) -> bool {
         self.db
             .shared
@@ -1265,11 +1276,20 @@ impl TxHandle {
 
 impl Drop for TxHandle {
     fn drop(&mut self) {
-        if self.is_active() {
+        // Garbage-collect finished transaction state.  A transaction that did
+        // not commit releases its locks even if it was aborted already: an
+        // abort does not cancel a lock wait in progress, so the lock it was
+        // queued for can still pass to it after the abort.
+        let committed = self
+            .db
+            .shared
+            .txns
+            .lock()
+            .remove(&self.id)
+            .is_some_and(|tx| matches!(tx.state, TxState::Committed(_)));
+        if !committed {
             self.db.abort_tx(self.id);
         }
-        // Garbage-collect finished transaction state.
-        self.db.shared.txns.lock().remove(&self.id);
     }
 }
 
@@ -1479,7 +1499,8 @@ mod tests {
                 let tx = db2.begin();
                 tx.insert(t, key, vec![("balance".into(), Value::Int(key))])
                     .unwrap();
-                tx.commit_ordered(order, Version(version)).unwrap()
+                tx.commit_ordered(order, Version(version), FlushAt::BeforeTurn)
+                    .unwrap()
             }));
             thread::sleep(Duration::from_millis(5));
         }
@@ -1509,7 +1530,7 @@ mod tests {
         let tx = db.begin();
         tx.insert(t, 1, vec![("x".into(), Value::Int(1))]).unwrap();
         // COMMIT 9 without COMMIT 1-8 ever arriving: the engine aborts it.
-        let result = tx.commit_ordered(9, Version(9));
+        let result = tx.commit_ordered(9, Version(9), FlushAt::BeforeTurn);
         assert!(matches!(result, Err(Error::OrderedCommitTimeout { .. })));
         assert_eq!(db.version(), Version::ZERO);
     }
@@ -1541,7 +1562,7 @@ mod tests {
             vec![("x".into(), Value::Int(2))],
         ));
         let started = std::time::Instant::now();
-        let result = db.apply_writeset_ordered(&writeset, Version(2), 2);
+        let result = db.apply_writeset_ordered(&writeset, Version(2), 2, FlushAt::BeforeTurn);
         let elapsed = started.elapsed();
         assert!(
             matches!(
@@ -1575,7 +1596,7 @@ mod tests {
         let installer = {
             let db = db.clone();
             thread::spawn(move || {
-                done.send(db.apply_writeset_ordered(&writeset, Version(2), 2))
+                done.send(db.apply_writeset_ordered(&writeset, Version(2), 2, FlushAt::BeforeTurn))
                     .unwrap();
             })
         };
@@ -1591,7 +1612,12 @@ mod tests {
         first
             .insert(t, 5, vec![("balance".into(), Value::Int(5))])
             .unwrap();
-        assert_eq!(first.commit_ordered(1, Version(1)).unwrap(), Version(1));
+        assert_eq!(
+            first
+                .commit_ordered(1, Version(1), FlushAt::BeforeTurn)
+                .unwrap(),
+            Version(1)
+        );
         let landed = result
             .recv_timeout(Duration::from_secs(5))
             .expect("the install finished once its turn came");
@@ -1600,6 +1626,47 @@ mod tests {
         assert!(!holder.is_active());
         assert_eq!(db.version(), Version(2));
         assert_eq!(balance(&db, t, 1), 2);
+    }
+
+    #[test]
+    fn ordered_turn_waiters_fail_fast_when_the_database_crashes() {
+        // A crash wakes every install and commit waiting for its announce
+        // turn, and each fails with Unavailable instead of sitting out the
+        // 5 s ordered-commit timeout.
+        let (db, t) = test_db();
+        let (done, results) = std::sync::mpsc::channel();
+        let install = {
+            let (db, done) = (db.clone(), done.clone());
+            let writeset = WriteSet::from_items(vec![tashkent_common::WriteItem::insert(
+                t,
+                1,
+                vec![("balance".into(), Value::Int(1))],
+            )]);
+            thread::spawn(move || {
+                let result =
+                    db.apply_writeset_ordered(&writeset, Version(2), 2, FlushAt::BeforeTurn);
+                done.send(result).unwrap();
+            })
+        };
+        let tx = db.begin();
+        tx.insert(t, 2, vec![("balance".into(), Value::Int(2))])
+            .unwrap();
+        let commit = thread::spawn(move || {
+            done.send(tx.commit_ordered(3, Version(3), FlushAt::InTurn))
+                .unwrap();
+        });
+        // Lets both park; one that has not parked yet fails the same way at
+        // its first crash check.
+        thread::sleep(Duration::from_millis(100));
+        db.crash();
+        for _ in 0..2 {
+            let result = results
+                .recv_timeout(Duration::from_secs(1))
+                .expect("a turn waiter outlived the crash by a second");
+            assert!(matches!(result, Err(Error::Unavailable(_))), "{result:?}");
+        }
+        install.join().unwrap();
+        commit.join().unwrap();
     }
 
     #[test]
@@ -1686,6 +1753,38 @@ mod tests {
             Err(Error::InvalidTransactionState { .. })
         ));
         assert_eq!(balance(&db, t, 1), 2);
+    }
+
+    #[test]
+    fn an_aborted_waiter_granted_its_lock_releases_it_on_drop() {
+        // A local transaction queued for a row is aborted (as an install's
+        // row lock aborts it, Section 8.2) and the row's holder then aborts
+        // too, so the row passes to the aborted waiter.  Its failed write
+        // and the handle's drop must leave the row free: a leaked lock made
+        // every later writer of the row wait out the 1 s lock bound.
+        let (db, t) = test_db();
+        let setup = db.begin();
+        setup
+            .insert(t, 1, vec![("balance".into(), Value::Int(0))])
+            .unwrap();
+        setup.commit().unwrap();
+        let holder = db.begin();
+        holder
+            .update(t, 1, vec![("balance".into(), Value::Int(1))])
+            .unwrap();
+        let waiter = db.begin();
+        let waiter_id = waiter.id();
+        let blocked = {
+            let waiter = waiter;
+            thread::spawn(move || waiter.update(t, 1, vec![("balance".into(), Value::Int(2))]))
+        };
+        while !db.shared.locks.has_waiters() {
+            thread::sleep(Duration::from_millis(1));
+        }
+        db.abort_tx(waiter_id);
+        holder.abort();
+        assert!(blocked.join().unwrap().is_err());
+        assert_eq!(db.shared.locks.holder(&(t, RowKey::from(1))), None);
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //! number (`COMMIT <seq>`, see [`engine::TxHandle::commit_ordered`]), which
 //! lets the middleware submit commits concurrently while the engine groups
 //! the commit records into a single synchronous write and *announces* the
-//! commits in the prescribed order.
+//! commits in the prescribed order.  The proxy orders every system's
+//! commits through it; [`engine::FlushAt`] places each commit record's
+//! flush before the announce turn (grouped, Tashkent-API) or inside it
+//! (serial, Base).
 //!
 //! # Architecture
 //!
@@ -79,7 +82,7 @@ pub mod wal;
 pub use checkpoint::{CheckpointStore, SealedCheckpoint};
 pub use disk::{DiskStats, LogDevice, SimulatedDisk};
 pub use dump::DatabaseDump;
-pub use engine::{Database, EngineConfig, TxHandle};
+pub use engine::{Database, EngineConfig, FlushAt, TxHandle};
 pub use row::Row;
 pub use schema::TableSchema;
 pub use wal::{WalRecord, WalWriter};

@@ -85,9 +85,9 @@ impl LockManager {
     /// deadlock victim.
     ///
     /// The wait-for graph only tracks engine-local lock waits, so cycles that
-    /// pass through other components (the proxy's apply mutex, the ordered
-    /// commit announce order, a thread join in the Tashkent-API pipeline)
-    /// are invisible to cycle detection.  The bound converts any such stall
+    /// pass through other components (the ordered commit announce order, a
+    /// thread join in the Tashkent-API pipeline) are invisible to cycle
+    /// detection.  The bound converts any such stall
     /// into a retryable abort instead of a permanent hang — the same
     /// fallback real databases employ (cf. PostgreSQL's `deadlock_timeout`).
     #[must_use]

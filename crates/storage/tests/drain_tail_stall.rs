@@ -26,7 +26,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use tashkent_common::{CounterId, MetricsRegistry, TableId, Value, Version, WriteItem, WriteSet};
-use tashkent_storage::{Database, EngineConfig};
+use tashkent_storage::{Database, EngineConfig, FlushAt};
 
 fn update(table: TableId, key: i64, value: i64) -> WriteSet {
     WriteSet::from_items(vec![WriteItem::update(
@@ -64,14 +64,16 @@ fn later_ordered_apply_yields_the_row_to_its_predecessor() {
 
     let later = {
         let db = Arc::clone(&db);
-        thread::spawn(move || db.apply_writeset_ordered(&update(t, 1, 30), Version(3), 2))
+        thread::spawn(move || {
+            db.apply_writeset_ordered(&update(t, 1, 30), Version(3), 2, FlushAt::BeforeTurn)
+        })
     };
     // Let the later-ordered apply park in its turn wait (the sleep only
     // orders the two applies, it is not load-bearing for correctness —
     // if the earlier apply won the race the schedule is trivially fine).
     thread::sleep(Duration::from_millis(200));
 
-    let earlier = db.apply_writeset_ordered(&update(t, 1, 20), Version(2), 1);
+    let earlier = db.apply_writeset_ordered(&update(t, 1, 20), Version(2), 1, FlushAt::BeforeTurn);
     assert_eq!(earlier.unwrap(), Version(2));
     assert_eq!(later.join().unwrap().unwrap(), Version(3));
 
@@ -107,11 +109,12 @@ fn reversed_apply_chain_drains_without_deadlock_beats() {
                 &update(t, 1, order as i64 * 10),
                 Version(order + 1),
                 order,
+                FlushAt::BeforeTurn,
             )
         }));
         thread::sleep(Duration::from_millis(100));
     }
-    let first = db.apply_writeset_ordered(&update(t, 1, 10), Version(2), 1);
+    let first = db.apply_writeset_ordered(&update(t, 1, 10), Version(2), 1, FlushAt::BeforeTurn);
 
     assert_eq!(first.unwrap(), Version(2));
     for handle in handles {
@@ -137,9 +140,9 @@ fn earlier_ordered_holder_is_waited_out_not_wounded() {
 
     // Order 1 runs first (announce_counter is 0, its turn) and announces;
     // order 2 then begins on a snapshot that holds order 1's row.
-    let r1 = db.apply_writeset_ordered(&update(t, 1, 10), Version(2), 1);
+    let r1 = db.apply_writeset_ordered(&update(t, 1, 10), Version(2), 1, FlushAt::BeforeTurn);
     assert_eq!(r1.unwrap(), Version(2));
-    let r2 = db.apply_writeset_ordered(&update(t, 1, 20), Version(3), 2);
+    let r2 = db.apply_writeset_ordered(&update(t, 1, 20), Version(3), 2, FlushAt::BeforeTurn);
     assert_eq!(r2.unwrap(), Version(3));
     assert_eq!(metrics.counter(CounterId::Deadlocks), 0);
     let row = db.read_latest(t, 1).unwrap();
