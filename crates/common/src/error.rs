@@ -60,6 +60,15 @@ pub enum Error {
         /// The commit sequence number that never became eligible.
         sequence: Version,
     },
+    /// An ordered commit's turn can never come: an earlier order index on
+    /// the same engine failed without announcing, and only a resync may
+    /// move past it.
+    BehindFailedOrderIndex {
+        /// The order index whose turn wait failed.
+        index: u64,
+        /// The earlier index that failed.
+        failed: u64,
+    },
     /// An IO error from the (simulated or real) log device.
     Io(String),
     /// A corrupted or truncated log / dump file was encountered during
@@ -82,6 +91,7 @@ impl Error {
                 | Error::CertificationFailed { .. }
                 | Error::Deadlock { .. }
                 | Error::OrderedCommitTimeout { .. }
+                | Error::BehindFailedOrderIndex { .. }
         )
     }
 
@@ -117,6 +127,12 @@ impl fmt::Display for Error {
             Error::Unavailable(what) => write!(f, "component unavailable: {what}"),
             Error::OrderedCommitTimeout { sequence } => {
                 write!(f, "ordered commit {sequence} never became eligible")
+            }
+            Error::BehindFailedOrderIndex { index, failed } => {
+                write!(
+                    f,
+                    "ordered commit index {index} waits behind failed index {failed}"
+                )
             }
             Error::Io(detail) => write!(f, "io error: {detail}"),
             Error::Corruption(detail) => write!(f, "log corruption: {detail}"),

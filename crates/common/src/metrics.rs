@@ -157,8 +157,7 @@ pub enum CounterId {
     /// sampling window is edge evidence that fault injection touched the
     /// cluster — even when a crash/recover pair lands entirely between two
     /// samples, where the level-sampled [`GaugeId::NodesDown`] never shows
-    /// it.  The anomaly watchdog's drain-stall detector stands down while
-    /// this counter moves within its lookback.
+    /// it.  Read by flight timelines and diagnostic bundles.
     FaultTransitions,
     /// Times a Tashkent-API proxy had to hold a remote writeset back until
     /// the installs before it finished, because it artificially conflicts
@@ -290,9 +289,8 @@ pub enum GaugeId {
     OpenSessions,
     /// Cluster nodes (replicas + certifier shard-group members) currently
     /// crashed by fault injection.  Non-zero means commits may legitimately
-    /// stop — the anomaly watchdog's drain-stall detector stands down while
-    /// this gauge is raised.  The high-water mark records the deepest
-    /// concurrent outage of the run.
+    /// stop, so a flight timeline shows each outage window.  The high-water
+    /// mark records the deepest concurrent outage of the run.
     NodesDown,
 }
 

@@ -208,42 +208,31 @@ impl Cluster {
     /// passes `convoy` / `stall`, the fault harness `oracle`).
     #[must_use]
     pub fn diagnostic_bundle(&self, kind: &str, detail: &str) -> DiagnosticBundle {
-        DiagnosticBundle {
-            kind: kind.to_owned(),
-            detail: detail.to_owned(),
-            snapshot: self.metrics.snapshot(),
-            traces: self.metrics.recent_traces(),
-            events: self.metrics.events(),
-            progress: self
-                .replicas
-                .iter()
-                .map(|r| (r.id().value(), r.version().0))
-                .collect(),
-        }
+        capture_bundle(&self.metrics, &self.replicas, kind, detail)
     }
 
-    /// Starts an anomaly [`Watchdog`] over this cluster's registry.  When a
-    /// detector fires, the watchdog captures a diagnostic bundle of the
-    /// cluster via [`Cluster::diagnostic_bundle`] and writes it under the
-    /// bundle directory.
+    /// Starts an anomaly [`Watchdog`] over this cluster's registry and
+    /// every replica's commit order, read through the replica so it follows
+    /// the proxy recovery installs.  When a detector fires, the watchdog
+    /// captures a diagnostic bundle of the cluster, as
+    /// [`Cluster::diagnostic_bundle`] does, and writes it under the bundle
+    /// directory.
     #[must_use]
     pub fn start_watchdog(&self, config: WatchdogConfig) -> Watchdog {
-        let replicas: Vec<Arc<ReplicaNode>> = self.replicas.iter().map(Arc::clone).collect();
+        let replicas = self.replicas.clone();
+        let order_replicas = self.replicas.clone();
         let metrics = self.metrics();
-        let capture_metrics = Arc::clone(&metrics);
         Watchdog::start(
-            metrics,
+            Arc::clone(&metrics),
             config,
-            Box::new(move |verdict| DiagnosticBundle {
-                kind: verdict.kind.label().to_owned(),
-                detail: verdict.to_string(),
-                snapshot: capture_metrics.snapshot(),
-                traces: capture_metrics.recent_traces(),
-                events: capture_metrics.events(),
-                progress: replicas
-                    .iter()
-                    .map(|r| (r.id().value(), r.version().0))
-                    .collect(),
+            Box::new(move || order_replicas.iter().map(|r| r.commit_order()).collect()),
+            Box::new(move |verdict| {
+                capture_bundle(
+                    &metrics,
+                    &replicas,
+                    verdict.kind.label(),
+                    &verdict.to_string(),
+                )
             }),
         )
     }
@@ -487,13 +476,10 @@ impl Cluster {
     /// Recomputes the [`GaugeId::NodesDown`] gauge from live membership
     /// (crashed replicas plus crashed certifier shard-group members) and
     /// bumps the [`CounterId::FaultTransitions`] edge counter.  Called after
-    /// every crash/recover on the cluster's fault surface, so the flight
-    /// recorder (and the anomaly watchdog reading it) can tell an outage
-    /// window — where commits legitimately stop — from a wedged commit path
-    /// on a whole cluster.  The counter matters for crash/recover pairs
-    /// short enough to fall entirely between two flight samples: the gauge
-    /// never shows them, the counter delta does.
-    ///
+    /// every crash/recover on the cluster's fault surface, so a flight
+    /// timeline shows each outage window, and the counter shows
+    /// crash/recover pairs short enough to fall entirely between two
+    /// samples, where the gauge never does.
     fn refresh_nodes_down(&self) {
         let replicas_down = self.replicas.iter().filter(|r| r.is_crashed()).count();
         let log = self.certifier.local().stats();
@@ -514,6 +500,27 @@ impl Cluster {
             .iter()
             .map(|r| (r.id(), r.version()))
             .collect()
+    }
+}
+
+/// A [`DiagnosticBundle`] of the registry's current state and every
+/// replica's installed version.
+fn capture_bundle(
+    metrics: &MetricsRegistry,
+    replicas: &[Arc<ReplicaNode>],
+    kind: &str,
+    detail: &str,
+) -> DiagnosticBundle {
+    DiagnosticBundle {
+        kind: kind.to_owned(),
+        detail: detail.to_owned(),
+        snapshot: metrics.snapshot(),
+        traces: metrics.recent_traces(),
+        events: metrics.events(),
+        progress: replicas
+            .iter()
+            .map(|r| (r.id().value(), r.version().0))
+            .collect(),
     }
 }
 

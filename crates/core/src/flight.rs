@@ -12,13 +12,13 @@
 //! thread.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use tashkent_common::{MetricsRegistry, MetricsSnapshot};
+
+use crate::periodic::Periodic;
 
 /// Default ring capacity (at a 250 ms interval: ~4 minutes of history).
 pub const DEFAULT_SAMPLE_CAPACITY: usize = 1024;
@@ -33,25 +33,20 @@ pub struct FlightSample {
     pub snapshot: MetricsSnapshot,
 }
 
-struct RecorderShared {
-    samples: Mutex<VecDeque<FlightSample>>,
-    stop: AtomicBool,
-}
-
 /// A background sampler turning a [`MetricsRegistry`] into a bounded
 /// timeline of [`FlightSample`]s.
 ///
 /// Dropping the recorder stops and joins the sampling thread.
 pub struct FlightRecorder {
-    shared: Arc<RecorderShared>,
-    handle: Option<thread::JoinHandle<()>>,
+    samples: Arc<Mutex<VecDeque<FlightSample>>>,
+    thread: Periodic,
     capacity: usize,
 }
 
 impl std::fmt::Debug for FlightRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FlightRecorder")
-            .field("samples", &self.shared.samples.lock().len())
+            .field("samples", &self.samples.lock().len())
             .field("capacity", &self.capacity)
             .finish()
     }
@@ -67,40 +62,23 @@ impl FlightRecorder {
         capacity: usize,
     ) -> Self {
         let capacity = capacity.max(1);
-        let shared = Arc::new(RecorderShared {
-            samples: Mutex::new(VecDeque::with_capacity(capacity)),
-            stop: AtomicBool::new(false),
+        let samples = Arc::new(Mutex::new(VecDeque::with_capacity(capacity)));
+        let ring = Arc::clone(&samples);
+        let started = Instant::now();
+        let thread = Periodic::start("flight-recorder", interval, move || {
+            let sample = FlightSample {
+                at: started.elapsed(),
+                snapshot: registry.snapshot(),
+            };
+            let mut ring = ring.lock();
+            if ring.len() == capacity {
+                ring.pop_front();
+            }
+            ring.push_back(sample);
         });
-        let thread_shared = Arc::clone(&shared);
-        let handle = thread::Builder::new()
-            .name("flight-recorder".into())
-            .spawn(move || {
-                let started = Instant::now();
-                // Wake at least every 10 ms so stop() never waits out a long
-                // sampling interval.
-                let tick = interval.min(Duration::from_millis(10)).max(Duration::from_millis(1));
-                let mut next_sample = started + interval;
-                while !thread_shared.stop.load(Ordering::Relaxed) {
-                    thread::sleep(tick);
-                    if Instant::now() < next_sample {
-                        continue;
-                    }
-                    next_sample += interval;
-                    let sample = FlightSample {
-                        at: started.elapsed(),
-                        snapshot: registry.snapshot(),
-                    };
-                    let mut samples = thread_shared.samples.lock();
-                    if samples.len() == capacity {
-                        samples.pop_front();
-                    }
-                    samples.push_back(sample);
-                }
-            })
-            .expect("spawning the flight-recorder thread");
         FlightRecorder {
-            shared,
-            handle: Some(handle),
+            samples,
+            thread,
             capacity,
         }
     }
@@ -108,27 +86,14 @@ impl FlightRecorder {
     /// The timeline recorded so far, oldest first.
     #[must_use]
     pub fn samples(&self) -> Vec<FlightSample> {
-        self.shared.samples.lock().iter().cloned().collect()
+        self.samples.lock().iter().cloned().collect()
     }
 
     /// Stops the sampling thread and returns the recorded timeline.
     #[must_use]
     pub fn stop(mut self) -> Vec<FlightSample> {
-        self.stop_thread();
-        self.shared.samples.lock().drain(..).collect()
-    }
-
-    fn stop_thread(&mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for FlightRecorder {
-    fn drop(&mut self) {
-        self.stop_thread();
+        self.thread.stop();
+        self.samples.lock().drain(..).collect()
     }
 }
 

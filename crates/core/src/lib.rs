@@ -50,6 +50,7 @@
 pub mod bundle;
 pub mod cluster;
 pub mod flight;
+mod periodic;
 pub mod replica;
 pub mod trimmer;
 pub mod watchdog;
@@ -59,7 +60,10 @@ pub use cluster::Cluster;
 pub use flight::{FlightRecorder, FlightSample};
 pub use replica::ReplicaNode;
 pub use trimmer::{Trimmer, DEFAULT_TRIM_INTERVAL};
-pub use watchdog::{detect, AnomalyKind, FiredAnomaly, Verdict, Watchdog, WatchdogConfig};
+pub use watchdog::{
+    detect, AnomalyKind, FiredAnomaly, ReplicaOrder, Verdict, Watchdog, WatchdogConfig,
+    WatchdogSample,
+};
 
 pub use tashkent_certifier::{Certifier, CertifierConfig, CertifierNodeId, ShardedCertifierConfig};
 pub use tashkent_common::{

@@ -12,6 +12,8 @@ use tashkent_storage::checkpoint::CheckpointStore;
 use tashkent_storage::disk::DiskConfig;
 use tashkent_storage::{Database, EngineConfig};
 
+use crate::watchdog::ReplicaOrder;
+
 /// A database replica, its proxy, and the recovery material the middleware
 /// keeps for it (sealed checkpoint images).
 pub struct ReplicaNode {
@@ -178,6 +180,23 @@ impl ReplicaNode {
                 .node(self.id.value() as usize),
         );
         self.database().crash();
+    }
+
+    /// The replica's commit order, read from the proxy recovery installed
+    /// last: the highest order index handed out and the engine's announce
+    /// counter.  The counter is read first; it never passes the index
+    /// handed out, so the pair never shows more announced than handed out.
+    #[must_use]
+    pub fn commit_order(&self) -> ReplicaOrder {
+        let proxy = self.proxy();
+        let db = proxy.database();
+        let announced = db.announce_counter();
+        ReplicaOrder {
+            replica: self.id,
+            handed_out: proxy.order_counter(),
+            announced,
+            crashed: db.is_crashed(),
+        }
     }
 
     /// `true` if the replica has crashed and not yet been recovered.

@@ -25,15 +25,15 @@
 //! per shard, [`crate::ReplicaNode::truncate_wal_below`]), so the cluster-wide
 //! watermark is a liveness optimisation, not the only line of defence.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use tashkent_common::metrics::{CounterId, GaugeId};
 use tashkent_common::{MetricsRegistry, Result, Version};
 use tashkent_proxy::CertifierHandle;
 
+use crate::periodic::Periodic;
 use crate::replica::ReplicaNode;
 
 /// Default checkpoint-and-trim cadence of the background trimmer.
@@ -121,9 +121,8 @@ pub(crate) fn trim(
 /// certifier group rewrite failing mid-fault-schedule, say) are swallowed:
 /// truncation is garbage collection, and the next cycle retries.
 pub struct Trimmer {
-    stop: Arc<AtomicBool>,
     cycles: Arc<AtomicU64>,
-    handle: Option<thread::JoinHandle<()>>,
+    thread: Periodic,
 }
 
 impl std::fmt::Debug for Trimmer {
@@ -143,36 +142,14 @@ impl Trimmer {
         metrics: Arc<MetricsRegistry>,
         interval: Duration,
     ) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
         let cycles = Arc::new(AtomicU64::new(0));
-        let thread_stop = Arc::clone(&stop);
-        let thread_cycles = Arc::clone(&cycles);
-        let handle = thread::Builder::new()
-            .name("truncation-trimmer".into())
-            .spawn(move || {
-                // Wake at least every 10 ms so stop() never waits out a long
-                // trim interval.
-                let tick = interval
-                    .min(Duration::from_millis(10))
-                    .max(Duration::from_millis(1));
-                let mut next_cycle = Instant::now() + interval;
-                while !thread_stop.load(Ordering::Relaxed) {
-                    thread::sleep(tick);
-                    if Instant::now() < next_cycle {
-                        continue;
-                    }
-                    next_cycle = Instant::now() + interval;
-                    seal_checkpoints(&certifier, &replicas, &metrics);
-                    let _ = trim(&certifier, &replicas, &metrics);
-                    thread_cycles.fetch_add(1, Ordering::Relaxed);
-                }
-            })
-            .expect("spawn trimmer thread");
-        Trimmer {
-            stop,
-            cycles,
-            handle: Some(handle),
-        }
+        let counted = Arc::clone(&cycles);
+        let thread = Periodic::start("truncation-trimmer", interval, move || {
+            seal_checkpoints(&certifier, &replicas, &metrics);
+            let _ = trim(&certifier, &replicas, &metrics);
+            counted.fetch_add(1, Ordering::Relaxed);
+        });
+        Trimmer { cycles, thread }
     }
 
     /// Number of completed checkpoint-and-trim cycles.
@@ -183,15 +160,6 @@ impl Trimmer {
 
     /// Stops the trimmer and joins its thread (also done on drop).
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for Trimmer {
-    fn drop(&mut self) {
-        self.stop();
+        self.thread.stop();
     }
 }

@@ -1,44 +1,41 @@
-//! The anomaly watchdog: online detectors over the flight recorder's
-//! timeline, with automatic diagnostic-bundle capture.
+//! The anomaly watchdog: online detectors over sampled metrics and every
+//! replica's commit order, with automatic diagnostic-bundle capture.
 //!
-//! The flight recorder (PR 6) turns the metrics registry into a timeline of
-//! [`FlightSample`]s; this module watches that timeline *online* for the two
-//! anomaly signatures the ROADMAP's observability work identified:
+//! The watchdog samples the metrics registry, as the flight recorder does,
+//! together with each replica's commit order, and watches that timeline
+//! *online* for two anomaly signatures:
 //!
 //! * **Retry convoy** — a persistent per-sample abort trickle while commits
 //!   continue: transactions fighting over the same hot rows re-certify in
 //!   lockstep, so every sampling window shows fresh certification aborts
 //!   (the TPC-B slow-mode signature).
-//! * **Drain stall** — commits stop entirely while WAL fsyncs keep arriving
-//!   at a slow heartbeat (the rare 15.5 s drain-tail relapse: ~1 Hz windows
-//!   of two fsyncs each with zero committed transactions).
+//! * **Drain stall** — a live replica's announce counter stands still while
+//!   an order index above it has been handed out: every later commit and
+//!   install on that replica waits on that index (the drain-tail relapse).
 //!
 //! Detection is a pure function over sample windows ([`detect`]), so the
-//! thresholds are deterministically testable with hand-built snapshots; the
+//! thresholds are deterministically testable with hand-built samples; the
 //! [`Watchdog`] wraps it in a sampling thread and, on first trigger per
 //! anomaly kind, writes a [`DiagnosticBundle`]
 //! to disk so the evidence is captured at the moment the anomaly happens.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use tashkent_common::metrics::GaugeId;
-use tashkent_common::{CounterId, MetricsRegistry};
+use tashkent_common::{CounterId, MetricsRegistry, MetricsSnapshot, ReplicaId};
 
 use crate::bundle::DiagnosticBundle;
-use crate::flight::FlightSample;
+use crate::periodic::Periodic;
 
 /// Which anomaly signature a detector matched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnomalyKind {
     /// Persistent per-sample abort trickle while commits continue.
     RetryConvoy,
-    /// Commits stopped entirely while WAL fsyncs keep a slow heartbeat.
+    /// A live replica's commit order stopped announcing.
     DrainStall,
 }
 
@@ -64,7 +61,7 @@ impl std::fmt::Display for AnomalyKind {
 pub struct Verdict {
     /// The matched signature.
     pub kind: AnomalyKind,
-    /// Human-readable evidence summary (window deltas).
+    /// Human-readable evidence summary.
     pub detail: String,
     /// Number of consecutive samples that matched.
     pub window: usize,
@@ -87,19 +84,11 @@ pub struct WatchdogConfig {
     pub convoy_window: usize,
     /// Minimum aborted transactions per sample delta to count as trickle (1).
     pub convoy_min_aborts: u64,
-    /// Consecutive sample deltas with zero commits that constitute a stall (4).
+    /// Consecutive sample deltas across which a live replica's announce
+    /// counter must stand still, with an index above it handed out, to
+    /// constitute a stall (4).
     pub stall_window: usize,
-    /// Minimum WAL fsyncs across the stalled window — the heartbeat that
-    /// distinguishes a drain stall from a merely idle cluster (2).
-    pub stall_min_fsyncs: u64,
-    /// Samples of post-outage grace: the stall detector stands down while
-    /// any retained sample shows [`GaugeId::NodesDown`] non-zero, and the
-    /// sample buffer is sized to look this many samples past the stall
-    /// window (24 — six seconds at the 250 ms interval, past the 5 s
-    /// ordered-commit timeout that bounds how long a transaction caught
-    /// mid-flight by a crash can keep the drain busy after the heal).
-    pub stall_outage_grace: usize,
-    /// Sampling interval of the watchdog's own recorder thread (250 ms).
+    /// Sampling interval of the watchdog's own thread (250 ms).
     pub interval: Duration,
 }
 
@@ -109,8 +98,6 @@ impl Default for WatchdogConfig {
             convoy_window: 8,
             convoy_min_aborts: 1,
             stall_window: 4,
-            stall_min_fsyncs: 2,
-            stall_outage_grace: 24,
             interval: Duration::from_millis(250),
         }
     }
@@ -118,32 +105,52 @@ impl Default for WatchdogConfig {
 
 impl WatchdogConfig {
     /// How many samples the watchdog retains: the longer detector window
-    /// plus one for the delta baseline, stretched to keep the stall
-    /// detector's post-outage grace horizon in view.  Detectors still fire
-    /// as soon as their own window fills — retention only bounds how far
-    /// back the outage stand-down can see.
+    /// plus one for the delta baseline.
     #[must_use]
     pub fn samples_needed(&self) -> usize {
-        self.convoy_window
-            .max(self.stall_window + self.stall_outage_grace)
-            + 1
+        self.convoy_window.max(self.stall_window) + 1
     }
 }
 
-fn delta(samples: &[FlightSample], counter: CounterId, i: usize) -> u64 {
+/// One replica's commit order at a sampling instant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReplicaOrder {
+    /// The replica.
+    pub replica: ReplicaId,
+    /// The highest order index its proxy has handed out.
+    pub handed_out: u64,
+    /// Its engine's announce counter: every index up to it has announced.
+    pub announced: u64,
+    /// `true` while the replica is crashed.
+    pub crashed: bool,
+}
+
+/// One watchdog sample: the registry snapshot the convoy detector reads and
+/// every replica's commit order, which the stall detector reads.
+#[derive(Debug, Clone)]
+pub struct WatchdogSample {
+    /// Time since the watchdog started.
+    pub at: Duration,
+    /// The registry snapshot taken at that instant.
+    pub snapshot: MetricsSnapshot,
+    /// Every replica's commit order at that instant.
+    pub order: Vec<ReplicaOrder>,
+}
+
+fn delta(samples: &[WatchdogSample], counter: CounterId, i: usize) -> u64 {
     samples[i]
         .snapshot
         .counter(counter)
         .saturating_sub(samples[i - 1].snapshot.counter(counter))
 }
 
-/// Runs both detectors over a flight timeline (oldest sample first) and
+/// Runs both detectors over a sample timeline (oldest sample first) and
 /// returns the first matching verdict, convoy checked first.
 ///
 /// Pure: the watchdog thread calls this on its own samples, and tests call
 /// it on hand-built timelines, so the thresholds behave identically in both.
 #[must_use]
-pub fn detect(samples: &[FlightSample], config: &WatchdogConfig) -> Option<Verdict> {
+pub fn detect(samples: &[WatchdogSample], config: &WatchdogConfig) -> Option<Verdict> {
     detect_convoy(samples, config).or_else(|| detect_stall(samples, config))
 }
 
@@ -151,7 +158,7 @@ pub fn detect(samples: &[FlightSample], config: &WatchdogConfig) -> Option<Verdi
 /// deltas aborted at least `convoy_min_aborts` transactions *and* committed
 /// at least one — sustained conflict churn alongside progress, not a burst
 /// and not an outage.
-fn detect_convoy(samples: &[FlightSample], config: &WatchdogConfig) -> Option<Verdict> {
+fn detect_convoy(samples: &[WatchdogSample], config: &WatchdogConfig) -> Option<Verdict> {
     let window = config.convoy_window.max(1);
     if samples.len() < window + 1 {
         return None;
@@ -179,84 +186,43 @@ fn detect_convoy(samples: &[FlightSample], config: &WatchdogConfig) -> Option<Ve
     })
 }
 
-/// The drain-stall signature: the last `stall_window` sample deltas all
-/// committed zero transactions while the window as a whole still recorded
-/// at least `stall_min_fsyncs` WAL fsyncs — the periodic-fsync heartbeat
-/// that separates a wedged commit path from an idle cluster.  On a
-/// Tashkent-API replica that heartbeat comes only from local commits and
-/// checkpoints: remote installs append their WAL records without a flush,
-/// so a replica that only installs adds no fsyncs of its own.
+/// The drain-stall signature, read per replica: a live replica whose
+/// announce counter stood still across the last `stall_window` sample
+/// deltas while an order index above it was handed out.  A replica
+/// announces installs and certified local commits strictly in order-index
+/// order, so every later commit on it waits on the index after the
+/// counter, and the verdict names that index.
 ///
-/// The detector stands down while fault injection touches the cluster, and
-/// through a grace horizon after the heal: commits stopping during (or in
-/// the aftermath of) an outage is *expected* behavior, and transactions
-/// caught mid-flight by a crash may legitimately keep the drain busy for up
-/// to the 5 s ordered-commit timeout after the heal.  Two pieces of
-/// evidence, both checked over every retained sample (the buffer is sized
-/// by [`WatchdogConfig::samples_needed`] to cover `stall_outage_grace`
-/// samples past the stall window):
-///
-/// * **Level** — `GaugeId::NodesDown` non-zero in any sample: part of the
-///   cluster is (or recently was) down.
-/// * **Edge** — the `FaultTransitions` counter moved across the buffer: a
-///   crash or recovery fired inside the lookback, even if the whole
-///   crash/recover pair fell between two samples where the gauge never
-///   shows it.
-/// * **Apply progress** — `RemoteInstalls` advanced during the stall window
-///   itself: the cluster is replaying a recovered replica's backlog (which
-///   can outlive any fixed grace horizon), not wedged.  The genuine
-///   pathology installs nothing — its applies keep aborting in a
-///   deadlock-retry loop, so only the fsync heartbeat moves.
-///
-/// The judgment only applies to a whole, settled cluster — exactly where
-/// the historical drain-tail pathology lived.
-fn detect_stall(samples: &[FlightSample], config: &WatchdogConfig) -> Option<Verdict> {
+/// Nothing else can explain the signature away.  An index is handed out
+/// only after certification, so a certifier outage or a severed link
+/// leaves none outstanding; an idle replica has handed out nothing past
+/// its counter; and a crashed replica is skipped.
+fn detect_stall(samples: &[WatchdogSample], config: &WatchdogConfig) -> Option<Verdict> {
     let window = config.stall_window.max(1);
-    if samples.len() < window + 1 {
-        return None;
-    }
-    let first = samples.len() - window;
-    if samples
-        .iter()
-        .any(|s| s.snapshot.gauge(GaugeId::NodesDown).0 > 0)
-    {
-        return None;
-    }
-    let transitions = samples[samples.len() - 1]
-        .snapshot
-        .counter(CounterId::FaultTransitions)
-        .saturating_sub(samples[0].snapshot.counter(CounterId::FaultTransitions));
-    if transitions != 0 {
-        return None;
-    }
-    let mut fsyncs = 0u64;
-    let mut installs = 0u64;
-    for i in first..samples.len() {
-        if delta(samples, CounterId::TxCommitted, i) != 0 {
-            return None;
-        }
-        fsyncs += delta(samples, CounterId::WalFsyncs, i);
-        installs += delta(samples, CounterId::RemoteInstalls, i);
-    }
-    // Remote writesets landing during the window mean the cluster is
-    // *applying* — a recovered replica replaying a backlog thousands of
-    // versions deep (commits queue behind the catch-up, sometimes for
-    // seconds past any grace horizon).  A wedged commit path installs
-    // nothing: the historical drain-tail pathology was a deadlock-retry
-    // loop whose applies kept aborting, so only the fsync heartbeat moved.
-    if installs != 0 {
-        return None;
-    }
-    if fsyncs < config.stall_min_fsyncs {
-        return None;
-    }
-    Some(Verdict {
-        kind: AnomalyKind::DrainStall,
-        detail: format!(
-            "commits stopped for {window} consecutive samples while \
-             {fsyncs} WAL fsyncs kept the heartbeat"
-        ),
-        window,
+    let span = &samples[samples.len().checked_sub(window + 1)?..];
+    let (first, last) = (&span[0], &span[window]);
+    last.order.iter().find_map(|now| {
+        let stuck = span.iter().all(|sample| {
+            sample.order.iter().any(|o| {
+                o.replica == now.replica
+                    && !o.crashed
+                    && o.announced == now.announced
+                    && o.handed_out > o.announced
+            })
+        });
+        stuck.then(|| Verdict {
+            kind: AnomalyKind::DrainStall,
+            detail: format!(
+                "{} waits on order index {} for {} ms: announced through {} \
+                 with {} handed out",
+                now.replica,
+                now.announced + 1,
+                last.at.saturating_sub(first.at).as_millis(),
+                now.announced,
+                now.handed_out
+            ),
+            window,
+        })
     })
 }
 
@@ -270,127 +236,83 @@ pub struct FiredAnomaly {
     pub bundle: Option<PathBuf>,
 }
 
+type OrderFn = dyn Fn() -> Vec<ReplicaOrder> + Send + Sync;
 type CaptureFn = dyn Fn(&Verdict) -> DiagnosticBundle + Send + Sync;
 
-struct WatchdogShared {
-    fired: Mutex<Vec<FiredAnomaly>>,
-    stop: AtomicBool,
-}
-
-/// A background thread sampling a [`MetricsRegistry`] and running the
-/// anomaly detectors online.  On the first trigger of each [`AnomalyKind`]
-/// it captures a diagnostic bundle (via the closure handed to
-/// [`Watchdog::start`], typically [`Cluster::diagnostic_bundle`]) and writes
-/// it under the bundle directory.
+/// A background thread sampling a [`MetricsRegistry`] and every replica's
+/// commit order and running the anomaly detectors online.  On the first
+/// trigger of each [`AnomalyKind`] it captures a diagnostic bundle (via the
+/// closure handed to [`Watchdog::start`], typically
+/// [`Cluster::diagnostic_bundle`]) and writes it under the bundle directory.
 ///
 /// Dropping the watchdog stops and joins the thread.
 ///
 /// [`Cluster::diagnostic_bundle`]: crate::Cluster::diagnostic_bundle
 pub struct Watchdog {
-    shared: Arc<WatchdogShared>,
-    handle: Option<thread::JoinHandle<()>>,
+    fired: Arc<Mutex<Vec<FiredAnomaly>>>,
+    thread: Periodic,
 }
 
 impl std::fmt::Debug for Watchdog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Watchdog")
-            .field("fired", &self.shared.fired.lock().len())
+            .field("fired", &self.fired.lock().len())
             .finish()
     }
 }
 
 impl Watchdog {
-    /// Starts the watchdog thread over `registry`.  `capture` builds the
-    /// diagnostic bundle when a detector fires; the watchdog writes it to
-    /// the default bundle directory (see
+    /// Starts the watchdog thread over `registry`.  `order` reads every
+    /// replica's commit order at each sample; `capture` builds the
+    /// diagnostic bundle when a detector fires, and the watchdog writes it
+    /// to the default bundle directory (see
     /// [`DiagnosticBundle::write_default`]).
     #[must_use]
     pub fn start(
         registry: Arc<MetricsRegistry>,
         config: WatchdogConfig,
+        order: Box<OrderFn>,
         capture: Box<CaptureFn>,
     ) -> Self {
-        let shared = Arc::new(WatchdogShared {
-            fired: Mutex::new(Vec::new()),
-            stop: AtomicBool::new(false),
+        let fired = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&fired);
+        let started = Instant::now();
+        let keep = config.samples_needed();
+        let mut samples: VecDeque<WatchdogSample> = VecDeque::with_capacity(keep);
+        let mut seen: Vec<AnomalyKind> = Vec::new();
+        let thread = Periodic::start("anomaly-watchdog", config.interval, move || {
+            if samples.len() == keep {
+                samples.pop_front();
+            }
+            samples.push_back(WatchdogSample {
+                at: started.elapsed(),
+                snapshot: registry.snapshot(),
+                order: order(),
+            });
+            let Some(verdict) = detect(samples.make_contiguous(), &config) else {
+                return;
+            };
+            if seen.contains(&verdict.kind) {
+                return;
+            }
+            seen.push(verdict.kind);
+            let bundle = capture(&verdict).write_default().ok();
+            log.lock().push(FiredAnomaly { verdict, bundle });
         });
-        let thread_shared = Arc::clone(&shared);
-        let handle = thread::Builder::new()
-            .name("anomaly-watchdog".into())
-            .spawn(move || {
-                let started = Instant::now();
-                let keep = config.samples_needed();
-                let mut samples: VecDeque<FlightSample> = VecDeque::with_capacity(keep);
-                let mut convoy_fired = false;
-                let mut stall_fired = false;
-                let tick = config
-                    .interval
-                    .min(Duration::from_millis(10))
-                    .max(Duration::from_millis(1));
-                let mut next_sample = started + config.interval;
-                while !thread_shared.stop.load(Ordering::Relaxed) {
-                    thread::sleep(tick);
-                    if Instant::now() < next_sample {
-                        continue;
-                    }
-                    next_sample += config.interval;
-                    if samples.len() == keep {
-                        samples.pop_front();
-                    }
-                    samples.push_back(FlightSample {
-                        at: started.elapsed(),
-                        snapshot: registry.snapshot(),
-                    });
-                    let timeline: Vec<FlightSample> = samples.iter().cloned().collect();
-                    let Some(verdict) = detect(&timeline, &config) else {
-                        continue;
-                    };
-                    let already = match verdict.kind {
-                        AnomalyKind::RetryConvoy => std::mem::replace(&mut convoy_fired, true),
-                        AnomalyKind::DrainStall => std::mem::replace(&mut stall_fired, true),
-                    };
-                    if already {
-                        continue;
-                    }
-                    let bundle = capture(&verdict);
-                    let path = bundle.write_default().ok();
-                    thread_shared
-                        .fired
-                        .lock()
-                        .push(FiredAnomaly { verdict, bundle: path });
-                }
-            })
-            .expect("spawning the anomaly-watchdog thread");
-        Watchdog {
-            shared,
-            handle: Some(handle),
-        }
+        Watchdog { fired, thread }
     }
 
     /// The anomalies fired so far, oldest first.
     #[must_use]
     pub fn fired(&self) -> Vec<FiredAnomaly> {
-        self.shared.fired.lock().clone()
+        self.fired.lock().clone()
     }
 
     /// Stops the watchdog thread and returns everything that fired.
     #[must_use]
     pub fn stop(mut self) -> Vec<FiredAnomaly> {
-        self.stop_thread();
-        self.shared.fired.lock().drain(..).collect()
-    }
-
-    fn stop_thread(&mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        self.stop_thread();
+        self.thread.stop();
+        self.fired.lock().drain(..).collect()
     }
 }
 
@@ -398,32 +320,55 @@ impl Drop for Watchdog {
 mod tests {
     use super::*;
 
-    /// Builds a deterministic flight timeline by mutating one registry
-    /// between snapshots — the same shape the watchdog thread sees, with
-    /// no threads and no clocks involved.
+    /// Builds a deterministic sample timeline by mutating one registry and
+    /// one commit-order table between samples — the same shape the
+    /// watchdog thread sees, with no threads and no clocks involved.
     struct TimelineBuilder {
         registry: MetricsRegistry,
-        samples: Vec<FlightSample>,
+        order: Vec<ReplicaOrder>,
+        samples: Vec<WatchdogSample>,
     }
 
     impl TimelineBuilder {
         fn new() -> Self {
-            let registry = MetricsRegistry::enabled();
-            let samples = vec![FlightSample {
-                at: Duration::ZERO,
-                snapshot: registry.snapshot(),
-            }];
-            TimelineBuilder { registry, samples }
+            let mut t = TimelineBuilder {
+                registry: MetricsRegistry::enabled(),
+                order: Vec::new(),
+                samples: Vec::new(),
+            };
+            t.tick(0, 0);
+            t
+        }
+
+        /// Sets one replica's commit order for the samples that follow.
+        fn order(
+            &mut self,
+            replica: u32,
+            handed_out: u64,
+            announced: u64,
+            crashed: bool,
+        ) -> &mut Self {
+            let entry = ReplicaOrder {
+                replica: ReplicaId(replica),
+                handed_out,
+                announced,
+                crashed,
+            };
+            match self.order.iter_mut().find(|o| o.replica == entry.replica) {
+                Some(o) => *o = entry,
+                None => self.order.push(entry),
+            }
+            self
         }
 
         /// One sampling interval in which the given counter deltas landed.
-        fn tick(&mut self, commits: u64, aborts: u64, fsyncs: u64) -> &mut Self {
+        fn tick(&mut self, commits: u64, aborts: u64) -> &mut Self {
             self.registry.add(CounterId::TxCommitted, commits);
             self.registry.add(CounterId::TxAborted, aborts);
-            self.registry.add(CounterId::WalFsyncs, fsyncs);
-            self.samples.push(FlightSample {
+            self.samples.push(WatchdogSample {
                 at: Duration::from_millis(250 * self.samples.len() as u64),
                 snapshot: self.registry.snapshot(),
+                order: self.order.clone(),
             });
             self
         }
@@ -434,8 +379,6 @@ mod tests {
             convoy_window: 4,
             convoy_min_aborts: 1,
             stall_window: 3,
-            stall_min_fsyncs: 2,
-            stall_outage_grace: 4,
             interval: Duration::from_millis(250),
         }
     }
@@ -445,9 +388,9 @@ mod tests {
         let mut t = TimelineBuilder::new();
         // Healthy warm-up, then four consecutive windows that each commit
         // and abort — the synthetic retry convoy.
-        t.tick(50, 0, 1).tick(48, 0, 1);
+        t.tick(50, 0).tick(48, 0);
         for _ in 0..4 {
-            t.tick(30, 5, 1);
+            t.tick(30, 5);
         }
         let verdict = detect(&t.samples, &config()).expect("convoy must fire");
         assert_eq!(verdict.kind, AnomalyKind::RetryConvoy);
@@ -458,121 +401,96 @@ mod tests {
     #[test]
     fn convoy_detector_ignores_a_single_abort_burst() {
         let mut t = TimelineBuilder::new();
-        t.tick(50, 0, 1).tick(10, 40, 1).tick(50, 0, 1).tick(50, 0, 1).tick(50, 0, 1);
+        t.tick(50, 0)
+            .tick(10, 40)
+            .tick(50, 0)
+            .tick(50, 0)
+            .tick(50, 0);
         assert!(detect(&t.samples, &config()).is_none());
     }
 
     #[test]
-    fn stall_detector_fires_when_commits_stop_but_fsyncs_heartbeat() {
+    fn stall_detector_fires_on_a_stuck_replica_and_names_its_index() {
         let mut t = TimelineBuilder::new();
-        // Load, then the drain-tail signature: zero commits per window with
-        // the slow fsync heartbeat still ticking.
-        t.tick(50, 1, 4).tick(50, 0, 4);
-        t.tick(0, 0, 1).tick(0, 0, 0).tick(0, 0, 1);
+        t.order(0, 5, 5, false).tick(10, 0);
+        // Index 8 never announces; 9 and 10 queue behind it.
+        t.order(0, 10, 7, false);
+        t.tick(0, 0).tick(0, 0).tick(0, 0).tick(0, 0);
         let verdict = detect(&t.samples, &config()).expect("stall must fire");
         assert_eq!(verdict.kind, AnomalyKind::DrainStall);
         assert_eq!(verdict.window, 3);
-        assert!(verdict.detail.contains("2 WAL fsyncs"), "{}", verdict.detail);
+        assert!(
+            verdict
+                .detail
+                .contains("replica-0 waits on order index 8 for 750 ms"),
+            "{}",
+            verdict.detail
+        );
     }
 
     #[test]
-    fn stall_detector_stands_down_while_fault_injection_holds_nodes_down() {
+    fn stall_detector_ignores_progressing_idle_and_crashed_replicas() {
         let mut t = TimelineBuilder::new();
-        t.tick(50, 1, 4).tick(50, 0, 4);
-        // A certifier shard group goes down: commits stop, fsyncs heartbeat —
-        // the stall signature, but explained by the outage.
-        t.registry.gauge_set(GaugeId::NodesDown, 2);
-        t.tick(0, 0, 1).tick(0, 0, 1).tick(0, 0, 1);
-        assert!(
-            detect(&t.samples, &config()).is_none(),
-            "outage windows must not read as drain stalls"
-        );
-        // Nodes recover.  While the outage samples are still retained the
-        // grace holds (the drain may be working off transactions the crash
-        // caught mid-flight) …
-        t.registry.gauge_set(GaugeId::NodesDown, 0);
-        t.tick(0, 0, 1).tick(0, 0, 1).tick(0, 0, 1).tick(0, 0, 1);
-        assert!(
-            detect(&t.samples, &config()).is_none(),
-            "the post-outage grace horizon must hold while outage samples remain"
-        );
-        // … but once the buffer has evicted the outage (all retained samples
-        // show a whole cluster), the same signature is a real stall again.
-        let settled = &t.samples[6..];
-        let verdict = detect(settled, &config()).expect("post-grace stall must fire");
-        assert_eq!(verdict.kind, AnomalyKind::DrainStall);
-    }
-
-    #[test]
-    fn stall_detector_stands_down_after_a_sub_sample_crash_recover_pair() {
-        let mut t = TimelineBuilder::new();
-        t.tick(50, 1, 4).tick(50, 0, 4);
-        // A crash/recover pair lands entirely between two samples: the
-        // NodesDown gauge reads zero at every sample instant, but the
-        // transition counter moved — and the aftermath (clients waiting out
-        // their outage timeouts) shows the stall signature.
-        t.registry.incr(CounterId::FaultTransitions);
-        t.registry.incr(CounterId::FaultTransitions);
-        t.tick(0, 0, 1).tick(0, 0, 1).tick(0, 0, 1);
-        assert!(
-            detect(&t.samples, &config()).is_none(),
-            "a fault transition inside the lookback must suppress the stall"
-        );
-        // Once the transition ages out of the retained buffer, the same
-        // signature fires.
-        t.tick(0, 0, 1).tick(0, 0, 1).tick(0, 0, 1).tick(0, 0, 1);
-        let settled = &t.samples[6..];
-        let verdict = detect(settled, &config()).expect("post-grace stall must fire");
-        assert_eq!(verdict.kind, AnomalyKind::DrainStall);
-    }
-
-    #[test]
-    fn stall_detector_stands_down_while_catch_up_applies_make_progress() {
-        let mut t = TimelineBuilder::new();
-        t.tick(50, 1, 4).tick(50, 0, 4);
-        // A recovered replica replays its backlog: commits queue behind the
-        // catch-up (zero per window) while remote installs pour in.
-        for _ in 0..4 {
-            t.registry.add(CounterId::RemoteInstalls, 500);
-            t.tick(0, 0, 3);
-        }
-        assert!(
-            detect(&t.samples, &config()).is_none(),
-            "a catch-up replay is apply progress, not a wedged commit path"
-        );
-        // The backlog drains, installs go quiet, commits still zero — now
-        // it is the real signature.
-        t.tick(0, 0, 1).tick(0, 0, 1).tick(0, 0, 1);
-        let verdict = detect(&t.samples, &config()).expect("post-catch-up stall must fire");
-        assert_eq!(verdict.kind, AnomalyKind::DrainStall);
-    }
-
-    #[test]
-    fn stall_detector_ignores_an_idle_cluster_without_fsyncs() {
-        let mut t = TimelineBuilder::new();
-        t.tick(50, 0, 4);
-        for _ in 0..5 {
-            t.tick(0, 0, 0); // idle: no commits, but no heartbeat either
+        for i in 1..=5 {
+            // Replica 0 keeps announcing with indices outstanding; replica
+            // 1 has nothing outstanding; replica 2 is crashed holding one.
+            t.order(0, 10 * i + 3, 10 * i, false)
+                .order(1, 4, 4, false)
+                .order(2, 9, 6, true)
+                .tick(0, 0);
         }
         assert!(detect(&t.samples, &config()).is_none());
+    }
+
+    #[test]
+    fn stall_detector_fires_when_one_of_two_replicas_is_stuck_while_the_other_commits() {
+        let mut t = TimelineBuilder::new();
+        for i in 1..=5 {
+            // Cluster-wide, commits keep flowing: replica 1 announces 50 a
+            // sample.  Replica 0 waits on index 4 the whole time.
+            t.order(0, 6, 3, false)
+                .order(1, 50 * i, 50 * i, false)
+                .tick(50, 0);
+        }
+        let verdict = detect(&t.samples, &config()).expect("stall must fire");
+        assert_eq!(verdict.kind, AnomalyKind::DrainStall);
+        assert!(
+            verdict.detail.contains("replica-0 waits on order index 4"),
+            "{}",
+            verdict.detail
+        );
+    }
+
+    #[test]
+    fn stall_detector_needs_the_counter_stuck_across_the_whole_window() {
+        let mut t = TimelineBuilder::new();
+        // One sample into the window replica 0 hands out index 8 on a
+        // counter that has not moved, and crashed replica 1 comes back
+        // recovered, its fresh counters stuck from then on: neither was
+        // stuck with an index outstanding across the whole window.
+        t.order(0, 7, 7, false).order(1, 20, 12, true).tick(0, 0);
+        t.order(0, 8, 7, false).order(1, 2, 0, false);
+        t.tick(0, 0).tick(0, 0).tick(0, 0);
+        assert!(detect(&t.samples, &config()).is_none());
+        // One more delta fills the window for both.
+        t.tick(0, 0);
+        let verdict = detect(&t.samples, &config()).expect("stall must fire");
+        assert!(verdict.detail.contains("replica-0"), "{}", verdict.detail);
     }
 
     #[test]
     fn detectors_need_a_full_window_before_firing() {
         let mut t = TimelineBuilder::new();
-        t.tick(30, 5, 1).tick(30, 5, 1); // trickle, but only two windows
+        t.order(0, 3, 1, false);
+        t.tick(30, 5).tick(30, 5); // trickle and a stuck index, two windows
         assert!(detect(&t.samples, &config()).is_none());
     }
 
     #[test]
     fn watchdog_thread_detects_a_live_synthetic_stall_and_writes_a_bundle() {
         let registry = Arc::new(MetricsRegistry::enabled());
-        // Some history so TxCommitted is non-trivial, then silence.
-        registry.add(CounterId::TxCommitted, 100);
-        let dir = std::env::temp_dir().join(format!(
-            "tashkent-watchdog-test-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("tashkent-watchdog-test-{}", std::process::id()));
         let capture_dir = dir.clone();
         let watchdog = Watchdog::start(
             Arc::clone(&registry),
@@ -580,10 +498,16 @@ mod tests {
                 convoy_window: 64, // effectively off for this test
                 convoy_min_aborts: 1,
                 stall_window: 3,
-                stall_min_fsyncs: 2,
-                stall_outage_grace: 4,
                 interval: Duration::from_millis(5),
             },
+            Box::new(|| {
+                vec![ReplicaOrder {
+                    replica: ReplicaId(3),
+                    handed_out: 12,
+                    announced: 11,
+                    crashed: false,
+                }]
+            }),
             Box::new(move |verdict| {
                 let bundle = DiagnosticBundle {
                     kind: verdict.kind.label().to_owned(),
@@ -599,26 +523,36 @@ mod tests {
                 bundle
             }),
         );
-        // Keep the fsync heartbeat alive while commits stay frozen.
-        for _ in 0..60 {
-            registry.incr(CounterId::WalFsyncs);
-            thread::sleep(Duration::from_millis(5));
-            if !watchdog.fired().is_empty() {
-                break;
-            }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while watchdog.fired().is_empty() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
         }
         let fired = watchdog.stop();
         assert!(
-            fired.iter().any(|f| f.verdict.kind == AnomalyKind::DrainStall),
+            fired
+                .iter()
+                .any(|f| f.verdict.kind == AnomalyKind::DrainStall),
             "stall never fired: {fired:?}"
         );
+        if let Some(path) = fired.iter().find_map(|f| f.bundle.as_ref()) {
+            let _ = std::fs::remove_file(path);
+        }
         let written: Vec<_> = std::fs::read_dir(&dir)
             .expect("bundle directory exists")
             .filter_map(|e| e.ok().map(|e| e.path()))
             .collect();
-        assert!(!written.is_empty(), "no bundle written to {}", dir.display());
+        assert!(
+            !written.is_empty(),
+            "no bundle written to {}",
+            dir.display()
+        );
         let bundle = DiagnosticBundle::read_from(&written[0]).expect("bundle round-trips");
         assert_eq!(bundle.kind, "stall");
+        assert!(
+            bundle.detail.contains("replica-3 waits on order index 12"),
+            "{}",
+            bundle.detail
+        );
         assert_eq!(bundle.progress, vec![(0, 7)]);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -304,11 +304,11 @@ pub fn run_plan(seed: u64, config: &ScheduleConfig, plan: &FaultPlan) -> Schedul
             resilient: true,
         },
     );
-    // Disarm before the oracle runs: verification syncs replicas with the
-    // load stopped (zero commits, WAL fsyncs still ticking), which is
-    // indistinguishable from the drain-stall signature.  The real
-    // drain-tail window is covered — `run_driver` blocks through the
-    // drain, so a stuck shutdown fires the detector before this line.
+    // Disarm before the oracle runs, so everything the watchdog reports
+    // belongs to the schedule's load and faults; the oracle judges what
+    // follows with its own invariants.  The drain-tail window is covered —
+    // `run_driver` blocks through the drain, so a replica stuck on an
+    // order index then fires the detector before this line.
     let fired = watchdog.map(Watchdog::stop).unwrap_or_default();
     for anomaly in &fired {
         eprintln!("watchdog fired during schedule {seed:#x}: {}", anomaly.verdict);

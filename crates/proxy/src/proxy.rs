@@ -329,14 +329,15 @@ impl Proxy {
     /// compare versions, as `Cluster::sync_all` does.
     ///
     /// The group takes the next order index and waits for its announce
-    /// turn.  Behind an index that never announces (a crashed or failed
-    /// commit) it waits out the engine's `ordered_commit_timeout`, resyncs,
-    /// and returns the timeout.
+    /// turn.  Behind an index that failed it fails at once; behind one
+    /// that was handed out and never committed nor failed it waits out the
+    /// engine's `ordered_commit_timeout`.  Either way it resyncs and
+    /// returns the turn error.
     ///
     /// # Errors
     ///
-    /// Fails if the database crashed, the group timed out waiting for its
-    /// announce turn, or the stream has a gap ([`Error::Corruption`]).
+    /// Fails if the database crashed, the group's announce turn can never
+    /// come or timed out, or the stream has a gap ([`Error::Corruption`]).
     pub fn refresh(&self) -> Result<usize> {
         let remotes = self
             .shared
@@ -373,6 +374,14 @@ impl Proxy {
             .certifier
             .writesets_after(self.shared.db.version());
         self.install_group(&remotes, true)
+    }
+
+    /// The last dense order index this proxy has handed out.  With the
+    /// engine's [`Database::announce_counter`] it tells how far the
+    /// replica's commit order runs ahead of what has announced.
+    #[must_use]
+    pub fn order_counter(&self) -> u64 {
+        self.shared.state.lock().order_counter
     }
 
     /// Test hook: hands out one order index without ever announcing it —
@@ -500,17 +509,16 @@ impl Proxy {
 
         // The local commit takes its turn.  Without a slot it was aborted,
         // or left to the remote path (see `schedule_own`).  Behind an
-        // install already known to have failed it is skipped, since that
-        // index never announces and the commit would wait out
-        // `ordered_commit_timeout`; the resync installs its writeset.
+        // install that failed, its turn wait fails at once (the engine
+        // records the failed index) and the resync installs its writeset.
         match own_slot {
-            Some((order_index, version)) if failures.is_empty() => {
+            Some((order_index, version)) => {
                 failures.extend(
                     tx.commit_ordered(order_index, version, self.shared.flush)
                         .err(),
                 );
             }
-            _ => tx.abort(),
+            None => tx.abort(),
         }
         failures.extend(handles.into_iter().filter_map(failure));
 

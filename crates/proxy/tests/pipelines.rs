@@ -510,13 +510,14 @@ fn resync_force_fills_burned_order_indices() {
     }
 }
 
-/// On Base and Tashkent-MW a round's remote writesets install as one group
-/// on the committing thread.  When that install fails, the round skips its
-/// own commit and resyncs at once: it never leaves the commit waiting out
-/// the 5 s ordered-commit timeout behind the group's unannounced index.
+/// A round whose remote install fails resyncs at once on every system: the
+/// engine records the failed index, so the round's own commit fails its
+/// turn wait at once instead of waiting out the 5 s ordered-commit timeout
+/// behind an index that never announces.  Base and Tashkent-MW install on
+/// the committing thread, Tashkent-API on a spawned one.
 #[test]
 fn a_failed_inline_group_install_resyncs_without_waiting_for_a_turn() {
-    for system in [SystemKind::Base, SystemKind::TashkentMw] {
+    for system in SystemKind::ALL {
         let rig = Rig::new();
         let a = rig.replica(system, 0);
         deposit(&a, 1, 100).unwrap();

@@ -128,6 +128,10 @@ struct DataState {
     /// Dense counter of announced ordered commits (the "semaphore" of
     /// Section 8.3).
     announce_counter: u64,
+    /// The lowest order index above `announce_counter` whose install or
+    /// commit failed: it never announces, so every later turn wait fails
+    /// at once until a resync fast-forwards past it.
+    failed_index: Option<u64>,
 }
 
 struct DbShared {
@@ -436,6 +440,12 @@ impl Database {
     pub fn force_announce_counter(&self, value: u64) {
         let mut data = self.shared.data.lock();
         data.announce_counter = data.announce_counter.max(value);
+        if data
+            .failed_index
+            .is_some_and(|failed| failed <= data.announce_counter)
+        {
+            data.failed_index = None;
+        }
         drop(data);
         self.shared.announced.notify_all();
     }
@@ -568,8 +578,10 @@ impl Database {
     ///
     /// # Errors
     ///
-    /// Propagates lock conflicts, deadlocks, ordered-commit timeouts and
-    /// [`Error::Unavailable`] after a crash.
+    /// Propagates lock conflicts, deadlocks, ordered-commit timeouts,
+    /// [`Error::BehindFailedOrderIndex`] and [`Error::Unavailable`] after a
+    /// crash.  A failed install records its index as failed (see
+    /// [`TxHandle::commit_ordered`]).
     pub fn apply_writeset_ordered(
         &self,
         writeset: &WriteSet,
@@ -577,23 +589,47 @@ impl Database {
         order_index: u64,
         flush: FlushAt,
     ) -> Result<Version> {
-        self.wait_for_announce_turn(order_index, commit_version)?;
-        let tx = self.begin();
-        self.mark_remote_apply(tx.id());
-        match tx.apply_items(writeset) {
-            Ok(()) => tx.commit_ordered(order_index, commit_version, flush),
-            Err(e) => {
-                tx.abort();
-                Err(e)
-            }
+        let result = self
+            .wait_for_announce_turn(order_index, commit_version)
+            .and_then(|()| {
+                let tx = self.begin();
+                self.mark_remote_apply(tx.id());
+                // A failed apply drops `tx`, which aborts it.
+                tx.apply_items(writeset)?;
+                tx.commit_ordered(order_index, commit_version, flush)
+            });
+        if result.is_err() {
+            self.fail_order_index(order_index);
         }
+        result
+    }
+
+    /// Records that `order_index` failed without announcing, unless a
+    /// resync already fast-forwarded past it.  It never announces, and no
+    /// later index may announce past it without skipping a version, so
+    /// every later turn wait fails at once instead of waiting out the
+    /// ordered-commit timeout.  [`Database::force_announce_counter`]
+    /// clears the record.
+    fn fail_order_index(&self, order_index: u64) {
+        let mut data = self.shared.data.lock();
+        if data.announce_counter >= order_index {
+            return;
+        }
+        data.failed_index = Some(
+            data.failed_index
+                .map_or(order_index, |f| f.min(order_index)),
+        );
+        drop(data);
+        self.shared.announced.notify_all();
     }
 
     /// Parks until every announce order strictly below `order_index` has
-    /// announced.  Fails with [`Error::OrderedCommitTimeout`] if the
-    /// ordered-commit timeout elapses first (the announce chain itself is
-    /// stuck, which is the caller's resync path) and with
-    /// [`Error::Unavailable`] as soon as the database crashes.
+    /// announced.  Fails with [`Error::BehindFailedOrderIndex`] as soon as
+    /// an earlier index failed, with [`Error::OrderedCommitTimeout`] if the
+    /// ordered-commit timeout elapses first (an earlier index was handed
+    /// out and never committed nor failed), and with
+    /// [`Error::Unavailable`] as soon as the database crashes.  Each is the
+    /// caller's resync path.
     fn wait_for_announce_turn(&self, order_index: u64, version: Version) -> Result<()> {
         let deadline = std::time::Instant::now() + self.shared.ordered_commit_timeout;
         let mut data = self.shared.data.lock();
@@ -601,6 +637,12 @@ impl Database {
             self.check_alive()?;
             if data.announce_counter >= order_index.saturating_sub(1) {
                 return Ok(());
+            }
+            if let Some(failed) = data.failed_index.filter(|&failed| failed < order_index) {
+                return Err(Error::BehindFailedOrderIndex {
+                    index: order_index,
+                    failed,
+                });
             }
             let timeout = deadline.saturating_duration_since(std::time::Instant::now());
             if timeout.is_zero() {
@@ -999,8 +1041,23 @@ impl Database {
     }
 
     /// The extended `COMMIT <seq>`: concurrent submission, ordered
-    /// announcement, the commit record written where `flush` places it.
+    /// announcement, the commit record written where `flush` places it.  A
+    /// commit that fails records its index as failed.
     fn commit_ordered_version(
+        &self,
+        id: TxId,
+        order_index: u64,
+        version: Version,
+        flush: FlushAt,
+    ) -> Result<Version> {
+        let result = self.announce_ordered(id, order_index, version, flush);
+        if result.is_err() {
+            self.fail_order_index(order_index);
+        }
+        result
+    }
+
+    fn announce_ordered(
         &self,
         id: TxId,
         order_index: u64,
@@ -1247,7 +1304,11 @@ impl TxHandle {
     /// # Errors
     ///
     /// As for [`TxHandle::commit`], plus [`Error::OrderedCommitTimeout`] if a
-    /// predecessor index never arrives (API misuse, Section 5.2).
+    /// predecessor index never arrives (API misuse, Section 5.2) and
+    /// [`Error::BehindFailedOrderIndex`] if one failed.  A commit that
+    /// fails before it announces records `order_index` as failed: later
+    /// indices fail their turn waits at once until
+    /// [`Database::force_announce_counter`] moves past it.
     pub fn commit_ordered(
         &self,
         order_index: u64,
@@ -1533,6 +1594,59 @@ mod tests {
         let result = tx.commit_ordered(9, Version(9), FlushAt::BeforeTurn);
         assert!(matches!(result, Err(Error::OrderedCommitTimeout { .. })));
         assert_eq!(db.version(), Version::ZERO);
+    }
+
+    #[test]
+    fn ordered_waiters_behind_a_failed_index_fail_at_once_until_a_resync() {
+        let (db, t) = test_db();
+        let insert = |key: i64| {
+            let tx = db.begin();
+            tx.insert(t, key, vec![("balance".into(), Value::Int(key))])
+                .unwrap();
+            tx
+        };
+        // Index 2 parks behind index 1 (the default turn timeout is 5 s).
+        let waiter = {
+            let tx = insert(2);
+            thread::spawn(move || {
+                let started = std::time::Instant::now();
+                let result = tx.commit_ordered(2, Version(2), FlushAt::InTurn);
+                (result, started.elapsed())
+            })
+        };
+        thread::sleep(Duration::from_millis(50));
+        // Index 1's install fails after its turn came: it names a table the
+        // replica does not have.
+        let poisoned = WriteSet::from_items(vec![tashkent_common::WriteItem::insert(
+            TableId(99),
+            1,
+            vec![("balance".into(), Value::Int(1))],
+        )]);
+        assert!(db
+            .apply_writeset_ordered(&poisoned, Version(1), 1, FlushAt::InTurn)
+            .is_err());
+        let (result, waited) = waiter.join().unwrap();
+        assert_eq!(
+            result,
+            Err(Error::BehindFailedOrderIndex {
+                index: 2,
+                failed: 1
+            })
+        );
+        assert!(waited < Duration::from_secs(1), "waited {waited:?}");
+        // Nothing announces past the failed index.
+        assert!(matches!(
+            insert(3).commit_ordered(3, Version(3), FlushAt::InTurn),
+            Err(Error::BehindFailedOrderIndex { failed: 1, .. })
+        ));
+        assert_eq!((db.announce_counter(), db.version()), (0, Version::ZERO));
+        // A resync fast-forwards past the failed indices and clears the
+        // record: the next index commits at its turn.
+        db.force_announce_counter(3);
+        assert_eq!(
+            insert(4).commit_ordered(4, Version(1), FlushAt::InTurn),
+            Ok(Version(1))
+        );
     }
 
     #[test]
